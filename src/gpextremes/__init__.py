@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AmbiguousMinimumError,
-    CapacityError,
     ConfigError,
     ConvergenceError,
     DomainError,

@@ -18,6 +18,7 @@ Carlo with caching, or scalar-scaled from a single base estimate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,12 +155,21 @@ class MonteCarloProvider(ConstantProvider):
 
     @staticmethod
     def _key(kind, *parts):
-        return (kind,) + tuple(
-            tuple(np.round(np.asarray(p, dtype=float), 12)) if np.ndim(p) else round(float(p), 12)
-            if isinstance(p, (int, float, np.floating))
-            else p
-            for p in parts
-        )
+        """Cache key of a request, holding plain Python values only.
+
+        ``_stream_for`` hashes ``repr(key)``, and a numpy scalar's repr
+        depends on the numpy version (``np.float64(1.0)`` under numpy 2), so
+        every number becomes a plain ``float`` rounded to 12 decimals.
+        """
+
+        def canonical(p):
+            if np.ndim(p):
+                return tuple(np.round(np.asarray(p, dtype=float), 12).tolist())
+            if isinstance(p, numbers.Real):
+                return round(float(p), 12)
+            return p
+
+        return (kind,) + tuple(canonical(p) for p in parts)
 
     def _stream_for(self, key) -> RngStream:
         return self.stream.child("provider", repr(key))

@@ -178,7 +178,6 @@ def estimate_window_constant(
     R=10_000,
     stream: RngStream = None,
     workers: int = 1,
-    mc_budget: int = 2048,
 ) -> ConstantEstimate:
     """Monte Carlo window constant over [-S1, S2].
 
@@ -251,9 +250,7 @@ def estimate_window_constant(
             seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
             return RunningMoments.from_values(np.exp(seg_max.max(axis=1)))
         cloud = np.stack(parts, axis=2)  # (Rb, m, n)
-        gen_mc = stream.child("block", b, "ewv").generator() if C.size >= 3 else None
-        vals = ewv_batch(cloud, mc_budget=mc_budget, gen=gen_mc)
-        return RunningMoments.from_values(vals)
+        return RunningMoments.from_values(ewv_batch(cloud))
 
     n_blocks = len(block_sizes(R))
     moments = merge_moments(map_blocks(run_block, n_blocks, workers))

@@ -30,10 +30,6 @@ class FactorizationError(GpxError, RuntimeError):
     """Covariance matrix is indefinite beyond tolerance."""
 
 
-class CapacityError(GpxError, RuntimeError):
-    """Exact orthant-union integration exceeds its combinatorial cap."""
-
-
 class UnsupportedModelError(GpxError, ValueError):
     """The requested model variant has no implemented evaluation path."""
 

@@ -145,9 +145,16 @@ def _get(node, at, key, types, required=True, default=None):
                 raise ConfigError(path, "missing required key")
             return default
         node = node[part]
-    if types is not None and not isinstance(node, types):
+    if types is not None and not _is_a(node, types):
         raise ConfigError(path, f"expected {types}, got {type(node).__name__}")
     return node
+
+
+def _is_a(value, types) -> bool:
+    """``isinstance``, except that a JSON boolean is not a number (bool subclasses int)."""
+    if isinstance(value, bool):
+        return types is bool or (isinstance(types, tuple) and bool in types)
+    return isinstance(value, types)
 
 
 def _number(node, at, key, required=True, default=None):
@@ -159,7 +166,7 @@ def _vector(node, at, key, required=True, default=None):
     val = _get(node, at, key, list, required=required, default=default)
     if val is None:
         return None
-    if not val or not all(isinstance(v, (int, float)) for v in val):
+    if not val or not all(_is_a(v, (int, float)) for v in val):
         raise ConfigError(_join(at, key), "expected a non-empty array of numbers")
     return [float(v) for v in val]
 
@@ -167,8 +174,9 @@ def _vector(node, at, key, required=True, default=None):
 def _parse_profile(node, path) -> ProfileTable:
     if not isinstance(node, dict):
         raise ConfigError(path, "expected an object with 'nodes' and 'values'")
+    nodes, values = _vector(node, path, "nodes"), _vector(node, path, "values")
     try:
-        return ProfileTable(tuple(node.get("nodes", ())), tuple(node.get("values", ())))
+        return ProfileTable(tuple(nodes), tuple(values))
     except GpxError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -491,13 +499,15 @@ def _run_bounds_table(tree, exp_id, seed, workers, out_dir, records, plots):
     section = _get(tree, "", "bounds_table", dict)
     n_range = [int(v) for v in _vector(section, "bounds_table", "n_range")]
     kappa_set = _get(section, "bounds_table", "kappa_set", list)
-    if kappa_set and not all(float(k) in (1.0, 2.0) for k in kappa_set):
+    if kappa_set:  # an empty kappa_set is allowed and yields no rows
+        kappa_set = _vector(section, "bounds_table", "kappa_set")
+    if not all(k in (1.0, 2.0) for k in kappa_set):
         raise ConfigError("bounds_table.kappa_set", "upper bounds exist only for kappa in {1, 2}")
     drifts = [
         _parse_drift(node, f"bounds_table.drifts[{j}]")
         for j, node in enumerate(_get(section, "bounds_table", "drifts", list, required=False, default=[]))
     ]
-    for row in emit_bounds_table(n_range, [float(k) for k in kappa_set], drifts):
+    for row in emit_bounds_table(n_range, kappa_set, drifts):
         records.append(
             _row(
                 exp_id,

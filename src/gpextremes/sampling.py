@@ -351,11 +351,22 @@ def write_path_dump(batch: PathBatch, path) -> None:
 
 
 def read_path_dump(path) -> PathBatch:
+    """Read a :func:`write_path_dump` file; a short header, a truncated body
+    or trailing bytes raise :class:`DomainError`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != DUMP_MAGIC:
             raise DomainError(f"not a path dump (magic {magic!r})")
-        n, m, R, step, origin = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(8 * n * m * R), dtype="<f8").astype(float)
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise DomainError(f"path dump header has {len(header)} bytes, expected {_HEADER.size}")
+        n, m, R, step, origin = _HEADER.unpack(header)
+        size = 8 * n * m * R
+        body = fh.read(size + 1)
+    if len(body) < size:
+        raise DomainError(f"truncated path dump: {len(body)} of {size} body bytes for (n, m, R) = {(n, m, R)}")
+    if len(body) > size:
+        raise DomainError(f"trailing bytes after the {size}-byte body of a path dump")
+    data = np.frombuffer(body, dtype="<f8").astype(float)
     grid = SampleGrid(origin, step, m)
     return PathBatch(grid, n, R, data.reshape(R, n, m))

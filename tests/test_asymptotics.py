@@ -120,6 +120,14 @@ class TestProviders:
         b = p.pickands(np.asarray([1.0]))
         assert a is b
 
+    def test_monte_carlo_provider_key_is_numpy_independent(self):
+        # the stream of a request is derived from repr(key), which must not show numpy scalar types
+        from_numpy = MonteCarloProvider._key(
+            "window", np.asarray([1.0, 0.5]), np.float64(1.5), (np.float64(0.0),), np.asarray([2.0]), np.int64(0), 1.0
+        )
+        from_python = MonteCarloProvider._key("window", [1.0, 0.5], 1.5, (0.0,), (2.0,), 0.0, 1.0)
+        assert repr(from_numpy) == repr(from_python) == "('window', (1.0, 0.5), 1.5, (0.0,), (2.0,), 0.0, 1.0)"
+
 
 class TestLocallyStationary:
     def test_stationary_unit_reduces_to_u2_psi(self):

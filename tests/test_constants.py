@@ -129,6 +129,20 @@ class TestWindowConstant:
         b = estimate_window_constant([1.0], 1.5, zero_drift(1, 1.5), (0.0, 1.0), workers=8, **common)
         assert a.value == b.value and a.se == b.se
 
+    def test_worker_count_invariance_n3(self):
+        common = dict(grid_step=1.0 / 32, R=5000, stream=RngStream(11, 10))
+        a = estimate_window_constant([1.0, 1.0, 1.0], 1.0, zero_drift(3), (0.0, 1.0), workers=1, **common)
+        b = estimate_window_constant([1.0, 1.0, 1.0], 1.0, zero_drift(3), (0.0, 1.0), workers=2, **common)
+        assert a.value == b.value and a.se == b.se
+
+    def test_zero_amplitude_coordinate_drops_out(self):
+        # the third coordinate is identically 0, so every EWV_3 equals the EWV_2 of the first two
+        common = dict(grid_step=1.0 / 32, R=2048, stream=STREAM.child("c0"))
+        three = estimate_window_constant([1.0, 1.0, 0.0], 1.0, zero_drift(3), (0.0, 1.0), **common)
+        two = estimate_window_constant([1.0, 1.0], 1.0, zero_drift(2), (0.0, 1.0), **common)
+        assert three.value == pytest.approx(two.value, rel=1e-12)
+        assert three.se == pytest.approx(two.se, rel=1e-9)
+
     def test_subadditivity_small(self):
         h1 = estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 1.0), R=10_000, stream=STREAM.child("s1"))
         h2 = estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 2.0), R=10_000, stream=STREAM.child("s2"))

@@ -124,6 +124,17 @@ NESTED_KEY_CASES = [
     ("constant.drift", window_config, lambda t: t["constant"].update(drift=3)),
     ("audit.u_ladder", audit_config, lambda t: t["audit"].pop("u_ladder")),
     ("bounds_table.drifts[0]", bounds_config, lambda t: t["bounds_table"].update(drifts=[3])),
+    ("bounds_table.kappa_set", bounds_config, lambda t: t["bounds_table"].update(kappa_set=["a"])),
+    # JSON booleans are not numbers, although bool subclasses int
+    ("bounds_table.n_range", bounds_config, lambda t: t["bounds_table"].update(n_range=[True, 2], kappa_set=[True])),
+    ("probability.u", probability_config, lambda t: t["probability"].update(u=True)),
+    (
+        "processes.ou.coords[0].a_profile.nodes",
+        probability_config,
+        lambda t: t["processes"]["ou"]["coords"].__setitem__(
+            0, {"variant": "locally_stationary", "a_profile": {"nodes": 3, "values": [1.0, 1.0]}, "kappa": 1.0}
+        ),
+    ),
 ]
 
 

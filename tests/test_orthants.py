@@ -1,12 +1,13 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpextremes import CapacityError, DomainError, PointCloud, RngStream, ewv_exact, ewv_mc, pareto_prune
-from gpextremes.orthants import EXACT_PARETO_CAP, ewv_batch
+from gpextremes import DomainError, PointCloud, RngStream, ewv_exact, ewv_mc, pareto_prune
+from gpextremes.orthants import _pareto_mask, ewv_batch
 
 STREAM = RngStream(2024_06)
 
@@ -23,6 +24,29 @@ def brute_force_ewv(points, budget=400_000, seed=0):
     frac = covered.mean()
     se = math.exp(M.sum()) * math.sqrt(frac * (1 - frac) / budget)
     return math.exp(M.sum()) * frac, se
+
+
+def inclusion_exclusion_ewv(points):
+    """Exact oracle: signed sum of exp(sum_i min_J p_i) over nonempty subsets J
+    of the Pareto set, max-shifted.  Exponential in the Pareto-set size, so
+    only for small clouds."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[_pareto_mask(pts)]
+    shift = pts.max(axis=0)
+    q = pts - shift
+    total = 0.0
+    for card in range(1, q.shape[0] + 1):
+        subsets = np.array(list(combinations(range(q.shape[0]), card)))
+        total += (-1) ** (card + 1) * np.exp(q[subsets].min(axis=1).sum(axis=1)).sum()
+    return math.exp(shift.sum()) * total
+
+
+def oracle_clouds(n, ties, count=20, seed=0):
+    """Small random clouds; with ``ties`` the coordinates are rounded to halves
+    so that equal coordinates and duplicate points occur."""
+    gen = np.random.default_rng([n, ties, seed])
+    clouds = gen.normal(size=(count, 8, n))
+    return np.round(2.0 * clouds) / 2.0 if ties else clouds
 
 
 class TestParetoPrune:
@@ -94,12 +118,29 @@ class TestEwvExact:
         mc, se = brute_force_ewv(pts, seed=2)
         assert abs(exact - mc) < 4 * se
 
-    def test_capacity_error(self):
-        # an anti-chain: all m points Pareto-maximal
-        m = EXACT_PARETO_CAP + 3
+    def test_large_antichain(self):
+        # points (i, -i, 0): a staircase of m Pareto points with EWV (m - 1)(1 - 1/e) + 1
+        m = 40
         pts = np.stack([np.arange(m, dtype=float), -np.arange(m, dtype=float), np.zeros(m)], axis=1)
-        with pytest.raises(CapacityError):
-            ewv_exact(PointCloud(3, pts))
+        assert ewv_exact(PointCloud(3, pts)) == pytest.approx((m - 1) * (1.0 - math.exp(-1.0)) + 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_inclusion_exclusion(self, n, ties):
+        for pts in oracle_clouds(n, ties):
+            assert ewv_exact(PointCloud(n, pts)) == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-12)
+
+    def test_antipodal_large_coordinates_3d(self):
+        # the coordinatewise maxima sum to 1600, the point sums to 0: EWV = 2 - exp(-1600)
+        cloud = PointCloud(3, [[800.0, -800.0, 0.0], [-800.0, 800.0, 0.0]])
+        assert ewv_exact(cloud) == pytest.approx(2.0, rel=1e-15)
+
+    def test_large_coordinates_3d_match_inclusion_exclusion(self):
+        gen = np.random.default_rng(16)
+        for offset in ([800.0, -900.0, 100.0], [-750.0, 720.0, 40.0]):
+            pts = gen.normal(size=(8, 3)) + np.array(offset)
+            val = ewv_exact(PointCloud(3, pts))
+            assert math.isfinite(val) and val == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-12)
 
     def test_large_coordinates_do_not_overflow(self):
         cloud = PointCloud(2, [[800.0, -900.0], [700.0, -800.0]])
@@ -111,11 +152,7 @@ class TestEwvExact:
     def test_staircase_agrees_with_inclusion_exclusion(self, seed):
         gen = np.random.default_rng(seed)
         pts = gen.normal(size=(gen.integers(1, 12), 2))
-        from gpextremes.orthants import _ewv_inclusion_exclusion, _pareto_mask
-
-        direct = ewv_exact(PointCloud(2, pts))
-        ie = _ewv_inclusion_exclusion(pts[_pareto_mask(pts)])
-        assert direct == pytest.approx(ie, rel=1e-10)
+        assert ewv_exact(PointCloud(2, pts)) == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-10)
 
 
 class TestEwvMc:
@@ -174,10 +211,28 @@ class TestEwvBatch:
         pts = gen.normal(size=(20, 7, 1))
         np.testing.assert_allclose(ewv_batch(pts), np.exp(pts[:, :, 0].max(axis=1)))
 
-    def test_batch_n3_is_unbiased(self):
+    def test_batch_n3_matches_percloud_exact(self):
         gen = np.random.default_rng(15)
         pts = gen.normal(size=(200, 6, 3))
         exact = np.array([ewv_exact(PointCloud(3, p)) for p in pts])
-        est = ewv_batch(pts, mc_budget=4096, gen=np.random.default_rng(99))
-        # per-cloud MC noise averages out across the batch
-        assert np.mean(est - exact) == pytest.approx(0.0, abs=4 * np.std(est - exact) / math.sqrt(200))
+        np.testing.assert_allclose(ewv_batch(pts), exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_batch_matches_inclusion_exclusion(self, n, ties):
+        clouds = oracle_clouds(n, ties, seed=1)
+        oracle = [inclusion_exclusion_ewv(pts) for pts in clouds]
+        np.testing.assert_allclose(ewv_batch(clouds), oracle, rtol=1e-12)
+
+    def test_batch_n3_spans_several_chunks(self):
+        # 300 clouds of 33 points exceed one chunk of the n=3 sweep
+        gen = np.random.default_rng(17)
+        pts = gen.normal(size=(300, 33, 3))
+        batch = ewv_batch(pts)
+        for r in (0, 59, 60, 61, 299):
+            assert batch[r] == pytest.approx(ewv_exact(PointCloud(3, pts[r])), rel=1e-14)
+
+    def test_generator_is_ignored(self):
+        gen = np.random.default_rng(18)
+        pts = gen.normal(size=(10, 5, 3))
+        np.testing.assert_array_equal(ewv_batch(pts, gen=np.random.default_rng(0)), ewv_batch(pts))

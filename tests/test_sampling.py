@@ -243,3 +243,16 @@ class TestPathDump:
         assert (n, m, R) == (1, 3, 2)
         assert step == 0.5 and origin == 0.0
         assert len(raw) == 4 + 28 + 8 * n * m * R
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda raw: raw[: 4 + 20], lambda raw: raw[:-8], lambda raw: raw + b"\0"],
+        ids=["short_header", "truncated_body", "trailing_bytes"],
+    )
+    def test_damaged_dump_is_domain_error(self, tmp_path, damage):
+        batch = sample_fbm(1.0, SampleGrid(0.0, 0.5, 3), 2, STREAM.child("dmg"))
+        path = tmp_path / "d.gpb"
+        write_path_dump(batch, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DomainError):
+            read_path_dump(path)
