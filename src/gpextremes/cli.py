@@ -1,8 +1,9 @@
 """Command-line front end for the experiment runner.
 
 Verbs map one-to-one onto experiment kinds; every verb takes the same
-flags.  Exit codes: 0 success, 1 config error, 2 runtime estimator
-failure, 3 audit-verdict failure.
+flags.  Exit codes: 0 success, 1 config error, 2 runtime failure (an
+estimator error, or results that cannot be written), 3 audit-verdict
+failure.
 """
 from __future__ import annotations
 
@@ -58,6 +59,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     for rec in manifest.records:
         marker = rec["verdict"] or "ok"
         value = rec["value"]

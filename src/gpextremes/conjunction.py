@@ -23,7 +23,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
-from .parallel import block_sizes, map_blocks, merge_moments, RunningMoments
+from .parallel import RunningMoments, merge_moments, replicate
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -88,20 +88,25 @@ def _threshold_matrix(thresholds, n):
     return thr
 
 
+def _count_hits(values, thr, strides=(1,)):
+    """Hit counts of paths ``values`` (Rb, n, m), shape (len(thr), len(strides)).
+
+    Stride s counts the replications that hit on every s-th node.
+    """
+    counts = np.zeros((thr.shape[0], len(strides)), dtype=np.int64)
+    for j, row in enumerate(thr):
+        exceed_all = (values > row[None, :, None]).all(axis=1)  # (Rb, m)
+        for k, stride in enumerate(strides):
+            counts[j, k] = int(exceed_all[:, ::stride].any(axis=1).sum())
+    return counts
+
+
 def _scan_hits(spec, thr, grid, R, stream, workers, strides=(1,)):
     """Hit counts with shape (len(thr), len(strides)), shared paths throughout."""
-    def run_block(b):
-        sizes = block_sizes(R)
-        batch = sample_vector(spec, grid, sizes[b], stream.child("block", b))
-        counts = np.zeros((thr.shape[0], len(strides)), dtype=np.int64)
-        for j, row in enumerate(thr):
-            exceed_all = (batch.values > row[None, :, None]).all(axis=1)  # (Rb, m)
-            for k, stride in enumerate(strides):
-                counts[j, k] = int(exceed_all[:, ::stride].any(axis=1).sum())
-        return counts
+    def run_block(Rb, block):
+        return _count_hits(sample_vector(spec, grid, Rb, block()).values, thr, strides)
 
-    n_blocks = len(block_sizes(R))
-    return sum(map_blocks(run_block, n_blocks, workers))
+    return sum(replicate(R, stream, workers, run_block))
 
 
 def estimate_conjunction_prob(
@@ -120,8 +125,6 @@ def estimate_conjunction_prob(
     Returns one estimate or a list matching the stack.
     """
     ensure_valid(spec)
-    if R < 1000:
-        raise DomainError("R must be >= 1000")
     thr = _threshold_matrix(thresholds, spec.n)
     counts = _scan_hits(spec, thr, grid, R, stream, workers)
     out = [_prob_from_hits(int(c[0]), R, grid.step) for c in counts]
@@ -198,9 +201,8 @@ def estimate_double_event(
     starts = [int(round(off / S * nodes_per_window)) for off in offsets]
     thr = np.full(spec.n, u)
 
-    def run_block(b):
-        sizes = block_sizes(R)
-        batch = sample_vector(spec, grid, sizes[b], stream.child("block", b))
+    def run_block(Rb, block):
+        batch = sample_vector(spec, grid, Rb, block())
         exceed_all = (batch.values > thr[None, :, None]).all(axis=1)  # (Rb, m)
         hit0 = exceed_all[:, : nodes_per_window + 1].any(axis=1)
         single = int(hit0.sum())
@@ -210,8 +212,7 @@ def estimate_double_event(
         ]
         return np.asarray([single] + joint, dtype=np.int64)
 
-    n_blocks = len(block_sizes(R))
-    counts = sum(map_blocks(run_block, n_blocks, workers))
+    counts = sum(replicate(R, stream, workers, run_block))
     single = _prob_from_hits(int(counts[0]), R, step)
     joint = tuple(_prob_from_hits(int(c), R, step) for c in counts[1:])
     return DoubleEventResult(tuple(offsets), joint, single)
@@ -320,21 +321,12 @@ def audit_borell(
     tau_sq = float(finite_g.min())
     thr = np.asarray([[u] * spec.n for u in us])
 
-    def run_block(b):
-        sizes = block_sizes(R)
-        batch = sample_vector(spec, grid, sizes[b], stream.child("block", b))
-        sup_mix = np.einsum("rnm,nm->rm", batch.values, lam).max(axis=1)
-        counts = np.asarray(
-            [
-                int((batch.values > row[None, :, None]).all(axis=1).any(axis=1).sum())
-                for row in thr
-            ],
-            dtype=np.int64,
-        )
-        return RunningMoments.from_values(sup_mix), counts
+    def run_block(Rb, block):
+        values = sample_vector(spec, grid, Rb, block()).values
+        sup_mix = np.einsum("rnm,nm->rm", values, lam).max(axis=1)
+        return RunningMoments.from_values(sup_mix), _count_hits(values, thr)[:, 0]
 
-    n_blocks = len(block_sizes(R))
-    parts = map_blocks(run_block, n_blocks, workers)
+    parts = replicate(R, stream, workers, run_block)
     moments = merge_moments([p[0] for p in parts])
     counts = sum(p[1] for p in parts)
     mu_hat = moments.mean

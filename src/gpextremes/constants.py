@@ -27,7 +27,7 @@ from scipy.integrate import simpson
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import BLOCK_SIZE, RunningMoments, block_sizes, map_blocks, merge_moments
+from .parallel import RunningMoments, merge_moments, replicate
 from .rng import RngStream
 from .sampling import FgnSampler
 
@@ -199,10 +199,6 @@ def estimate_window_constant(
         raise DomainError("drift dimension must match C")
     if S1 == 0.0 and S2 == 0.0:
         return ConstantEstimate(1.0, 0.0, (0.0, 0.0), 0.0, 0, "window")
-    if R < 1000:
-        raise DomainError("R must be >= 1000")
-    if stream is None:
-        raise DomainError("an RngStream is required")
 
     step = float(grid_step) if grid_step is not None else default_window_step(kappa, max(S1, S2))
     j1 = _window_node_count(S1, step, "S1")
@@ -230,12 +226,10 @@ def estimate_window_constant(
     drift_is_zero = all(v == 0.0 for v in drift.d_lower + drift.d_upper)
     exact_bridge = C.size == 1 and kappa == 1.0 and m > 1 and (drift.exponent == 1.0 or drift_is_zero)
 
-    def run_block(b):
-        sizes = block_sizes(R)
-        Rb = sizes[b]
+    def run_block(Rb, block):
         parts = []
         for i in range(C.size):
-            gen = stream.child("block", b, "coord", i).generator()
+            gen = block("coord", i).generator()
             path = np.zeros((Rb, m))
             if sampler is not None:
                 np.cumsum(sampler.increments(Rb, gen), axis=1, out=path[:, 1:])
@@ -244,7 +238,7 @@ def estimate_window_constant(
             parts.append(sqrt2C[i] * path - trend[None, :, i])
         if exact_bridge:
             xi = parts[0]
-            gen_u = stream.child("block", b, "bridge").generator()
+            gen_u = block("bridge").generator()
             log_u = np.log1p(-gen_u.random(size=(Rb, m - 1)))
             a, bb = xi[:, :-1], xi[:, 1:]
             seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
@@ -252,8 +246,7 @@ def estimate_window_constant(
         cloud = np.stack(parts, axis=2)  # (Rb, m, n)
         return RunningMoments.from_values(ewv_batch(cloud))
 
-    n_blocks = len(block_sizes(R))
-    moments = merge_moments(map_blocks(run_block, n_blocks, workers))
+    moments = merge_moments(replicate(R, stream, workers, run_block))
     return ConstantEstimate(
         moments.mean,
         moments.se_of_mean,
@@ -442,8 +435,6 @@ def estimate_discrete_zero(
     ladder = [float(u) for u in u_ladder]
     if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])) or ladder[-1] <= 0:
         raise DomainError("u_ladder must be >= 2 strictly decreasing positive rungs")
-    if R < 1000:
-        raise DomainError("R must be >= 1000")
 
     sqrt2C = math.sqrt(2.0) * C
     rungs = []
@@ -454,21 +445,16 @@ def estimate_discrete_zero(
         t = u * np.arange(1, K + 1)
         trend = t[:, None] ** kappa * (C**2)[None, :]
         sampler = FgnSampler(kappa, u, K)
-        rung_stream = stream.child("rung", r)
 
-        def run_block(b, sampler=sampler, rung_stream=rung_stream, trend=trend, K=K):
-            sizes = block_sizes(R)
-            Rb = sizes[b]
+        def run_block(Rb, block):
             mins = np.full((Rb, K), np.inf)
             for i in range(C.size):
-                gen = rung_stream.child("block", b, "coord", i).generator()
-                path = np.cumsum(sampler.increments(Rb, gen), axis=1)
-                tilt = rung_stream.child("block", b, "tilt", i).generator().exponential(size=Rb)
+                path = np.cumsum(sampler.increments(Rb, block("coord", i).generator()), axis=1)
+                tilt = block("tilt", i).generator().exponential(size=Rb)
                 np.minimum(mins, sqrt2C[i] * path - trend[None, :, i] + tilt[:, None], out=mins)
             return int((mins.max(axis=1) <= 0.0).sum())
 
-        n_blocks = len(block_sizes(R))
-        hits = sum(map_blocks(run_block, n_blocks, workers))
+        hits = sum(replicate(R, stream.child("rung", r), workers, run_block))
         p = hits / R
         rungs.append((u, p / u, math.sqrt(p * (1.0 - p) / R) / u))
 

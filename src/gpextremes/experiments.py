@@ -10,6 +10,7 @@ same seed reproduces the results table byte for byte at any worker count.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -497,7 +498,10 @@ def _run_audit(tree, exp_id, seed, workers, out_dir, records, plots):
 
 def _run_bounds_table(tree, exp_id, seed, workers, out_dir, records, plots):
     section = _get(tree, "", "bounds_table", dict)
-    n_range = [int(v) for v in _vector(section, "bounds_table", "n_range")]
+    n_range = _vector(section, "bounds_table", "n_range")
+    if not all(v.is_integer() for v in n_range):
+        raise ConfigError("bounds_table.n_range", "expected integer dimensions")
+    n_range = [int(v) for v in n_range]
     kappa_set = _get(section, "bounds_table", "kappa_set", list)
     if kappa_set:  # an empty kappa_set is allowed and yields no rows
         kappa_set = _vector(section, "bounds_table", "kappa_set")
@@ -579,9 +583,9 @@ def _fmt(value) -> str:
 
 def results_csv_bytes(manifest: ResultsManifest) -> bytes:
     buf = io.StringIO()
-    buf.write(",".join(RESULT_COLUMNS) + "\n")
-    for rec in manifest.records:
-        buf.write(",".join(_fmt(rec.get(col)).replace(",", ";") for col in RESULT_COLUMNS) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RESULT_COLUMNS)
+    writer.writerows([_fmt(rec.get(col)) for col in RESULT_COLUMNS] for rec in manifest.records)
     return buf.getvalue().encode("utf-8")
 
 

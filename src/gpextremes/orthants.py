@@ -94,23 +94,20 @@ def _ewv_staircase_log_rows(x: np.ndarray, y: np.ndarray):
 
     Sorting by x descending makes the Pareto staircase the strict running
     records of y; the union region decomposes into horizontal strips whose
-    weighted measures are exp(x_k) * (exp(y_k) - exp(y_prev)).
+    weighted measures are exp(x_k + y_k) * (1 - exp(y_prev - y_k)), with
+    y_prev the previous record.  Every strip is shifted by the largest
+    coordinate sum of the row, which no x_k + y_k exceeds, so no term
+    overflows.  A point that sets no record adds an exact zero, so pruning
+    dominated points leaves every strip bit for bit.
     """
     order = np.argsort(-x, axis=1, kind="stable")
     xs = np.take_along_axis(x, order, axis=1)
     ys = np.take_along_axis(y, order, axis=1)
-    m1 = xs[:, :1]
-    m2 = ys.max(axis=1, keepdims=True)
     run = np.maximum.accumulate(ys, axis=1)
     prev = np.concatenate([np.full((ys.shape[0], 1), -np.inf), run[:, :-1]], axis=1)
-    kept = ys > prev
-    strips = np.where(kept, np.exp(xs - m1) * (np.exp(ys - m2) - np.exp(prev - m2)), 0.0)
-    return m1[:, 0] + m2[:, 0], strips.sum(axis=1)
-
-
-def _ewv_staircase_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    shift, mantissa = _ewv_staircase_log_rows(x, y)
-    return np.exp(shift) * mantissa
+    shift = (x + y).max(axis=1)
+    strips = np.exp(xs + ys - shift[:, None]) * -np.expm1(np.minimum(prev - ys, 0.0))
+    return shift, strips.sum(axis=1)
 
 
 def _ewv3_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -227,8 +224,8 @@ def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.
     if n == 1:
         return np.exp(points[:, :, 0].max(axis=1))
     if n == 2:
-        return _ewv_staircase_rows(points[:, :, 0], points[:, :, 1])
-    if n == 3:
+        shift, mantissa = _ewv_staircase_log_rows(points[:, :, 0], points[:, :, 1])
+    elif n == 3:
         shift, mantissa = _ewv3_log_rows(points)
     else:
         shift, mantissa = np.array([_ewv_log_cloud(p) for p in points]).reshape(-1, 2).T

@@ -1,18 +1,25 @@
 """Replication blocking shared by the Monte Carlo estimators.
 
-Replications are split into fixed-size blocks; block b always draws from
-the caller's stream child ("block", b), and partial results merge in block
-order.  Worker count therefore changes wall time only, never a single bit
-of the output.
+Every Monte Carlo estimator in the package runs its replications through
+:func:`replicate`, the one place that checks the replication count, splits
+it into blocks of ``BLOCK_SIZE``, keys each block's random streams and
+returns the block results in block order.  Block b always draws from the
+caller's stream child ("block", b, ...), so the worker count changes wall
+time only, never a single bit of the output.
 """
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+from .rng import RngStream
+
 BLOCK_SIZE = 2048
+MIN_REPLICATIONS = 1000
 
 
 def block_sizes(total: int, block_size: int = BLOCK_SIZE):
@@ -32,6 +39,27 @@ def map_blocks(fn, n_blocks: int, workers: int = 1):
         return [fn(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_blocks)))
+
+
+def replicate(R: int, stream: RngStream, workers: int, fn):
+    """``[fn(Rb, block) for each block]`` over ``R`` replications, in block order.
+
+    ``Rb`` is the block's replication count and ``block(*salt)`` is the
+    block's stream ``stream.child("block", b, *salt)``: ``block()`` for one
+    stream per block, ``block("coord", i)`` and the like for several.  Rejects
+    a missing stream and ``R < MIN_REPLICATIONS``.  The caller reduces the
+    list, so the reduction is free to merge moments, counts or both.
+    """
+    if not isinstance(stream, RngStream):
+        raise DomainError("an RngStream is required")
+    if R < MIN_REPLICATIONS:
+        raise DomainError(f"R must be >= {MIN_REPLICATIONS}")
+    sizes = block_sizes(R)
+
+    def run(b):
+        return fn(sizes[b], functools.partial(stream.child, "block", b))
+
+    return map_blocks(run, len(sizes), workers)
 
 
 @dataclass

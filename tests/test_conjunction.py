@@ -38,6 +38,19 @@ def ou_spec(a=1.0, n=1, kappa=1.0, T=1.0):
     return VectorProcessSpec(tuple(Stationary(a, kappa) for _ in range(n)), T)
 
 
+# Every Monte Carlo entry point, with arguments that are valid for R >= 1000.
+R_ENTRY_POINTS = {
+    "prob": lambda R: estimate_conjunction_prob(ou_spec(), [1.0], unit_grid(65), R, STREAM),
+    "nested": lambda R: conjunction_prob_nested(ou_spec(), [1.0], unit_grid(65), (2, 1), R, STREAM),
+    "double_event": lambda R: estimate_double_event(ou_spec(T=6.0), 2.0, 2.0, (4.0,), R, STREAM),
+    "slepian": lambda R: audit_slepian(ou_spec(), ou_spec(), [1.5], unit_grid(65), R, STREAM),
+    "borell": lambda R: audit_borell(ou_spec(), (4.0,), unit_grid(65), R, STREAM),
+    "piterbarg_decay": lambda R: audit_piterbarg_decay(
+        nonstat_pair_spec(), (1.2, 1.6, 2.0), unit_grid(65), R, STREAM
+    ),
+}
+
+
 class TestConjunctionProb:
     def test_single_node_product_of_tails(self):
         spec = ou_spec(n=2)
@@ -84,9 +97,11 @@ class TestConjunctionProb:
         assert est.se == pytest.approx(3.0 / 2000)
         assert "rule-of-three" in est.notes
 
-    def test_r_precondition(self):
+    @pytest.mark.parametrize("R", [0, 999])
+    @pytest.mark.parametrize("entry", list(R_ENTRY_POINTS))
+    def test_r_precondition(self, entry, R):
         with pytest.raises(DomainError):
-            estimate_conjunction_prob(ou_spec(), [1.0], unit_grid(65), 100, STREAM)
+            R_ENTRY_POINTS[entry](R)
 
     def test_order_statistics_consistency(self):
         # exchangeable pair: P(sup max > u) / P(sup X1 > u) -> 2

@@ -154,6 +154,8 @@ class TestWindowConstant:
             estimate_window_constant([0.0], 1.0, zero_drift(1), (0.0, 1.0), R=2000, stream=STREAM)
         with pytest.raises(DomainError):
             estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 1.0), R=500, stream=STREAM)
+        with pytest.raises(DomainError):
+            estimate_discrete_zero([1.0], 1.0, (0.5, 0.25), 40.0, R=999, stream=STREAM)
 
 
 class TestPickandsEstimator:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -6,7 +8,7 @@ import pytest
 
 from gpextremes import ConfigError, DriftSpec, config_hash, emit_bounds_table, run_experiment
 from gpextremes.cli import main as cli_main
-from gpextremes.experiments import RESULT_COLUMNS, results_csv_bytes, write_results
+from gpextremes.experiments import RESULT_COLUMNS, ResultsManifest, _row, results_csv_bytes, write_results
 from gpextremes.sampling import read_path_dump
 
 
@@ -135,6 +137,13 @@ NESTED_KEY_CASES = [
             0, {"variant": "locally_stationary", "a_profile": {"nodes": 3, "values": [1.0, 1.0]}, "kappa": 1.0}
         ),
     ),
+    # a fractional dimension is not truncated to an integer one
+    pytest.param(
+        "bounds_table.n_range",
+        bounds_config,
+        lambda t: t["bounds_table"].update(n_range=[1.5, 2]),
+        id="bounds_table.n_range-fractional",
+    ),
 ]
 
 
@@ -211,7 +220,10 @@ class TestRunExperiment:
         assert err.value.path == "probability.u"
 
     @pytest.mark.parametrize(
-        "path, build, mutate", NESTED_KEY_CASES, ids=[case[0] for case in NESTED_KEY_CASES]
+        "path, build, mutate",
+        NESTED_KEY_CASES,
+        # a pytest.param's own id takes precedence over its entry here
+        ids=[case[0] for case in NESTED_KEY_CASES],
     )
     def test_nested_key_paths(self, path, build, mutate):
         tree = build()
@@ -250,6 +262,16 @@ class TestRunExperiment:
         meta = json.loads(man_path.read_text())
         assert meta["config_hash"] == config_hash(probability_config())
 
+    def test_csv_fields_round_trip(self):
+        notes = 'rare event, "zero hits"\nse is 3/R'
+        manifest = ResultsManifest("hash", 1, "0", 0.0, [_row("e,1", "probability", "x", 0.5, 0.1, notes=notes)])
+        rows = list(csv.reader(io.StringIO(results_csv_bytes(manifest).decode("utf-8"), newline="")))
+        assert rows[0] == list(RESULT_COLUMNS)
+        assert len(rows) == 2
+        record = dict(zip(RESULT_COLUMNS, rows[1]))
+        assert record["notes"] == notes and record["experiment_id"] == "e,1"
+        assert record["value"] == "0.5"
+
     def test_plot_series_written(self, tmp_path):
         manifest = run_experiment(constant_config(), out_dir=tmp_path)
         plot = tmp_path / "pickands-k2.plot.tsv"
@@ -285,6 +307,14 @@ class TestCli:
         bad = tmp_path / "nope.json"
         bad.write_text("{not json")
         assert cli_main(["estimate-prob", "--config", str(bad)]) == 1
+
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, bounds_config())
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert cli_main(["bounds-table", "--config", cfg, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "taken" in err and "Traceback" not in err
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, probability_config(R=100))

@@ -130,10 +130,12 @@ class TestEwvExact:
         for pts in oracle_clouds(n, ties):
             assert ewv_exact(PointCloud(n, pts)) == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-12)
 
-    def test_antipodal_large_coordinates_3d(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_antipodal_large_coordinates(self, n):
         # the coordinatewise maxima sum to 1600, the point sums to 0: EWV = 2 - exp(-1600)
-        cloud = PointCloud(3, [[800.0, -800.0, 0.0], [-800.0, 800.0, 0.0]])
-        assert ewv_exact(cloud) == pytest.approx(2.0, rel=1e-15)
+        pts = np.zeros((2, n))
+        pts[:, :2] = [[800.0, -800.0], [-800.0, 800.0]]
+        assert ewv_exact(PointCloud(n, pts)) == pytest.approx(2.0, rel=1e-15)
 
     def test_large_coordinates_3d_match_inclusion_exclusion(self):
         gen = np.random.default_rng(16)
