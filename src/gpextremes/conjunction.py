@@ -23,7 +23,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
-from .parallel import RunningMoments, merge_moments, replicate
+from .parallel import RunningMoments, merge_moments, replicate, require_stream
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -244,6 +244,7 @@ def audit_slepian(
     1e-12 and A's coordinate covariances dominate B's everywhere on the
     grid; then the verdict passes iff P_A <= P_B + 3 pooled se.
     """
+    require_stream(stream)
     ensure_valid(specA)
     ensure_valid(specB)
     if specA.n != specB.n:

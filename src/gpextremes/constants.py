@@ -27,7 +27,7 @@ from scipy.integrate import simpson
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import RunningMoments, merge_moments, replicate
+from .parallel import RunningMoments, merge_moments, replicate, require_stream
 from .rng import RngStream
 from .sampling import FgnSampler
 
@@ -274,6 +274,7 @@ def estimate_pickands(
     residual exceeds three of its standard errors.  The per-rung H(S)/S
     sequence is reported for bias diagnosis and should be non-increasing.
     """
+    require_stream(stream)
     C = _check_amplitudes(C)
     ladder = [float(s) for s in S_ladder]
     if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] <= 0:
@@ -424,6 +425,7 @@ def estimate_discrete_zero(
     push the drift to at least 40 for some coordinate so that truncation
     error is far below Monte Carlo noise.
     """
+    require_stream(stream)
     C = _check_amplitudes(C)
     if not 0 < kappa <= 2:
         raise DomainError(f"kappa={kappa} outside (0, 2]")

@@ -41,6 +41,12 @@ def map_blocks(fn, n_blocks: int, workers: int = 1):
         return list(pool.map(fn, range(n_blocks)))
 
 
+def require_stream(stream) -> None:
+    """Reject anything but an :class:`RngStream` with :class:`DomainError`."""
+    if not isinstance(stream, RngStream):
+        raise DomainError("an RngStream is required")
+
+
 def replicate(R: int, stream: RngStream, workers: int, fn):
     """``[fn(Rb, block) for each block]`` over ``R`` replications, in block order.
 
@@ -50,8 +56,7 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     a missing stream and ``R < MIN_REPLICATIONS``.  The caller reduces the
     list, so the reduction is free to merge moments, counts or both.
     """
-    if not isinstance(stream, RngStream):
-        raise DomainError("an RngStream is required")
+    require_stream(stream)
     if R < MIN_REPLICATIONS:
         raise DomainError(f"R must be >= {MIN_REPLICATIONS}")
     sizes = block_sizes(R)

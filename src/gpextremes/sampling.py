@@ -1,15 +1,18 @@
 """Exact Gaussian path simulation on uniform grids.
 
 Stationary sequences (fractional Gaussian noise and the exponential-
-correlation family) are sampled by circulant embedding: the covariance
-sequence is folded into a circulant first row, diagonalized by the FFT,
-and complex-normal coefficients with the matching spectrum are transformed
-back.  Eigenvalues slightly below zero (>= -1e-8 of the maximum) are
-clamped with a logged warning; deeper negativity triggers up to three
-padding doublings before the embedding is declared infeasible.  Fractional
-Brownian motion is the prefix sum of fractional Gaussian noise, exact in
-distribution.  A dense symmetric-square-root sampler serves as the
-independent oracle for cross-validation.
+correlation family) are sampled by circulant embedding (Wood & Chan 1994,
+Dietrich & Newsam 1997): the covariance sequence is folded into a
+circulant first row and diagonalized by the FFT.  A draw fills only the
+half spectrum of each row with complex normals scaled by the eigenvalues
+and transforms it back with one real inverse FFT.  Eigenvalues slightly
+below zero (>= -1e-8 of the maximum) are clamped with a logged warning;
+deeper negativity triggers up to three padding doublings before the
+embedding is declared infeasible.  A sampler computes its per-mode scale
+once at construction.  Fractional Brownian motion is the prefix sum of
+fractional Gaussian noise, exact in distribution.  A dense
+symmetric-square-root sampler serves as the independent oracle for
+cross-validation.
 """
 from __future__ import annotations
 
@@ -93,6 +96,8 @@ class PathBatch:
 
 _CLAMP_REL = 1e-8
 _MAX_DOUBLINGS = 3
+# Spectrum entries transformed per chunk of rows in _circulant_draw (16 MB complex).
+_CHUNK_ELEMENTS = 2**20
 
 
 def _embedding_eigenvalues(cov_of_lag, m, max_doublings=_MAX_DOUBLINGS):
@@ -103,7 +108,7 @@ def _embedding_eigenvalues(cov_of_lag, m, max_doublings=_MAX_DOUBLINGS):
     are clamped to zero.
     """
     if m == 1:
-        return np.asarray([float(cov_of_lag(np.asarray([0])))]), 1
+        return np.asarray([float(cov_of_lag(np.zeros(1, dtype=int))[0])]), 1
     size = 1
     while size < 2 * (m - 1):
         size *= 2
@@ -129,24 +134,49 @@ def _embedding_eigenvalues(cov_of_lag, m, max_doublings=_MAX_DOUBLINGS):
     )
 
 
-def _circulant_draw(eigs, size, count, R, gen):
+def _mode_scale(eigs, size):
+    """Per-mode scale of the half spectrum that :func:`_circulant_draw` fills.
+
+    The two real modes (0 and size/2) carry ``sqrt(size * eig)``; each paired
+    mode carries ``sqrt(size * eig / 2)`` on its real and imaginary part.
+    """
+    half = size // 2
+    weight = np.full(half + 1, size / 2.0)
+    weight[[0, half]] = size
+    return np.sqrt(eigs[: half + 1] * weight)
+
+
+def _circulant_draw(scale, size, count, R, gen):
     """R stationary Gaussian rows of length count with the embedded covariance.
 
-    Draw order is fixed (two real Fourier modes, then the paired modes) so a
-    given generator state always produces the same batch.
+    Fills the half spectrum ``(R, size/2 + 1)`` and transforms it with a
+    real inverse FFT, one chunk of at most ``_CHUNK_ELEMENTS`` spectrum
+    entries at a time so the working set stays a few MB.  Draw order is
+    fixed: the normals of mode 0 for all rows, then of mode size/2, then the
+    ``(R, 2, size/2 - 1)`` real and imaginary parts of the paired modes in
+    row order, so a given generator state always produces the same batch
+    whatever the chunking.  The paired modes enter conjugated, because the
+    real part of the forward FFT of a Hermitian spectrum w is
+    ``size * irfft(conj(w[:size/2 + 1]))``.
     """
     if size == 1:
-        return np.sqrt(eigs[0]) * gen.standard_normal((R, 1))
+        return scale[0] * gen.standard_normal((R, 1))
     half = size // 2
-    w = np.zeros((R, size), dtype=complex)
-    w[:, 0] = np.sqrt(eigs[0] / size) * gen.standard_normal(R)
-    w[:, half] = np.sqrt(eigs[half] / size) * gen.standard_normal(R)
-    if half > 1:
-        uv = gen.standard_normal((R, 2, half - 1))
-        modes = np.sqrt(eigs[1:half] / (2.0 * size)) * (uv[:, 0] + 1j * uv[:, 1])
-        w[:, 1:half] = modes
-        w[:, half + 1 :] = np.conj(modes[:, ::-1])
-    return np.fft.fft(w, axis=1).real[:, :count]
+    first = scale[0] * gen.standard_normal(R)
+    last = scale[half] * gen.standard_normal(R)
+    paired = scale[1:half]
+    out = np.empty((R, count))
+    rows = max(1, _CHUNK_ELEMENTS // size)
+    for r0 in range(0, R, rows):
+        r1 = min(R, r0 + rows)
+        spectrum = np.empty((r1 - r0, half + 1), dtype=complex)
+        spectrum[:, 0] = first[r0:r1]
+        spectrum[:, half] = last[r0:r1]
+        uv = gen.standard_normal((r1 - r0, 2, half - 1))
+        np.multiply(uv[:, 0], paired, out=spectrum.real[:, 1:half])
+        np.multiply(uv[:, 1], -paired, out=spectrum.imag[:, 1:half])
+        out[r0:r1] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
+    return out
 
 
 class FgnSampler:
@@ -164,7 +194,7 @@ class FgnSampler:
         self.step = float(step)
         self.count = int(count)
         if self.kappa in (1.0, 2.0):
-            self._eigs = None
+            self._scale = None
             return
         scale = self.step**self.kappa
 
@@ -172,15 +202,16 @@ class FgnSampler:
             k = np.abs(lags).astype(float)
             return 0.5 * scale * ((k + 1) ** kappa - 2 * k**kappa + np.abs(k - 1) ** kappa)
 
-        self._eigs, self._size = _embedding_eigenvalues(cov, self.count)
+        eigs, self._size = _embedding_eigenvalues(cov, self.count)
+        self._scale = _mode_scale(eigs, self._size)
 
     def increments(self, R, gen) -> np.ndarray:
-        if self._eigs is None:
+        if self._scale is None:
             if self.kappa == 1.0:
                 return np.sqrt(self.step) * gen.standard_normal((R, self.count))
             xi = gen.standard_normal(R)
             return np.broadcast_to(self.step * xi[:, None], (R, self.count)).copy()
-        return _circulant_draw(self._eigs, self._size, self.count, R, gen)
+        return _circulant_draw(self._scale, self._size, self.count, R, gen)
 
 
 class StationarySampler:
@@ -200,24 +231,25 @@ class StationarySampler:
         self.step = float(step)
         self.count = int(count)
         if kappa == 1.0 or count == 1:
-            self._eigs = None
+            self._scale = None
         else:
 
             def cov(lags):
                 h = np.abs(lags).astype(float) * step
                 return np.exp(-a * h**kappa)
 
-            self._eigs, self._size = _embedding_eigenvalues(cov, self.count)
+            eigs, self._size = _embedding_eigenvalues(cov, self.count)
+            self._scale = _mode_scale(eigs, self._size)
 
     def sample(self, R, gen) -> np.ndarray:
-        if self._eigs is None:
+        if self._scale is None:
             rho = np.exp(-self.a * self.step)
             xi = gen.standard_normal((R, self.count))
             if self.count == 1:
                 return xi
             xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
             return lfilter([1.0], [1.0, -rho], xi, axis=1)
-        return _circulant_draw(self._eigs, self._size, self.count, R, gen)
+        return _circulant_draw(self._scale, self._size, self.count, R, gen)
 
 
 # -- public sampling operations ----------------------------------------------

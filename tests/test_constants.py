@@ -149,6 +149,16 @@ class TestWindowConstant:
         pooled = math.hypot(h2.se, 2.0 * h1.se)
         assert h2.value <= 2.0 * h1.value + 3.0 * pooled
 
+    def test_single_increment_window(self):
+        # nodes {0, 1/2}: H = E max(1, e^X) with X ~ N(-v/2, v), v = 2 (1/2)^kappa,
+        # which is 2 Phi(sqrt(v) / 2)
+        kappa = 1.5
+        est = estimate_window_constant(
+            [1.0], kappa, zero_drift(1, kappa), (0.0, 0.5), grid_step=0.5, R=4000, stream=STREAM.child("w1")
+        )
+        exact = 2.0 * stats.norm.cdf(math.sqrt(2.0 * 0.5**kappa) / 2.0)
+        assert abs(est.value - exact) < 4.0 * est.se
+
     def test_amplitude_and_r_preconditions(self):
         with pytest.raises(DomainError):
             estimate_window_constant([0.0], 1.0, zero_drift(1), (0.0, 1.0), R=2000, stream=STREAM)
@@ -263,6 +273,17 @@ class TestDiscreteZero:
         horizon = math.sqrt(40.0)
         est = estimate_discrete_zero([1.0], 2.0, (0.4, 0.2, 0.1), horizon, R=60_000, stream=STREAM.child("dzx"))
         assert abs(est.value - 1.0 / SQRT_PI) < 4.0 * math.hypot(est.se, 0.002)
+
+    def test_single_node_rungs(self):
+        # horizon / u < 2: each rung sees the one node u, where the path is
+        # sqrt(2) C u^(kappa/2) Z - C^2 u^kappa plus a unit exponential tilt
+        C, kappa, horizon = math.sqrt(40.0), 1.9, 1.0
+        est = estimate_discrete_zero([C], kappa, (0.9, 0.51), horizon, R=20_000, stream=STREAM.child("dz1"))
+        for u, value, se in est.diagnostics["rungs"]:
+            c, s = C * C * u**kappa, math.sqrt(2.0) * C * u ** (kappa / 2)
+            p, _ = integrate.quad(lambda z: stats.norm.pdf(z) * -math.expm1(-(c - s * z)), -12.0, c / s)
+            assert se > 0
+            assert abs(value - p / u) < 4.0 * se
 
     def test_horizon_precondition(self):
         with pytest.raises(TruncationError):

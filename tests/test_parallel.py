@@ -1,6 +1,15 @@
 import pytest
 
-from gpextremes import DomainError, RngStream
+from gpextremes import (
+    DomainError,
+    RngStream,
+    SampleGrid,
+    Stationary,
+    VectorProcessSpec,
+    audit_slepian,
+    estimate_discrete_zero,
+    estimate_pickands,
+)
 from gpextremes.parallel import BLOCK_SIZE, MIN_REPLICATIONS, replicate
 
 STREAM = RngStream(2718)
@@ -30,3 +39,21 @@ class TestReplicate:
     def test_stream_required(self):
         with pytest.raises(DomainError):
             replicate(5000, None, 1, record)
+
+
+def ou_spec():
+    return VectorProcessSpec((Stationary(1.0, 1.0),), 1.0)
+
+
+# Entry points that derive child streams before any replication runs.
+CHILD_STREAM_ENTRY_POINTS = {
+    "pickands": lambda stream: estimate_pickands([1.0], 1.0, (1.0, 2.0, 4.0), R=2000, stream=stream),
+    "discrete_zero": lambda stream: estimate_discrete_zero([1.0], 1.0, (0.5, 0.25), 40.0, R=2000, stream=stream),
+    "slepian": lambda stream: audit_slepian(ou_spec(), ou_spec(), [1.5], SampleGrid(0.0, 0.25, 5), 2000, stream),
+}
+
+
+@pytest.mark.parametrize("entry", CHILD_STREAM_ENTRY_POINTS.values(), ids=CHILD_STREAM_ENTRY_POINTS.keys())
+def test_missing_stream_is_domain_error(entry):
+    with pytest.raises(DomainError, match="an RngStream is required"):
+        entry(None)

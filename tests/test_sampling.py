@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import gpextremes.sampling as sampling
 from gpextremes import (
     DomainError,
     FactorizationError,
@@ -24,6 +26,26 @@ from gpextremes import (
 )
 
 STREAM = RngStream(77)
+
+
+def full_fft_circulant_draw(eigs, size, count, R, gen):
+    """The circulant draw as a full Hermitian spectrum and a complex FFT.
+
+    Kept as the reference for the half-spectrum ``irfft`` draw: it consumes
+    the same normals in the same order.
+    """
+    if size == 1:
+        return np.sqrt(eigs[0]) * gen.standard_normal((R, 1))
+    half = size // 2
+    w = np.zeros((R, size), dtype=complex)
+    w[:, 0] = np.sqrt(eigs[0] / size) * gen.standard_normal(R)
+    w[:, half] = np.sqrt(eigs[half] / size) * gen.standard_normal(R)
+    if half > 1:
+        uv = gen.standard_normal((R, 2, half - 1))
+        modes = np.sqrt(eigs[1:half] / (2.0 * size)) * (uv[:, 0] + 1j * uv[:, 1])
+        w[:, 1:half] = modes
+        w[:, half + 1 :] = np.conj(modes[:, ::-1])
+    return np.fft.fft(w, axis=1).real[:, :count]
 
 
 def cov_matrix(coord, nodes):
@@ -98,6 +120,46 @@ class TestSampleFbm:
         batch = sample_fbm(0.9, grid, R, STREAM.child("cov"))
         target = cov_matrix(FractionalBrownian(0.9), grid.nodes())
         assert max_cov_z(batch.values[:, 0, :], target) < 5.0
+
+
+class TestCirculantDraw:
+    @pytest.mark.parametrize("size", [1, 2, 4, 1024])
+    def test_matches_full_fft_draw(self, size):
+        raw = np.random.default_rng(size).random(size)
+        eigs = 0.5 * (raw + raw[-np.arange(size) % size])  # symmetric like an embedding's
+        gen_new, gen_old = np.random.default_rng(11), np.random.default_rng(11)
+        new = sampling._circulant_draw(sampling._mode_scale(eigs, size), size, size, 16, gen_new)
+        old = full_fft_circulant_draw(eigs, size, size, 16, gen_old)
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+        assert gen_new.bit_generator.state == gen_old.bit_generator.state
+
+    def test_matches_full_fft_draw_on_wide_embedding(self):
+        a, kappa, step, count = 1.0, 1.5, 1.0 / 1024, 1025
+        sampler = sampling.StationarySampler(a, kappa, step, count)
+        eigs, size = sampling._embedding_eigenvalues(
+            lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa), count
+        )
+        assert size == sampler._size == 8192
+        R = 300  # three chunks of rows
+        assert R > sampling._CHUNK_ELEMENTS // size * 2
+        new = sampler.sample(R, np.random.default_rng(5))
+        old = full_fft_circulant_draw(eigs, size, count, R, np.random.default_rng(5))
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+
+    def test_single_increment_fgn(self):
+        batch = sample_fbm(1.5, SampleGrid(0, 0.1, 2), 5, RngStream(1))
+        assert batch.values.shape == (5, 1, 2)
+        assert np.all(batch.values[:, 0, 0] == 0.0)
+        R = 40_000
+        end = sample_fbm(1.5, SampleGrid(0, 0.1, 2), R, STREAM.child("one")).values[:, 0, 1]
+        assert end.var() == pytest.approx(0.1**1.5, rel=4 * math.sqrt(2.0 / R))
+
+    def test_clamp_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="gpextremes.sampling"):
+            sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17)
+        (record,) = caplog.records
+        assert record.getMessage().startswith("clamped")
+        assert record.args[0] > 0
 
 
 class TestSampleVector:
