@@ -127,6 +127,10 @@ class ClosedFormProvider(ConstantProvider):
         return ConstantEstimate(value, 0.0, (S1, S2), 0.0, 0, "closed_form")
 
 
+# S ladder of the Piterbarg constants a MonteCarloProvider estimates.
+_PITERBARG_LADDER = (2.0, 4.0, 8.0, 16.0)
+
+
 class MonteCarloProvider(ConstantProvider):
     """Estimating provider with per-key caching and key-derived streams.
 
@@ -140,7 +144,6 @@ class MonteCarloProvider(ConstantProvider):
         stream: RngStream,
         R: int = 20_000,
         S_ladder=(1.0, 2.0, 4.0, 8.0),
-        piterbarg_ladder=(2.0, 4.0, 8.0, 16.0),
         grid_step=None,
         workers: int = 1,
     ):
@@ -148,7 +151,6 @@ class MonteCarloProvider(ConstantProvider):
         self.stream = stream
         self.R = int(R)
         self.S_ladder = tuple(S_ladder)
-        self.piterbarg_ladder = tuple(piterbarg_ladder)
         self.grid_step = grid_step
         self.workers = int(workers)
         self._cache: dict = {}
@@ -211,7 +213,7 @@ class MonteCarloProvider(ConstantProvider):
                 self.kappa,
                 drift,
                 variant,
-                self.piterbarg_ladder,
+                _PITERBARG_LADDER,
                 grid_step=self.grid_step,
                 R=self.R,
                 stream=self._stream_for(key),
@@ -283,7 +285,14 @@ def _active_curvature(spec: VectorProcessSpec):
     return kappa, a_of_t
 
 
-def _integrate_limit_constant(provider, c, kappa, a_of_t, T, rel_tol=1e-3, n0=33, max_refine=3):
+# Simpson nodes of the first pass, node-doubling refinements at most, and the
+# relative change between passes that counts as converged.
+_INTEGRAL_NODES = 33
+_INTEGRAL_REFINEMENTS = 3
+_INTEGRAL_REL_TOL = 1e-3
+
+
+def _integrate_limit_constant(provider, c, kappa, a_of_t, T):
     """Simpson integral of t -> H(c sqrt(a(t))) over [0, T].
 
     When the curvature vectors at the quadrature nodes are proportional the
@@ -313,16 +322,16 @@ def _integrate_limit_constant(provider, c, kappa, a_of_t, T, rel_tol=1e-3, n0=33
             ses.append(est.se)
         return np.asarray(vals), float(max(ses))
 
-    n = n0
+    n = _INTEGRAL_NODES
     ts = np.linspace(0.0, T, n)
     vals, se_scale = node_values(ts)
     integral = float(simpson(vals, x=ts))
-    for _ in range(max_refine):
+    for _ in range(_INTEGRAL_REFINEMENTS):
         n = 2 * (n - 1) + 1
         ts = np.linspace(0.0, T, n)
         vals, se_scale = node_values(ts)
         refined = float(simpson(vals, x=ts))
-        converged = abs(refined - integral) < rel_tol * max(abs(refined), 1e-300)
+        converged = abs(refined - integral) < _INTEGRAL_REL_TOL * max(abs(refined), 1e-300)
         integral = refined
         if converged:
             break

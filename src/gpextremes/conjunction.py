@@ -23,7 +23,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
-from .parallel import RunningMoments, merge_moments, replicate, require_stream
+from .parallel import RunningMoments, merge_moments, replicate, require_ladder, require_stream
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -76,6 +76,8 @@ def _prob_from_hits(hits, R, grid_step) -> ProbEstimate:
 
 def default_grid_step(horizon_T, u, kappa_min) -> float:
     """min(T/1024, 0.1 u^(-2/kappa_min)): resolves the local-window mesoscale."""
+    if not float(u) > 0:
+        raise DomainError(f"u must be positive, got {u}")
     return min(float(horizon_T) / 1024.0, 0.1 * float(u) ** (-2.0 / float(kappa_min)))
 
 
@@ -164,6 +166,10 @@ class DoubleEventResult:
     single_window: ProbEstimate
 
 
+# Grid nodes per mesoscale window of length S in estimate_double_event.
+_DOUBLE_EVENT_NODES = 64
+
+
 def estimate_double_event(
     spec: VectorProcessSpec,
     u,
@@ -172,7 +178,6 @@ def estimate_double_event(
     R: int,
     stream: RngStream,
     workers: int = 1,
-    nodes_per_window: int = 64,
 ) -> DoubleEventResult:
     """Joint exceedance of two mesoscale windows at increasing separations.
 
@@ -185,29 +190,31 @@ def estimate_double_event(
         raise DomainError("double-event windows are defined for stationary coordinates")
     u = float(u)
     S = float(S)
-    offsets = [float(t) for t in t0_offsets]
+    if not u > 0:
+        raise DomainError(f"u must be positive, got {u}")
     if not S > 1:
         raise DomainError("S must exceed 1")
-    if any(b <= a for a, b in zip(offsets, offsets[1:])) or offsets[0] <= S:
-        raise DomainError("t0_offsets must be increasing with every offset > S")
+    offsets = require_ladder(t0_offsets, "t0_offsets")
+    if offsets[0] <= S:
+        raise DomainError("every offset in t0_offsets must exceed S")
     kappa = min(c.kappa for c in spec.coords)
     scale = u ** (-2.0 / kappa)
-    step = S * scale / nodes_per_window
+    step = S * scale / _DOUBLE_EVENT_NODES
     span = (offsets[-1] + S) * scale
     if span > spec.horizon_T:
         raise DomainError(f"windows span {span:.4g}, beyond the horizon {spec.horizon_T}")
-    count = int(round((offsets[-1] + S) / S * nodes_per_window)) + 1
+    count = int(round((offsets[-1] + S) / S * _DOUBLE_EVENT_NODES)) + 1
     grid = SampleGrid(0.0, step, count)
-    starts = [int(round(off / S * nodes_per_window)) for off in offsets]
+    starts = [int(round(off / S * _DOUBLE_EVENT_NODES)) for off in offsets]
     thr = np.full(spec.n, u)
 
     def run_block(Rb, block):
         batch = sample_vector(spec, grid, Rb, block())
         exceed_all = (batch.values > thr[None, :, None]).all(axis=1)  # (Rb, m)
-        hit0 = exceed_all[:, : nodes_per_window + 1].any(axis=1)
+        hit0 = exceed_all[:, : _DOUBLE_EVENT_NODES + 1].any(axis=1)
         single = int(hit0.sum())
         joint = [
-            int((hit0 & exceed_all[:, s : s + nodes_per_window + 1].any(axis=1)).sum())
+            int((hit0 & exceed_all[:, s : s + _DOUBLE_EVENT_NODES + 1].any(axis=1)).sum())
             for s in starts
         ]
         return np.asarray([single] + joint, dtype=np.int64)
@@ -313,7 +320,7 @@ def audit_borell(
     exp(-(u - mu)^2 tau^2 / 2).
     """
     ensure_valid(spec)
-    us = [float(u) for u in u_ladder]
+    us = require_ladder(u_ladder, "u_ladder")
     nodes = grid.nodes()
     lam, g = _variance_weights(spec, nodes)
     finite_g = g[np.isfinite(g)]
@@ -383,9 +390,9 @@ def audit_piterbarg_decay(
     bound; fewer than two hit-bearing entries leave the audit inconclusive.
     """
     ensure_valid(spec)
-    us = [float(u) for u in u_ladder]
-    if len(us) < 3 or any(b <= a for a, b in zip(us, us[1:])):
-        raise DomainError("u_ladder must be >= 3 increasing values")
+    us = require_ladder(u_ladder, "u_ladder", min_rungs=3)
+    if not grid.span > 0:
+        raise DomainError("the grid needs at least two nodes: mes(T) is its span")
     nu = min(_holder_exponent(c) for c in spec.coords)
     nodes = grid.nodes()
     _, g = _variance_weights(spec, nodes)

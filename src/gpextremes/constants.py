@@ -27,7 +27,7 @@ from scipy.integrate import simpson
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import RunningMoments, merge_moments, replicate, require_stream
+from .parallel import RunningMoments, merge_moments, replicate, require_ladder, require_stream
 from .rng import RngStream
 from .sampling import FgnSampler
 
@@ -193,14 +193,16 @@ def estimate_window_constant(
     if not 0 < kappa <= 2:
         raise DomainError(f"kappa={kappa} outside (0, 2]")
     S1, S2 = float(window[0]), float(window[1])
-    if S1 < 0 or S2 < 0:
-        raise DomainError("window bounds must be non-negative (S1 is the left extent)")
+    if not (math.isfinite(S1) and math.isfinite(S2) and S1 >= 0 and S2 >= 0):
+        raise DomainError("window bounds must be finite and non-negative (S1 is the left extent)")
     if drift.n != C.size:
         raise DomainError("drift dimension must match C")
     if S1 == 0.0 and S2 == 0.0:
         return ConstantEstimate(1.0, 0.0, (0.0, 0.0), 0.0, 0, "window")
 
     step = float(grid_step) if grid_step is not None else default_window_step(kappa, max(S1, S2))
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"grid_step must be finite and positive, got {step}")
     j1 = _window_node_count(S1, step, "S1")
     j2 = _window_node_count(S2, step, "S2")
     m = j1 + j2 + 1
@@ -276,9 +278,7 @@ def estimate_pickands(
     """
     require_stream(stream)
     C = _check_amplitudes(C)
-    ladder = [float(s) for s in S_ladder]
-    if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] <= 0:
-        raise DomainError("S_ladder must be >= 3 strictly increasing positive rungs")
+    ladder = require_ladder(S_ladder, "S_ladder", min_rungs=3)
     drift = DriftSpec.zero(C.size, exponent=kappa)
     rungs = []
     for r, S in enumerate(ladder):
@@ -292,11 +292,9 @@ def estimate_pickands(
             stream=stream.child("rung", r),
             workers=workers,
         )
-        rungs.append(est)
+        rungs.append((S, est.value, est.se))
 
-    S_arr = np.asarray(ladder)
-    H_arr = np.asarray([e.value for e in rungs])
-    se_arr = np.asarray([e.se for e in rungs])
+    S_arr, H_arr, se_arr = (np.asarray(col) for col in zip(*rungs))
 
     def fit(mask):
         s = S_arr[mask]
@@ -330,13 +328,11 @@ def estimate_pickands(
         slope,
         slope_se,
         (0.0, ladder[-1]),
-        rungs[-1].grid_step,
+        est.grid_step,
         R,
         "slope",
         diagnostics={
-            "S_ladder": ladder,
-            "window_values": H_arr.tolist(),
-            "window_se": se_arr.tolist(),
+            "rungs": rungs,
             "ratios": ratios.tolist(),
             "intercept": intercept,
             "dropped_first_rung": bool(dropped_first),
@@ -361,12 +357,15 @@ def estimate_piterbarg(
 ) -> ConstantEstimate:
     """Drifted window constant driven to its large-window limit.
 
-    Estimates the window constant on each ladder rung, reusing the same
-    stream so consecutive rungs are positively coupled, and declares
+    Estimates the window constant on each ladder rung and declares
     convergence when consecutive rungs differ by less than
     max(2 pooled se, 1e-3 |value|) -- the operational meaning of S -> infinity
-    here, recorded in the diagnostics.  Without a drift making the relevant
-    sum positive the limit diverges, so that precondition is enforced.
+    here, recorded in the diagnostics.  Every rung draws from the same
+    stream addresses, but each rung's window has a different node count, so
+    the draws fill arrays of different shapes and consecutive rungs are
+    almost independent; the pooled se hypot(se, se') assumes exactly that.
+    Without a drift making the relevant sum positive the limit diverges, so
+    that precondition is enforced.
     """
     C = _check_amplitudes(C)
     if variant not in _PITERBARG_VARIANTS:
@@ -375,9 +374,7 @@ def estimate_piterbarg(
         raise DomainError("right/two-sided variants need sum(d_upper) > 0")
     if variant in ("left", "two_sided") and sum(drift.d_lower) <= 0:
         raise DomainError("left/two-sided variants need sum(d_lower) > 0")
-    ladder = [float(s) for s in S_ladder]
-    if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] <= 0:
-        raise DomainError("S_ladder must be strictly increasing and positive")
+    ladder = require_ladder(S_ladder, "S_ladder")
 
     sequence = []
     prev = None
@@ -430,13 +427,13 @@ def estimate_discrete_zero(
     if not 0 < kappa <= 2:
         raise DomainError(f"kappa={kappa} outside (0, 2]")
     horizon = float(horizon)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise DomainError(f"horizon must be finite and positive, got {horizon}")
     if max(c * c * horizon**kappa for c in C) < 40.0:
         raise TruncationError(
             "horizon too short: need max_i C_i^2 * horizon^kappa >= 40"
         )
-    ladder = [float(u) for u in u_ladder]
-    if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])) or ladder[-1] <= 0:
-        raise DomainError("u_ladder must be >= 2 strictly decreasing positive rungs")
+    ladder = require_ladder(u_ladder, "u_ladder", min_rungs=2, decreasing=True)
 
     sqrt2C = math.sqrt(2.0) * C
     rungs = []
@@ -471,7 +468,7 @@ def estimate_discrete_zero(
         ladder[-1],
         R,
         "discrete_zero",
-        diagnostics={"u_ladder": ladder, "rungs": rungs},
+        diagnostics={"rungs": rungs},
     )
 
 

@@ -163,6 +163,13 @@ def _number(node, at, key, required=True, default=None):
     return val if val is None else float(val)
 
 
+def _integer(node, at, key, required=True, default=None):
+    val = _number(node, at, key, required=required, default=default)
+    if val is not None and not val.is_integer():
+        raise ConfigError(_join(at, key), f"expected an integer, got {val!r}")
+    return val if val is None else int(val)
+
+
 def _vector(node, at, key, required=True, default=None):
     val = _get(node, at, key, list, required=required, default=default)
     if val is None:
@@ -190,7 +197,7 @@ def _parse_coord(node, path):
         return LocallyStationary(
             a_profile=_parse_profile(_get(node, path, "a_profile", dict), f"{path}.a_profile"),
             kappa=_number(node, path, "kappa"),
-            block_count=int(_number(node, path, "block_count", required=False, default=32)),
+            block_count=_integer(node, path, "block_count", required=False, default=32),
         )
     if variant == "nonstationary":
         return NonStationary(
@@ -313,9 +320,9 @@ def _run_sample_paths(tree, exp_id, seed, workers, out_dir, records, plots):
     grid = SampleGrid(
         origin=_number(section, "sample_paths", "grid.origin", required=False, default=0.0),
         step=_number(section, "sample_paths", "grid.step"),
-        count=int(_number(section, "sample_paths", "grid.count")),
+        count=_integer(section, "sample_paths", "grid.count"),
     )
-    R = int(_number(section, "sample_paths", "replications"))
+    R = _integer(section, "sample_paths", "replications")
     stream = derive_stream(seed, "paths", 0)
     batch = sample_vector(spec, grid, R, stream)
     notes = ""
@@ -334,7 +341,7 @@ def _run_constant(tree, exp_id, seed, workers, out_dir, records, plots):
     estimator = _get(section, "constant", "estimator", str)
     C = np.asarray(_vector(section, "constant", "C"), dtype=float)
     kappa = _number(section, "constant", "kappa")
-    R = int(_number(section, "constant", "replications"))
+    R = _integer(section, "constant", "replications")
     grid_step = _number(section, "constant", "grid_step", required=False)
     stream = derive_stream(seed, "const", 0)
     tag = "const:0"
@@ -346,38 +353,32 @@ def _run_constant(tree, exp_id, seed, workers, out_dir, records, plots):
             raise ConfigError("constant.window", "expected [S1, S2]")
         est = estimate_window_constant(C, kappa, drift, window, grid_step, R, stream, workers)
         records.append(_row(exp_id, "constant", "window", est.value, est.se, est.grid_step, R, tag))
-    elif estimator == "pickands":
+        return
+    # Each ladder estimator: its rung rows' regime and x label, its own row's
+    # regime and notes, and the grid step both kinds of row report.
+    if estimator == "pickands":
         ladder = _vector(section, "constant", "S_ladder")
         est = estimate_pickands(C, kappa, ladder, grid_step, R, stream, workers)
-        xs = est.diagnostics["S_ladder"]
-        ys = est.diagnostics["window_values"]
-        ses = est.diagnostics["window_se"]
-        for S, v, s in zip(xs, ys, ses):
-            records.append(_row(exp_id, "constant", "window", v, s, est.grid_step, R, tag, notes=f"S={S}"))
-        records.append(_row(exp_id, "constant", "slope", est.value, est.se, est.grid_step, R, tag))
-        plots[exp_id] = list(zip(xs, ys, ses))
+        rung_regime, x_label, regime, notes, step = "window", "S", "slope", "", est.grid_step
     elif estimator == "piterbarg":
         drift = _parse_drift(_get(section, "constant", "drift", dict), "constant.drift")
         variant = _get(section, "constant", "variant", str)
         ladder = _vector(section, "constant", "S_ladder")
         est = estimate_piterbarg(C, kappa, drift, variant, ladder, grid_step, R, stream, workers)
-        for S, v, s in est.diagnostics["rungs"]:
-            records.append(_row(exp_id, "constant", "window", v, s, est.grid_step, R, tag, notes=f"S={S}"))
-        records.append(
-            _row(exp_id, "constant", "piterbarg", est.value, est.se, est.grid_step, R, tag,
-                 notes=f"variant={variant}, converged_at_S={est.diagnostics['converged_at_S']}")
-        )
-        plots[exp_id] = [(S, v, s) for S, v, s in est.diagnostics["rungs"]]
+        rung_regime, x_label, regime, step = "window", "S", "piterbarg", est.grid_step
+        notes = f"variant={variant}, converged_at_S={est.diagnostics['converged_at_S']}"
     elif estimator == "discrete_zero":
         ladder = _vector(section, "constant", "u_ladder")
         horizon = _number(section, "constant", "horizon")
         est = estimate_discrete_zero(C, kappa, ladder, horizon, R, stream, workers)
-        for u, v, s in est.diagnostics["rungs"]:
-            records.append(_row(exp_id, "constant", "discrete_zero_rung", v, s, None, R, tag, notes=f"u={u}"))
-        records.append(_row(exp_id, "constant", "discrete_zero", est.value, est.se, None, R, tag))
-        plots[exp_id] = [(u, v, s) for u, v, s in est.diagnostics["rungs"]]
+        rung_regime, x_label, regime, notes, step = "discrete_zero_rung", "u", "discrete_zero", "", None
     else:
         raise ConfigError("constant.estimator", f"unknown estimator {estimator!r}")
+    rungs = est.diagnostics["rungs"]
+    for x, v, s in rungs:
+        records.append(_row(exp_id, "constant", rung_regime, v, s, step, R, tag, notes=f"{x_label}={x}"))
+    records.append(_row(exp_id, "constant", regime, est.value, est.se, step, R, tag, notes=notes))
+    plots[exp_id] = list(rungs)
 
 
 def _probability_pieces(tree, section_path, seed, workers, index=0):
@@ -396,7 +397,7 @@ def _probability_pieces(tree, section_path, seed, workers, index=0):
         step = default_grid_step(spec.horizon_T, u, kappa_min)
     count = int(round(spec.horizon_T / step)) + 1
     grid = SampleGrid(0.0, step, count)
-    R = int(_number(section, section_path, "replications"))
+    R = _integer(section, section_path, "replications")
     stream = derive_stream(seed, "prob", index)
     est = estimate_conjunction_prob(spec, family.realize(u), grid, R, stream, workers)
     return spec, family, u, grid, R, est
@@ -424,7 +425,7 @@ def _run_compare(tree, exp_id, seed, workers, out_dir, records, plots):
         provider = MonteCarloProvider(
             kappa_min,
             derive_stream(seed, "provider", 0),
-            R=int(_number(section, "compare.asymptotic", "provider_R", required=False, default=20_000)),
+            R=_integer(section, "compare.asymptotic", "provider_R", required=False, default=20_000),
             workers=workers,
         )
     else:
@@ -452,7 +453,7 @@ def _run_compare(tree, exp_id, seed, workers, out_dir, records, plots):
 def _run_audit(tree, exp_id, seed, workers, out_dir, records, plots):
     section = _get(tree, "", "audit", dict)
     which = _get(section, "audit", "check", str)
-    R = int(_number(section, "audit", "replications"))
+    R = _integer(section, "audit", "replications")
     stream = derive_stream(seed, "audit", 0)
     if which == "slepian":
         spec_a = _resolve_process(tree, _get(section, "audit", "process_a", str), "audit.process_a")
@@ -552,7 +553,7 @@ def run_experiment(tree: dict, out_dir=None, seed_override=None, workers: int = 
     if kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {kind!r}; expected one of {KINDS}")
     exp_id = _get(tree, "", "experiment_id", str, required=False, default=kind)
-    seed = seed_override if seed_override is not None else int(_number(tree, "", "seed"))
+    seed = seed_override if seed_override is not None else _integer(tree, "", "seed")
     workers = max(1, int(workers))
     out_path = None
     if out_dir is not None:

@@ -5,11 +5,14 @@ Every Monte Carlo estimator in the package runs its replications through
 it into blocks of ``BLOCK_SIZE``, keys each block's random streams and
 returns the block results in block order.  Block b always draws from the
 caller's stream child ("block", b, ...), so the worker count changes wall
-time only, never a single bit of the output.
+time only, never a single bit of the output.  The argument checks that
+every estimator shares live here too: :func:`require_stream` for the
+stream and :func:`require_ladder` for the S, u and offset ladders.
 """
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,12 +25,12 @@ BLOCK_SIZE = 2048
 MIN_REPLICATIONS = 1000
 
 
-def block_sizes(total: int, block_size: int = BLOCK_SIZE):
+def block_sizes(total: int):
     """Sizes of the consecutive blocks covering ``total`` replications."""
     out = []
     left = int(total)
     while left > 0:
-        take = min(block_size, left)
+        take = min(BLOCK_SIZE, left)
         out.append(take)
         left -= take
     return out
@@ -45,6 +48,30 @@ def require_stream(stream) -> None:
     """Reject anything but an :class:`RngStream` with :class:`DomainError`."""
     if not isinstance(stream, RngStream):
         raise DomainError("an RngStream is required")
+
+
+def require_ladder(values, name, min_rungs=1, decreasing=False) -> list:
+    """The rungs of the ladder ``values`` as floats.
+
+    Raises :class:`DomainError`, naming the ladder ``name``, unless there are
+    at least ``min_rungs`` rungs, each finite and positive, and strictly
+    increasing (strictly decreasing with ``decreasing``).
+    """
+    try:
+        rungs = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a sequence of numbers") from exc
+    pairs = zip(rungs[1:], rungs) if decreasing else zip(rungs, rungs[1:])
+    if (
+        len(rungs) < min_rungs
+        or not all(math.isfinite(v) and v > 0 for v in rungs)
+        or any(b <= a for a, b in pairs)
+    ):
+        order = "decreasing" if decreasing else "increasing"
+        raise DomainError(
+            f"{name} must be >= {min_rungs} finite, positive, strictly {order} rungs, got {rungs}"
+        )
+    return rungs
 
 
 def replicate(R: int, stream: RngStream, workers: int, fn):

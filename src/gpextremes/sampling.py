@@ -21,7 +21,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
 from .processes import (
@@ -100,7 +99,7 @@ _MAX_DOUBLINGS = 3
 _CHUNK_ELEMENTS = 2**20
 
 
-def _embedding_eigenvalues(cov_of_lag, m, max_doublings=_MAX_DOUBLINGS):
+def _embedding_eigenvalues(cov_of_lag, m):
     """Eigenvalues of the circulant extension of a length-m covariance sequence.
 
     ``cov_of_lag`` maps an integer lag array to covariances.  Doubles the
@@ -112,7 +111,7 @@ def _embedding_eigenvalues(cov_of_lag, m, max_doublings=_MAX_DOUBLINGS):
     size = 1
     while size < 2 * (m - 1):
         size *= 2
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         lags = np.arange(size)
         folded = np.minimum(lags, size - lags)
         row = np.asarray(cov_of_lag(folded), dtype=float)
@@ -130,7 +129,7 @@ def _embedding_eigenvalues(cov_of_lag, m, max_doublings=_MAX_DOUBLINGS):
         size *= 2
     raise EmbeddingError(
         f"circulant eigenvalues below {-_CLAMP_REL:.0e} of max after "
-        f"{max_doublings} padding doublings; fall back to sample_cholesky_oracle"
+        f"{_MAX_DOUBLINGS} padding doublings; fall back to sample_cholesky_oracle"
     )
 
 
@@ -248,7 +247,10 @@ class StationarySampler:
             if self.count == 1:
                 return xi
             xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
-            return lfilter([1.0], [1.0, -rho], xi, axis=1)
+            path = np.ascontiguousarray(xi.T)  # one contiguous row per node
+            for j in range(1, self.count):
+                path[j] += rho * path[j - 1]
+            return path.T
         return _circulant_draw(self._scale, self._size, self.count, R, gen)
 
 

@@ -127,6 +127,11 @@ class TestConjunctionProb:
         assert default_grid_step(1.0, 3.0, 1.0) == pytest.approx(1.0 / 1024.0)
         assert default_grid_step(100.0, 10.0, 2.0) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("u", [0.0, -1.0])
+    def test_default_grid_step_needs_positive_u(self, u):
+        with pytest.raises(DomainError, match="u must be positive"):
+            default_grid_step(1.0, u, 1.5)
+
 
 class TestDoubleEvent:
     def test_containment_and_decay(self):
@@ -153,6 +158,11 @@ class TestDoubleEvent:
             estimate_double_event(spec, 2.0, 2.0, (4.0, 64.0), 2000, STREAM)
         with pytest.raises(DomainError):
             estimate_double_event(spec, 2.0, 0.5, (4.0,), 2000, STREAM)
+
+    @pytest.mark.parametrize("u", [0.0, -1.0])
+    def test_u_must_be_positive(self, u):
+        with pytest.raises(DomainError, match="u must be positive"):
+            estimate_double_event(ou_spec(T=6.0), u, 2.0, (4.0,), 2000, STREAM)
 
 
 class TestSlepianAudit:
@@ -252,6 +262,11 @@ class TestPiterbargDecayAudit:
     def test_ladder_precondition(self):
         with pytest.raises(DomainError):
             audit_piterbarg_decay(nonstat_pair_spec(), (2.0, 1.0, 3.0), unit_grid(65), 2000, STREAM)
+
+    def test_one_node_grid(self):
+        # mes(T) is the grid span, zero on one node, and divides the tail
+        with pytest.raises(DomainError, match="two nodes"):
+            audit_piterbarg_decay(ou_spec(), (1.2, 1.6, 2.0), SampleGrid(0.0, 0.25, 1), 2000, STREAM)
 
 
 class TestCompareWithAsymptotic:

@@ -28,6 +28,18 @@ def zero_drift(n, kappa=1.0):
     return DriftSpec.zero(n, exponent=kappa)
 
 
+# Entry points that run estimate_window_constant with the given grid step.
+GRID_STEP_ENTRY_POINTS = {
+    "window": lambda step: estimate_window_constant(
+        [1.0], 1.0, zero_drift(1), (0.0, 1.0), grid_step=step, R=2000, stream=STREAM
+    ),
+    "pickands": lambda step: estimate_pickands([1.0], 1.0, (1.0, 2.0, 4.0), grid_step=step, R=2000, stream=STREAM),
+    "piterbarg": lambda step: estimate_piterbarg(
+        [1.0], 1.0, DriftSpec(1.0, (0.0,), (1.0,)), "right", (1.0, 2.0), grid_step=step, R=2000, stream=STREAM
+    ),
+}
+
+
 class TestClosedForms:
     def test_limit_constants(self):
         assert closed_forms_n1(1.0, 1) == 1.0
@@ -167,6 +179,17 @@ class TestWindowConstant:
         with pytest.raises(DomainError):
             estimate_discrete_zero([1.0], 1.0, (0.5, 0.25), 40.0, R=999, stream=STREAM)
 
+    @pytest.mark.parametrize("grid_step", [0.0, -0.25, math.nan])
+    @pytest.mark.parametrize("entry", GRID_STEP_ENTRY_POINTS.values(), ids=GRID_STEP_ENTRY_POINTS.keys())
+    def test_grid_step_precondition(self, entry, grid_step):
+        with pytest.raises(DomainError, match="grid_step"):
+            entry(grid_step)
+
+    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 0.0)])
+    def test_window_bounds_must_be_finite(self, window):
+        with pytest.raises(DomainError, match="window bounds"):
+            estimate_window_constant([1.0], 1.0, zero_drift(1), window, R=2000, stream=STREAM)
+
 
 class TestPickandsEstimator:
     def test_kappa2_slope(self):
@@ -182,7 +205,7 @@ class TestPickandsEstimator:
         est = estimate_pickands([1.0], 2.0, (1.0, 2.0, 4.0), R=2000, stream=STREAM.child("pr"))
         diag = est.diagnostics
         assert len(diag["ratios"]) == 3
-        assert diag["S_ladder"] == [1.0, 2.0, 4.0]
+        assert [S for S, _, _ in diag["rungs"]] == [1.0, 2.0, 4.0]
 
     def test_ladder_preconditions(self):
         with pytest.raises(DomainError):
@@ -288,6 +311,11 @@ class TestDiscreteZero:
     def test_horizon_precondition(self):
         with pytest.raises(TruncationError):
             estimate_discrete_zero([1.0], 1.0, (0.5, 0.25), 10.0, R=2000, stream=STREAM)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            estimate_discrete_zero([1.0], 1.0, (0.5, 0.25), horizon, R=2000, stream=STREAM)
 
     def test_empty_node_set(self):
         with pytest.raises(TruncationError):

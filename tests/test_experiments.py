@@ -8,7 +8,14 @@ import pytest
 
 from gpextremes import ConfigError, DriftSpec, config_hash, emit_bounds_table, run_experiment
 from gpextremes.cli import main as cli_main
-from gpextremes.experiments import RESULT_COLUMNS, ResultsManifest, _row, results_csv_bytes, write_results
+from gpextremes.experiments import (
+    RESULT_COLUMNS,
+    ResultsManifest,
+    _row,
+    load_config,
+    results_csv_bytes,
+    write_results,
+)
 from gpextremes.sampling import read_path_dump
 
 
@@ -144,6 +151,36 @@ NESTED_KEY_CASES = [
         lambda t: t["bounds_table"].update(n_range=[1.5, 2]),
         id="bounds_table.n_range-fractional",
     ),
+    # nor is any other integer key, such as a replication count
+    *[
+        pytest.param(path, build, mutate, id=f"{path}-fractional")
+        for path, build, mutate in [
+            ("seed", probability_config, lambda t: t.update(seed=12.5)),
+            ("probability.replications", probability_config, lambda t: t["probability"].update(replications=2000.9)),
+            ("constant.replications", window_config, lambda t: t["constant"].update(replications=2048.5)),
+            ("audit.replications", audit_config, lambda t: t["audit"].update(replications=2048.5)),
+            ("sample_paths.replications", sample_paths_config, lambda t: t["sample_paths"].update(replications=16.5)),
+            ("sample_paths.grid.count", sample_paths_config, lambda t: t["sample_paths"]["grid"].update(count=9.5)),
+            (
+                "processes.ou.coords[0].block_count",
+                probability_config,
+                lambda t: t["processes"]["ou"]["coords"].__setitem__(
+                    0,
+                    {
+                        "variant": "locally_stationary",
+                        "a_profile": {"nodes": [0.0, 1.0], "values": [1.0, 1.0]},
+                        "kappa": 1.0,
+                        "block_count": 8.5,
+                    },
+                ),
+            ),
+            (
+                "compare.asymptotic.provider_R",
+                compare_config,
+                lambda t: t["compare"]["asymptotic"].update(provider="monte_carlo", provider_R=20_000.5),
+            ),
+        ]
+    ],
 ]
 
 
@@ -238,6 +275,14 @@ class TestRunExperiment:
         assert manifest.failed
         assert manifest.records[0]["verdict"] == "error"
 
+    def test_default_grid_step_with_zero_u_is_error_record(self):
+        tree = probability_config()
+        del tree["probability"]["grid_step"]
+        tree["probability"]["u"] = 0
+        manifest = run_experiment(tree)
+        assert manifest.failed
+        assert "u must be positive" in manifest.records[0]["notes"]
+
     def test_sample_paths_dump_round_trip(self, tmp_path):
         manifest = run_experiment(sample_paths_config(), out_dir=tmp_path)
         dump = tmp_path / "paths.paths.gpb"
@@ -315,6 +360,20 @@ class TestCli:
         assert cli_main(["bounds-table", "--config", cfg, "--out", str(taken)]) == 2
         err = capsys.readouterr().err
         assert "taken" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "check, ladder",
+        [("piterbarg_decay", [0.0, 0.5, 1.0]), ("borell", [1.0, math.nan])],
+        ids=["piterbarg_decay-zero", "borell-nan"],
+    )
+    def test_bad_audit_ladder_is_runtime_failure(self, tmp_path, capsys, check, ladder):
+        tree = audit_config()
+        tree["audit"].update(check=check, u_ladder=ladder)
+        cfg = self._write(tmp_path, tree)  # json writes the NaN rung as the literal NaN
+        manifest = run_experiment(load_config(cfg))
+        assert [r["verdict"] for r in manifest.records] == ["error"]
+        assert "u_ladder" in manifest.records[0]["notes"]
+        assert cli_main(["audit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, probability_config(R=100))

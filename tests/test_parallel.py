@@ -1,16 +1,23 @@
+import math
+
 import pytest
 
 from gpextremes import (
     DomainError,
+    DriftSpec,
     RngStream,
     SampleGrid,
     Stationary,
     VectorProcessSpec,
+    audit_borell,
+    audit_piterbarg_decay,
     audit_slepian,
     estimate_discrete_zero,
+    estimate_double_event,
     estimate_pickands,
+    estimate_piterbarg,
 )
-from gpextremes.parallel import BLOCK_SIZE, MIN_REPLICATIONS, replicate
+from gpextremes.parallel import BLOCK_SIZE, MIN_REPLICATIONS, replicate, require_ladder
 
 STREAM = RngStream(2718)
 
@@ -57,3 +64,79 @@ CHILD_STREAM_ENTRY_POINTS = {
 def test_missing_stream_is_domain_error(entry):
     with pytest.raises(DomainError, match="an RngStream is required"):
         entry(None)
+
+
+def two_coord_ou_spec():
+    return VectorProcessSpec((Stationary(1.0, 1.0), Stationary(2.0, 1.0)), 6.0)
+
+
+# Every ladder entry point: (call on a ladder, a valid ladder, fewest rungs, decreasing).
+LADDER_ENTRY_POINTS = {
+    "pickands": (lambda ladder: estimate_pickands([1.0], 1.0, ladder, R=2000, stream=STREAM), (1.0, 2.0, 4.0), 3, False),
+    "piterbarg": (
+        lambda ladder: estimate_piterbarg(
+            [1.0], 1.0, DriftSpec(1.0, (0.0,), (1.0,)), "right", ladder, R=2000, stream=STREAM
+        ),
+        (1.0, 2.0),
+        1,
+        False,
+    ),
+    "discrete_zero": (
+        lambda ladder: estimate_discrete_zero([1.0], 1.0, ladder, 40.0, R=2000, stream=STREAM),
+        (0.5, 0.25),
+        2,
+        True,
+    ),
+    "borell": (
+        lambda ladder: audit_borell(two_coord_ou_spec(), ladder, SampleGrid(0.0, 0.25, 5), 2000, STREAM),
+        (1.0, 2.0),
+        1,
+        False,
+    ),
+    "piterbarg_decay": (
+        lambda ladder: audit_piterbarg_decay(two_coord_ou_spec(), ladder, SampleGrid(0.0, 0.25, 5), 2000, STREAM),
+        (1.0, 1.5, 2.0),
+        3,
+        False,
+    ),
+    "double_event": (
+        lambda ladder: estimate_double_event(two_coord_ou_spec(), 2.0, 2.0, ladder, 2000, STREAM),
+        (4.0, 8.0),
+        1,
+        False,
+    ),
+}
+
+
+def bad_ladders(valid, min_rungs, decreasing):
+    """Ladders that break one rule each, in the entry point's rung order."""
+    up = sorted(valid)
+
+    def ordered(rungs):
+        return tuple(rungs[::-1]) if decreasing else tuple(rungs)
+
+    return {
+        "too_short": ordered(up[: min_rungs - 1]),
+        "nan": ordered(up[:-1] + [math.nan]),
+        "inf": ordered(up[:-1] + [math.inf]),
+        "zero": ordered([0.0] + up[1:]),
+        "negative": ordered([-1.0] + up[1:]),
+        "out_of_order": ordered(up[::-1]),
+    }
+
+
+LADDER_CASES = [
+    pytest.param(entry, ladder, id=f"{name}-{case}")
+    for name, (entry, valid, min_rungs, decreasing) in LADDER_ENTRY_POINTS.items()
+    for case, ladder in bad_ladders(valid, min_rungs, decreasing).items()
+]
+
+
+@pytest.mark.parametrize("entry, ladder", LADDER_CASES)
+def test_bad_ladder_is_domain_error(entry, ladder):
+    with pytest.raises(DomainError, match="rungs"):
+        entry(ladder)
+
+
+def test_require_ladder_returns_floats():
+    assert require_ladder((3, 2.5, 1), "u_ladder", min_rungs=3, decreasing=True) == [3.0, 2.5, 1.0]

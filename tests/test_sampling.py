@@ -1,10 +1,15 @@
 import logging
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
+import gpextremes
 import gpextremes.sampling as sampling
 from gpextremes import (
     DomainError,
@@ -181,6 +186,15 @@ class TestSampleVector:
         emp = np.mean(x[:, 0] * x[:, 1])
         assert emp == pytest.approx(math.exp(-delta), abs=3.0 / math.sqrt(R))
 
+    def test_ar1_recursion_matches_lfilter(self):
+        # the kappa = 1 recursion against the IIR filter that computed it before
+        R, count, a, step = 300, 257, 1.3, 1.0 / 64
+        new = sampling.StationarySampler(a, 1.0, step, count).sample(R, np.random.default_rng(4))
+        rho = np.exp(-a * step)
+        xi = np.random.default_rng(4).standard_normal((R, count))
+        xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
+        np.testing.assert_array_equal(new, signal.lfilter([1.0], [1.0, -rho], xi, axis=1))
+
     def test_stationary_kappa15_covariance(self):
         spec = VectorProcessSpec((Stationary(0.7, 1.5),), 2.0)
         grid = SampleGrid(0.0, 0.125, 16)
@@ -318,3 +332,11 @@ class TestPathDump:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(DomainError):
             read_path_dump(path)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(pathlib.Path(gpextremes.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, gpextremes; sys.exit('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0
