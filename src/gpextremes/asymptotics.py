@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.integrate import simpson
 
 from .constants import (
     ConstantEstimate,
@@ -299,6 +298,8 @@ def _integrate_limit_constant(provider, c, kappa, a_of_t, T):
     constant is looked up once and scaled by rho(t)^(1/kappa); otherwise the
     provider is queried per node.
     """
+    from scipy.integrate import simpson  # heavy import (pulls in scipy.optimize), kept off package load
+
     c = np.asarray(c, dtype=float)
 
     def node_values(ts):

@@ -35,7 +35,7 @@ from .processes import (
     ensure_valid,
 )
 from .rng import RngStream
-from .sampling import SampleGrid, sample_vector
+from .sampling import SampleGrid, coordinate_samplers, sample_vector
 
 __all__ = [
     "ProbEstimate",
@@ -105,8 +105,10 @@ def _count_hits(values, thr, strides=(1,)):
 
 def _scan_hits(spec, thr, grid, R, stream, workers, strides=(1,)):
     """Hit counts with shape (len(thr), len(strides)), shared paths throughout."""
+    samplers = coordinate_samplers(spec, grid)
+
     def run_block(Rb, block):
-        return _count_hits(sample_vector(spec, grid, Rb, block()).values, thr, strides)
+        return _count_hits(sample_vector(spec, grid, Rb, block(), samplers).values, thr, strides)
 
     return sum(replicate(R, stream, workers, run_block))
 
@@ -207,9 +209,10 @@ def estimate_double_event(
     grid = SampleGrid(0.0, step, count)
     starts = [int(round(off / S * _DOUBLE_EVENT_NODES)) for off in offsets]
     thr = np.full(spec.n, u)
+    samplers = coordinate_samplers(spec, grid)
 
     def run_block(Rb, block):
-        batch = sample_vector(spec, grid, Rb, block())
+        batch = sample_vector(spec, grid, Rb, block(), samplers)
         exceed_all = (batch.values > thr[None, :, None]).all(axis=1)  # (Rb, m)
         hit0 = exceed_all[:, : _DOUBLE_EVENT_NODES + 1].any(axis=1)
         single = int(hit0.sum())
@@ -328,9 +331,10 @@ def audit_borell(
         raise PreconditionError("tau^2 must be positive on the grid")
     tau_sq = float(finite_g.min())
     thr = np.asarray([[u] * spec.n for u in us])
+    samplers = coordinate_samplers(spec, grid)
 
     def run_block(Rb, block):
-        values = sample_vector(spec, grid, Rb, block()).values
+        values = sample_vector(spec, grid, Rb, block(), samplers).values
         sup_mix = np.einsum("rnm,nm->rm", values, lam).max(axis=1)
         return RunningMoments.from_values(sup_mix), _count_hits(values, thr)[:, 0]
 

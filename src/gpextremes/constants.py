@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.integrate import simpson
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
@@ -133,6 +132,8 @@ def _linear_path_window_value(C, t, trend):
     ~exp(-S^2)), but composite-Simpson quadrature evaluates it to numerical
     precision.  Returns (value, error_estimate).
     """
+    from scipy.integrate import simpson  # heavy import (pulls in scipy.optimize), kept off package load
+
     n = C.size
     span = max(abs(float(t[0])), abs(float(t[-1])))
     half = math.sqrt(2.0) * float(C.max()) * span + 12.0

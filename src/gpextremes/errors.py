@@ -22,8 +22,9 @@ class AmbiguousMinimumError(GpxError, RuntimeError):
 
 
 class EmbeddingError(GpxError, RuntimeError):
-    """Circulant embedding produced eigenvalues below tolerance; use the
-    dense square-root oracle instead."""
+    """Circulant embedding kept eigenvalues below tolerance after three
+    padding doublings on a grid too long for the dense factor (more than
+    2049 nodes); shorter grids are drawn from the dense factor instead."""
 
 
 class FactorizationError(GpxError, RuntimeError):

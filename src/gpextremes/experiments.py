@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -159,13 +160,31 @@ def _is_a(value, types) -> bool:
 
 
 def _number(node, at, key, required=True, default=None):
+    """A finite number as a float.
+
+    JSON's ``NaN`` and ``Infinity`` literals and integers beyond the float
+    range raise :class:`ConfigError`.  Array entries are not checked here:
+    ladders reject non-finite rungs where they are used.
+    """
     val = _get(node, at, key, (int, float), required=required, default=default)
-    return val if val is None else float(val)
+    if val is None:
+        return None
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf
+    if not math.isfinite(num):
+        raise ConfigError(_join(at, key), f"expected a finite number, got {val!r}")
+    return num
 
 
 def _integer(node, at, key, required=True, default=None):
-    val = _number(node, at, key, required=required, default=default)
-    if val is not None and not val.is_integer():
+    """An integer, read exactly: a JSON integer is never rounded through float.
+
+    A float with an integral value is accepted; a fractional one is not.
+    """
+    val = _get(node, at, key, (int, float), required=required, default=default)
+    if isinstance(val, float) and not (math.isfinite(val) and val.is_integer()):
         raise ConfigError(_join(at, key), f"expected an integer, got {val!r}")
     return val if val is None else int(val)
 

@@ -19,8 +19,6 @@ from typing import Union
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .errors import AmbiguousMinimumError, DomainError, SpecValidationError, UnsupportedModelError
 
@@ -94,6 +92,8 @@ class ProfileTable:
     def _spline(self):
         if len(self.nodes) == 1:
             return None
+        from scipy.interpolate import CubicSpline  # heavy import, kept off package load
+
         bc = "not-a-knot" if len(self.nodes) >= 4 else "natural"
         return CubicSpline(self.nodes, self.values, bc_type=bc)
 
@@ -440,6 +440,8 @@ def variance_profile(spec: VectorProcessSpec, scan_step: float) -> VarianceProfi
     else:
         lo, mid, hi = ts[best - 1], ts[best], ts[best + 1]
         if gs[best] < gs[best - 1] and gs[best] < gs[best + 1]:
+            from scipy.optimize import minimize_scalar  # heavy import, kept off package load
+
             res = minimize_scalar(g, bracket=(lo, mid, hi), method="golden", options={"xtol": 1e-10})
             t0, g_min = float(min(max(res.x, 0.0), T)), float(res.fun)
         else:

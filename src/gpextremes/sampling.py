@@ -1,18 +1,41 @@
 """Exact Gaussian path simulation on uniform grids.
 
 Stationary sequences (fractional Gaussian noise and the exponential-
-correlation family) are sampled by circulant embedding (Wood & Chan 1994,
-Dietrich & Newsam 1997): the covariance sequence is folded into a
-circulant first row and diagonalized by the FFT.  A draw fills only the
-half spectrum of each row with complex normals scaled by the eigenvalues
-and transforms it back with one real inverse FFT.  Eigenvalues slightly
-below zero (>= -1e-8 of the maximum) are clamped with a logged warning;
-deeper negativity triggers up to three padding doublings before the
-embedding is declared infeasible.  A sampler computes its per-mode scale
-once at construction.  Fractional Brownian motion is the prefix sum of
-fractional Gaussian noise, exact in distribution.  A dense
-symmetric-square-root sampler serves as the independent oracle for
-cross-validation.
+correlation family) are drawn by one of three methods, chosen once when a
+sampler is built and recorded as its ``method``:
+
+* ``"direct"``: independent normals where the law allows it (Brownian
+  increments, the kappa = 1 AR(1) recursion, the a.s. linear kappa = 2
+  fractional Brownian path, a single stationary node).
+* ``"circulant"``: circulant embedding (Wood & Chan 1994, Dietrich &
+  Newsam 1997).  The covariance sequence is folded into a circulant first
+  row of length ``size`` and diagonalized by the FFT; a draw fills only the
+  half spectrum of each row with complex normals scaled by the eigenvalues
+  and transforms it back with one real inverse FFT.
+* ``"dense"``: the lower Cholesky factor L of the m x m Toeplitz
+  covariance (a clipped symmetric square root if Cholesky fails); a draw
+  is ``standard_normal((R, m)) @ L.T``.
+
+The embedding is always computed first, at the least power-of-two size
+that holds the sequence.  Eigenvalues slightly below zero (>= -1e-8 of the
+maximum) are clamped with a logged warning, whichever method is then
+chosen; deeper negativity triggers up to three padding doublings.  The
+rule in :func:`_plan_draw` picks the method from that outcome.  A feasible
+embedding of least size stays circulant.  One that needed a doubling draws
+at least four normals per node, and the dense draw measured cheaper on
+every such spec up to ``_DENSE_MAX_NODES`` = 2049 nodes (with one BLAS
+thread, 2048 rows: 142 against 582 ms at 1025 nodes padded 4x, 484 against
+578 ms at 2049 nodes padded 2x), so it goes dense; so does an infeasible
+one.  Above that cap, where the factor would pass 32 MB, a padded embedding
+stays circulant and an infeasible one raises :class:`EmbeddingError`.  So
+kappa > 1 on short spans goes dense, while fractional Gaussian noise, whose
+least embedding is nonnegative definite, stays circulant.
+
+Fractional Brownian motion is the prefix sum of fractional Gaussian noise,
+exact in distribution.  :func:`coordinate_samplers` builds the samplers of
+every coordinate of a vector process once, so an estimator can draw every
+replication block with them.  A dense symmetric-square-root sampler serves
+as the independent oracle for cross-validation.
 """
 from __future__ import annotations
 
@@ -45,6 +68,7 @@ __all__ = [
     "read_path_dump",
     "FgnSampler",
     "StationarySampler",
+    "coordinate_samplers",
 ]
 
 DUMP_MAGIC = b"GPB1"
@@ -91,12 +115,22 @@ class PathBatch:
             raise DomainError(f"values shape {self.values.shape} != {expected}")
 
 
-# -- circulant embedding -----------------------------------------------------
+# -- circulant embedding and dense factor --------------------------------------
 
 _CLAMP_REL = 1e-8
 _MAX_DOUBLINGS = 3
-# Spectrum entries transformed per chunk of rows in _circulant_draw (16 MB complex).
+# Entries drawn per chunk of rows in _circulant_draw (16 MB complex) and _dense_draw (8 MB).
 _CHUNK_ELEMENTS = 2**20
+# Largest node count drawn by a dense factor: 2049^2 doubles are 32 MB.
+_DENSE_MAX_NODES = 2049
+
+
+def _least_embedding_size(m):
+    """The least power of two >= 2 (m - 1): the embedding size before any padding."""
+    size = 1
+    while size < 2 * (m - 1):
+        size *= 2
+    return size
 
 
 def _embedding_eigenvalues(cov_of_lag, m):
@@ -104,13 +138,12 @@ def _embedding_eigenvalues(cov_of_lag, m):
 
     ``cov_of_lag`` maps an integer lag array to covariances.  Doubles the
     padding until all eigenvalues clear -1e-8 of the maximum; tiny negatives
-    are clamped to zero.
+    are clamped to zero.  Raises :class:`EmbeddingError` when three
+    doublings do not suffice.
     """
     if m == 1:
         return np.asarray([float(cov_of_lag(np.zeros(1, dtype=int))[0])]), 1
-    size = 1
-    while size < 2 * (m - 1):
-        size *= 2
+    size = _least_embedding_size(m)
     for _ in range(_MAX_DOUBLINGS + 1):
         lags = np.arange(size)
         folded = np.minimum(lags, size - lags)
@@ -128,8 +161,9 @@ def _embedding_eigenvalues(cov_of_lag, m):
             return np.clip(eigs, 0.0, None), size
         size *= 2
     raise EmbeddingError(
-        f"circulant eigenvalues below {-_CLAMP_REL:.0e} of max after "
-        f"{_MAX_DOUBLINGS} padding doublings; fall back to sample_cholesky_oracle"
+        f"circulant eigenvalues of {m} nodes below {-_CLAMP_REL:.0e} of max after "
+        f"{_MAX_DOUBLINGS} padding doublings (the dense factor takes at most "
+        f"{_DENSE_MAX_NODES} nodes)"
     )
 
 
@@ -178,12 +212,75 @@ def _circulant_draw(scale, size, count, R, gen):
     return out
 
 
+def _dense_factor(cov_of_lag, m):
+    """A factor L with ``L @ L.T`` the m x m Toeplitz covariance ``row[|j - k|]``.
+
+    The lower Cholesky factor; where rounding leaves the matrix numerically
+    indefinite, the symmetric square root with its negative eigenvalues
+    clipped to zero, as :func:`sample_cholesky_oracle` factorizes.
+    """
+    row = np.asarray(cov_of_lag(np.arange(m)), dtype=float)
+    nodes = np.arange(m)
+    cov = row[np.abs(nodes[:, None] - nodes[None, :])]
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        eigval, eigvec = np.linalg.eigh(cov)
+        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+
+
+def _dense_draw(factor, R, gen):
+    """R rows ``standard_normal((R, m)) @ factor.T``.
+
+    The normals are drawn in chunks of at most ``_CHUNK_ELEMENTS`` entries,
+    which continue one stream, so they are those of a single (R, m) call
+    whatever the chunking.
+    """
+    m = factor.shape[0]
+    out = np.empty((R, m))
+    rows = max(1, _CHUNK_ELEMENTS // m)
+    for r0 in range(0, R, rows):
+        r1 = min(R, r0 + rows)
+        np.matmul(gen.standard_normal((r1 - r0, m)), factor.T, out=out[r0:r1])
+    return out
+
+
+def _plan_draw(cov_of_lag, m):
+    """``(method, size, factor)`` of the draw of a length-m stationary sequence.
+
+    Circulant (``factor`` the mode scale, ``size`` the embedding size) when
+    the embedding is feasible at its least size or m exceeds
+    ``_DENSE_MAX_NODES``; dense (``factor`` the Toeplitz factor, ``size`` =
+    m) when it needed padding or is infeasible.  An infeasible embedding
+    beyond the cap raises :class:`EmbeddingError`.
+    """
+    try:
+        eigs, size = _embedding_eigenvalues(cov_of_lag, m)
+    except EmbeddingError:
+        if m > _DENSE_MAX_NODES:
+            raise
+        return "dense", m, _dense_factor(cov_of_lag, m)
+    if m > _DENSE_MAX_NODES or size == _least_embedding_size(m):
+        return "circulant", size, _mode_scale(eigs, size)
+    return "dense", m, _dense_factor(cov_of_lag, m)
+
+
+def _planned_draw(sampler, R, gen):
+    """R rows from a sampler whose ``method`` is circulant or dense."""
+    if sampler.method == "circulant":
+        return _circulant_draw(sampler._factor, sampler.size, sampler.count, R, gen)
+    return _dense_draw(sampler._factor, R, gen)
+
+
 class FgnSampler:
     """Batch sampler for fractional Gaussian noise increments on a fixed grid.
 
     kappa = 1 increments are independent and kappa = 2 increments are one
     shared normal (the path is a.s. linear); both are drawn directly.  All
-    other exponents go through circulant embedding.
+    other exponents use the circulant or the dense draw that
+    :func:`_plan_draw` picks.  ``method`` records the choice and ``size``
+    the length of each row's draw (the embedding size for circulant, the
+    node count otherwise).
     """
 
     def __init__(self, kappa, step, count):
@@ -193,7 +290,7 @@ class FgnSampler:
         self.step = float(step)
         self.count = int(count)
         if self.kappa in (1.0, 2.0):
-            self._scale = None
+            self.method, self.size, self._factor = "direct", self.count, None
             return
         scale = self.step**self.kappa
 
@@ -201,23 +298,24 @@ class FgnSampler:
             k = np.abs(lags).astype(float)
             return 0.5 * scale * ((k + 1) ** kappa - 2 * k**kappa + np.abs(k - 1) ** kappa)
 
-        eigs, self._size = _embedding_eigenvalues(cov, self.count)
-        self._scale = _mode_scale(eigs, self._size)
+        self.method, self.size, self._factor = _plan_draw(cov, self.count)
 
     def increments(self, R, gen) -> np.ndarray:
-        if self._scale is None:
+        if self.method == "direct":
             if self.kappa == 1.0:
                 return np.sqrt(self.step) * gen.standard_normal((R, self.count))
             xi = gen.standard_normal(R)
             return np.broadcast_to(self.step * xi[:, None], (R, self.count)).copy()
-        return _circulant_draw(self._scale, self._size, self.count, R, gen)
+        return _planned_draw(self, R, gen)
 
 
 class StationarySampler:
     """Batch sampler for the unit-variance exponential-correlation family.
 
-    kappa = 1 uses the exact AR(1) recursion (the correlation is Markov);
-    other exponents go through circulant embedding.
+    kappa = 1 uses the exact AR(1) recursion (the correlation is Markov) and
+    a single node is one normal; other exponents use the circulant or the
+    dense draw that :func:`_plan_draw` picks, recorded in ``method`` and
+    ``size`` as for :class:`FgnSampler`.
     """
 
     def __init__(self, a, kappa, step, count):
@@ -230,18 +328,17 @@ class StationarySampler:
         self.step = float(step)
         self.count = int(count)
         if kappa == 1.0 or count == 1:
-            self._scale = None
+            self.method, self.size, self._factor = "direct", self.count, None
         else:
 
             def cov(lags):
                 h = np.abs(lags).astype(float) * step
                 return np.exp(-a * h**kappa)
 
-            eigs, self._size = _embedding_eigenvalues(cov, self.count)
-            self._scale = _mode_scale(eigs, self._size)
+            self.method, self.size, self._factor = _plan_draw(cov, self.count)
 
     def sample(self, R, gen) -> np.ndarray:
-        if self._scale is None:
+        if self.method == "direct":
             rho = np.exp(-self.a * self.step)
             xi = gen.standard_normal((R, self.count))
             if self.count == 1:
@@ -251,35 +348,58 @@ class StationarySampler:
             for j in range(1, self.count):
                 path[j] += rho * path[j - 1]
             return path.T
-        return _circulant_draw(self._scale, self._size, self.count, R, gen)
+        return _planned_draw(self, R, gen)
 
 
 # -- public sampling operations ----------------------------------------------
 
 
+def _fbm_draw(kappa, grid):
+    """``draw(R, gen)``: fractional Brownian paths with B(0) = 0 on ``grid``.
+
+    The grid origin must be a non-negative multiple of the step; the path
+    starts at 0 that many nodes before the grid and is prefix-summed from
+    fractional Gaussian noise increments.
+    """
+    offset = grid.origin / grid.step
+    j0 = int(round(offset))
+    if abs(offset - j0) > 1e-9 or j0 < 0:
+        raise UnsupportedModelError(
+            "fractional Brownian coordinates need the grid origin to be a "
+            "non-negative multiple of the step"
+        )
+    count = grid.count + j0
+    sampler = FgnSampler(kappa, grid.step, count - 1) if count > 1 else None
+
+    def draw(R, gen):
+        path = np.zeros((R, count))
+        if sampler is not None:
+            np.cumsum(sampler.increments(R, gen), axis=1, out=path[:, 1:])
+        return path[:, j0:]
+
+    return draw
+
+
 def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
     """Exact fractional Brownian paths with B(0) = 0 on a grid starting at 0.
 
-    Increments come from circulant embedding of fractional Gaussian noise and
-    are prefix-summed; kappa = 2 degenerates to the a.s. linear path t * xi.
+    Increments are fractional Gaussian noise, prefix-summed; kappa = 2
+    degenerates to the a.s. linear path t * xi.
     """
     if grid.origin != 0.0:
         raise DomainError("sample_fbm requires grid.origin == 0")
     if R < 1:
         raise DomainError("R must be >= 1")
-    values = np.zeros((R, 1, grid.count))
-    if grid.count > 1:
-        sampler = FgnSampler(kappa, grid.step, grid.count - 1)
-        inc = sampler.increments(R, stream.generator())
-        np.cumsum(inc, axis=1, out=values[:, 0, 1:])
-    return PathBatch(grid, 1, R, values)
+    values = _fbm_draw(kappa, grid)(R, stream.generator())
+    return PathBatch(grid, 1, R, values[:, None, :])
 
 
-def _locally_stationary_block_values(coord, grid, R, gen, horizon):
+def _locally_stationary_draw(coord, grid, horizon, stationary):
+    """``draw(R, gen)`` of the piecewise-frozen scheme, one sampler per block."""
     nodes = grid.nodes()
     block_len = horizon / coord.block_count
     idx = np.minimum((nodes / block_len).astype(int), coord.block_count - 1)
-    out = np.empty((R, grid.count))
+    blocks = []
     pos = 0
     for b in range(coord.block_count):
         sel = np.flatnonzero(idx == b)
@@ -291,49 +411,78 @@ def _locally_stationary_block_values(coord, grid, R, gen, horizon):
         a_frozen = float(coord.a_profile((b + 0.5) * block_len))
         if a_frozen <= 0:
             raise UnsupportedModelError(f"a_profile must stay positive, got {a_frozen} in block {b}")
-        sampler = StationarySampler(a_frozen, coord.kappa, grid.step, sel.size)
-        out[:, sel] = sampler.sample(R, gen)
-    return out
+        blocks.append((sel, stationary(a_frozen, coord.kappa, sel.size)))
+
+    def draw(R, gen):
+        out = np.empty((R, grid.count))
+        for sel, sampler in blocks:
+            out[:, sel] = sampler.sample(R, gen)
+        return out
+
+    return draw
 
 
-def sample_vector(spec: VectorProcessSpec, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
+def _profiled_draw(sampler, sigma):
+    """``draw(R, gen)`` of the sigma profile times a unit-variance path."""
+    return lambda R, gen: sampler.sample(R, gen) * sigma
+
+
+def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
+    """One ``draw(R, gen) -> (R, grid.count)`` per coordinate of ``spec`` on ``grid``.
+
+    Builds every embedding and dense factor once, so an estimator builds
+    these outside its replication blocks and passes them to
+    :func:`sample_vector` in each block.  Coordinates (and frozen blocks)
+    with equal parameters share one sampler.  Validates the spec and
+    requires the grid to lie inside [0, T].
+    """
+    ensure_valid(spec)
+    nodes = grid.nodes()
+    if nodes[0] < -1e-12 or nodes[-1] > spec.horizon_T * (1 + 1e-12) + 1e-12:
+        raise DomainError("grid extends outside the process horizon [0, T]")
+    built = {}
+
+    def stationary(a, kappa, count):
+        key = (float(a), float(kappa), int(count))
+        if key not in built:
+            built[key] = StationarySampler(a, kappa, grid.step, count)
+        return built[key]
+
+    draws = []
+    for coord in spec.coords:
+        if isinstance(coord, Stationary):
+            draws.append(stationary(coord.a, coord.kappa, grid.count).sample)
+        elif isinstance(coord, LocallyStationary):
+            draws.append(_locally_stationary_draw(coord, grid, spec.horizon_T, stationary))
+        elif isinstance(coord, NonStationary):
+            sampler = stationary(coord.a, coord.alpha, grid.count)
+            draws.append(_profiled_draw(sampler, coord.sigma_profile(nodes)))
+        elif isinstance(coord, FractionalBrownian):
+            draws.append(_fbm_draw(coord.kappa, grid))
+        else:
+            raise UnsupportedModelError(f"unknown coordinate type {type(coord)!r}")
+    return tuple(draws)
+
+
+def sample_vector(
+    spec: VectorProcessSpec, grid: SampleGrid, R: int, stream: RngStream, samplers=None
+) -> PathBatch:
     """Sample R paths of every coordinate of a validated vector process.
 
     Coordinates are sampled independently (coordinate-major draw order on
     per-coordinate child streams).  Non-stationary coordinates are the
     sigma profile times a unit-variance path; locally stationary ones use
     the piecewise-frozen scheme.  The grid must lie inside [0, T].
+    ``samplers`` is :func:`coordinate_samplers` of ``(spec, grid)``, for a
+    caller that draws many batches; it is built here when omitted.
     """
-    ensure_valid(spec)
+    if samplers is None:
+        samplers = coordinate_samplers(spec, grid)
     if R < 1:
         raise DomainError("R must be >= 1")
-    nodes = grid.nodes()
-    if nodes[0] < -1e-12 or nodes[-1] > spec.horizon_T * (1 + 1e-12) + 1e-12:
-        raise DomainError("grid extends outside the process horizon [0, T]")
     values = np.empty((R, spec.n, grid.count))
-    for i, coord in enumerate(spec.coords):
-        gen = stream.child("coord", i).generator()
-        if isinstance(coord, Stationary):
-            sampler = StationarySampler(coord.a, coord.kappa, grid.step, grid.count)
-            values[:, i, :] = sampler.sample(R, gen)
-        elif isinstance(coord, LocallyStationary):
-            values[:, i, :] = _locally_stationary_block_values(coord, grid, R, gen, spec.horizon_T)
-        elif isinstance(coord, NonStationary):
-            sampler = StationarySampler(coord.a, coord.alpha, grid.step, grid.count)
-            values[:, i, :] = sampler.sample(R, gen) * coord.sigma_profile(nodes)
-        elif isinstance(coord, FractionalBrownian):
-            offset = grid.origin / grid.step
-            j0 = int(round(offset))
-            if abs(offset - j0) > 1e-9 or j0 < 0:
-                raise UnsupportedModelError(
-                    "fractional Brownian coordinates need the grid origin to be a "
-                    "non-negative multiple of the step"
-                )
-            full = SampleGrid(0.0, grid.step, grid.count + j0)
-            batch = sample_fbm(coord.kappa, full, R, stream.child("coord", i))
-            values[:, i, :] = batch.values[:, 0, j0:]
-        else:
-            raise UnsupportedModelError(f"unknown coordinate type {type(coord)!r}")
+    for i, draw in enumerate(samplers):
+        values[:, i, :] = draw(R, stream.child("coord", i).generator())
     return PathBatch(grid, spec.n, R, values)
 
 

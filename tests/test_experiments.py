@@ -53,6 +53,17 @@ def probability_config(seed=12, R=2000):
     }
 
 
+def short_span_config(R=2000):
+    coord = {"variant": "stationary", "a": 1.0, "kappa": 1.5}
+    return {
+        "kind": "probability",
+        "experiment_id": "short-span",
+        "seed": 21,
+        "processes": {"pair": {"horizon": 0.25, "coords": [coord, dict(coord)]}},
+        "probability": {"process": "pair", "u": 1.0, "replications": R},
+    }
+
+
 def compare_config():
     return {
         "kind": "compare",
@@ -181,6 +192,22 @@ NESTED_KEY_CASES = [
             ),
         ]
     ],
+    # JSON's NaN and Infinity literals are not numbers a key can take
+    *[
+        pytest.param(path, build, mutate, id=f"{path}-{label}")
+        for path, label, build, mutate in [
+            ("probability.u", "nan", probability_config, lambda t: t["probability"].update(u=math.nan)),
+            ("probability.grid_step", "inf", probability_config, lambda t: t["probability"].update(grid_step=math.inf)),
+            ("processes.ou.horizon", "inf", probability_config, lambda t: t["processes"]["ou"].update(horizon=math.inf)),
+            (
+                "processes.ou.coords[0].a",
+                "-inf",
+                probability_config,
+                lambda t: t["processes"]["ou"]["coords"][0].update(a=-math.inf),
+            ),
+            ("seed", "nan", probability_config, lambda t: t.update(seed=math.nan)),
+        ]
+    ],
 ]
 
 
@@ -235,6 +262,35 @@ class TestRunExperiment:
         m1 = run_experiment(probability_config(R=5000), workers=1)
         m8 = run_experiment(probability_config(R=5000), workers=8)
         assert results_csv_bytes(m1) == results_csv_bytes(m8)
+
+    def test_nan_literal_in_config_file_is_config_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(probability_config()).replace('"u": 2.0', '"u": NaN'))
+        with pytest.raises(ConfigError) as err:
+            run_experiment(load_config(path))
+        assert err.value.path == "probability.u"
+
+    def test_large_seed_is_read_exactly(self, tmp_path):
+        seed = 2**62 + 1
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(probability_config(seed=seed)))
+        manifest = run_experiment(load_config(path))
+        assert manifest.master_seed == seed
+        assert results_csv_bytes(manifest) != results_csv_bytes(run_experiment(probability_config(seed=seed + 1)))
+
+    def test_short_span_smooth_coordinates_run(self):
+        # two kappa = 1.5 coordinates on a quarter horizon: the default grid
+        # has 1025 nodes whose circulant embedding fails, so they draw dense
+        tree = short_span_config()
+        manifest = run_experiment(tree)
+        assert [r["regime"] for r in manifest.records] == ["conjunction"]
+        assert manifest.records[0]["value"] > 0
+
+    def test_dense_draw_worker_count_invariance(self):
+        tree = short_span_config(R=4096)  # two replication blocks
+        one, two = run_experiment(tree, workers=1), run_experiment(tree, workers=2)
+        assert one.records[0]["regime"] == "conjunction"
+        assert results_csv_bytes(one) == results_csv_bytes(two)
 
     def test_seed_override_changes_results(self):
         m1 = run_experiment(probability_config())

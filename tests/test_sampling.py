@@ -13,6 +13,7 @@ import gpextremes
 import gpextremes.sampling as sampling
 from gpextremes import (
     DomainError,
+    EmbeddingError,
     FactorizationError,
     FractionalBrownian,
     NonStationary,
@@ -140,14 +141,14 @@ class TestCirculantDraw:
 
     def test_matches_full_fft_draw_on_wide_embedding(self):
         a, kappa, step, count = 1.0, 1.5, 1.0 / 1024, 1025
-        sampler = sampling.StationarySampler(a, kappa, step, count)
         eigs, size = sampling._embedding_eigenvalues(
             lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa), count
         )
-        assert size == sampler._size == 8192
+        assert size == 8192
         R = 300  # three chunks of rows
         assert R > sampling._CHUNK_ELEMENTS // size * 2
-        new = sampler.sample(R, np.random.default_rng(5))
+        scale = sampling._mode_scale(eigs, size)
+        new = sampling._circulant_draw(scale, size, count, R, np.random.default_rng(5))
         old = full_fft_circulant_draw(eigs, size, count, R, np.random.default_rng(5))
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
 
@@ -165,6 +166,98 @@ class TestCirculantDraw:
         (record,) = caplog.records
         assert record.getMessage().startswith("clamped")
         assert record.args[0] > 0
+
+
+def exp_correlation(a, kappa, step):
+    return lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa)
+
+
+class TestDrawPlan:
+    # a = 1, kappa = 1.5 on 64 nodes at step 0.1: the embedding is feasible,
+    # so the circulant and the dense draw can both run
+    A, KAPPA, STEP, COUNT = 1.0, 1.5, 0.1, 64
+
+    def draws(self, R):
+        cov = exp_correlation(self.A, self.KAPPA, self.STEP)
+        eigs, size = sampling._embedding_eigenvalues(cov, self.COUNT)
+        scale = sampling._mode_scale(eigs, size)
+        circ = sampling._circulant_draw(scale, size, self.COUNT, R, STREAM.child("pc").generator())
+        dense = sampling._dense_draw(sampling._dense_factor(cov, self.COUNT), R, STREAM.child("pd").generator())
+        return circ, dense
+
+    def target(self):
+        grid = SampleGrid(0.0, self.STEP, self.COUNT)
+        return grid, cov_matrix(Stationary(self.A, self.KAPPA), grid.nodes())
+
+    def test_both_methods_match_the_covariance(self):
+        circ, dense = self.draws(20_000)
+        _, target = self.target()
+        assert max_cov_z(circ, target) < 5.0
+        assert max_cov_z(dense, target) < 5.0
+
+    def test_both_methods_against_oracle(self):
+        R = 20_000
+        circ, dense = self.draws(R)
+        grid, target = self.target()
+        orac = sample_cholesky_oracle(target, R, STREAM.child("po"), grid=grid).values[:, 0, :]
+        # two-sample KS per node, 1% family level via Bonferroni over both methods
+        alpha = 0.01 / (2 * grid.count)
+        for draw in (circ, dense):
+            for j in range(grid.count):
+                assert stats.ks_2samp(draw[:, j], orac[:, j]).pvalue > alpha
+
+    def test_dense_chunks_continue_one_stream(self):
+        factor = sampling._dense_factor(exp_correlation(1.0, 1.5, 1.0 / 256), 257)
+        R = 3 * (sampling._CHUNK_ELEMENTS // 257) + 5  # four chunks of rows
+        gen = np.random.default_rng(3)
+        new = sampling._dense_draw(factor, R, gen)
+        ref_gen = np.random.default_rng(3)
+        ref = ref_gen.standard_normal((R, 257)) @ factor.T
+        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_cost_rule_choices(self):
+        # the conj-n2 coordinate pads its embedding of 1025 nodes from 2048 to 8192: dense
+        conj = sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025)
+        assert (conj.method, conj.size) == ("dense", 1025)
+        # FGN never pads its embedding: circulant at every node count
+        for count, size in [(2049, 4096), (1025, 2048), (512, 1024), (9, 16)]:
+            fgn = sampling.FgnSampler(1.5, 1.0 / count, count)
+            assert (fgn.method, fgn.size) == ("circulant", size)
+        # the unpadded spec of this class (and of the circulant oracle test) stays circulant
+        plain = sampling.StationarySampler(self.A, self.KAPPA, self.STEP, self.COUNT)
+        assert (plain.method, plain.size) == ("circulant", 128)
+        # test_clamp_warning's sampler clamps its padded embedding and then goes dense
+        assert sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).method == "dense"
+        assert sampling.FgnSampler(1.0, 0.1, 9).method == "direct"
+        assert sampling.StationarySampler(1.0, 1.0, 0.1, 9).method == "direct"
+
+    def test_infeasible_embedding_goes_dense_up_to_the_cap(self):
+        # a span of 1/4 at kappa = 1.5 fails three padding doublings
+        short = sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 257)
+        assert (short.method, short.size) == ("dense", 257)
+        assert sampling.StationarySampler(1.0, 1.5, 0.1 / 2048, 2049).method == "dense"
+        with pytest.raises(EmbeddingError):
+            sampling.StationarySampler(1.0, 1.5, 0.1 / 2049, 2050)
+
+    def test_short_span_covariance(self):
+        spec = VectorProcessSpec((Stationary(1.0, 1.5),), 1.0)
+        grid = SampleGrid(0.0, 1.0 / 128, 17)
+        with pytest.raises(EmbeddingError):
+            sampling._embedding_eigenvalues(exp_correlation(1.0, 1.5, 1.0 / 128), 17)
+        batch = sample_vector(spec, grid, 40_000, STREAM.child("short"))
+        assert max_cov_z(batch.values[:, 0, :], cov_matrix(spec.coords[0], grid.nodes())) < 5.0
+
+    def test_samplers_built_once_draw_the_same_batches(self):
+        spec = VectorProcessSpec((Stationary(1.0, 1.5), Stationary(1.0, 1.5), FractionalBrownian(1.2)), 1.0)
+        grid = SampleGrid(0.25, 1.0 / 64, 33)
+        samplers = sampling.coordinate_samplers(spec, grid)
+        for salt in ("b0", "b1"):
+            built = sample_vector(spec, grid, 50, STREAM.child(salt), samplers)
+            fresh = sample_vector(spec, grid, 50, STREAM.child(salt))
+            np.testing.assert_array_equal(built.values, fresh.values)
+        # equal coordinates share one sampler
+        assert samplers[0] == samplers[1]
 
 
 class TestSampleVector:
@@ -335,8 +428,18 @@ class TestPathDump:
 
 
 def test_import_leaves_scipy_signal_unloaded():
+    # nor the subpackages that only profile splines, the variance minimizer
+    # and the quadratures use; they are imported where they are used
     src = str(pathlib.Path(gpextremes.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, gpextremes; sys.exit('scipy.signal' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert done.returncode == 0
+    heavy = ("scipy.signal", "scipy.interpolate", "scipy.optimize", "scipy.integrate")
+    code = f"import sys, gpextremes; print(*sorted(set({heavy!r}) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
