@@ -22,7 +22,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .constants import (
     ConstantEstimate,
@@ -389,7 +388,7 @@ def theta_combination(profile: VarianceProfileReport, beta) -> float:
 
 def case_i_leading_constant(limit_constant_value, profile: VarianceProfileReport, beta) -> float:
     """Leading constant H * Theta * Gamma(1/beta + 1) of the alpha < beta regime."""
-    return float(limit_constant_value * theta_combination(profile, beta) * special.gamma(1.0 / beta + 1.0))
+    return float(limit_constant_value * theta_combination(profile, beta) * math.gamma(1.0 / beta + 1.0))
 
 
 def _check_theta_hypothesis(profile: VarianceProfileReport):

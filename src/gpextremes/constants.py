@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
@@ -189,6 +188,9 @@ def estimate_window_constant(
     where that matters -- except for a single Brownian coordinate (kappa = 1)
     with segmentwise-linear drift, where exact bridge maxima remove the
     discretization bias entirely.  The degenerate window [0, 0] is exactly 1.
+    Each replication block fills one (R_b, m) plane per coordinate in place
+    and hands the orthant volume a view of them.  ``diagnostics`` records
+    the increment sampler's ``method`` and ``size`` and the block count.
     """
     C = _check_amplitudes(C)
     if not 0 < kappa <= 2:
@@ -230,26 +232,29 @@ def estimate_window_constant(
     exact_bridge = C.size == 1 and kappa == 1.0 and m > 1 and (drift.exponent == 1.0 or drift_is_zero)
 
     def run_block(Rb, block):
-        parts = []
-        for i in range(C.size):
+        # one (Rb, m) plane per coordinate, each filled and drifted in place
+        paths = np.empty((C.size, Rb, m))
+        for i, path in enumerate(paths):
             gen = block("coord", i).generator()
-            path = np.zeros((Rb, m))
+            path[:, 0] = 0.0
             if sampler is not None:
-                np.cumsum(sampler.increments(Rb, gen), axis=1, out=path[:, 1:])
-            # anchor the two-sided path at the j1-th node (time 0)
-            path -= path[:, j1][:, None]
-            parts.append(sqrt2C[i] * path - trend[None, :, i])
+                np.cumsum(sampler.increments(Rb, gen, out=path[:, 1:]), axis=1, out=path[:, 1:])
+            if j1 > 0:
+                # anchor the two-sided path at the j1-th node (time 0)
+                path -= path[:, j1, None].copy()
+            path *= sqrt2C[i]
+            path -= trend[:, i]
         if exact_bridge:
-            xi = parts[0]
+            xi = paths[0]
             gen_u = block("bridge").generator()
             log_u = np.log1p(-gen_u.random(size=(Rb, m - 1)))
             a, bb = xi[:, :-1], xi[:, 1:]
             seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
             return RunningMoments.from_values(np.exp(seg_max.max(axis=1)))
-        cloud = np.stack(parts, axis=2)  # (Rb, m, n)
-        return RunningMoments.from_values(ewv_batch(cloud))
+        return RunningMoments.from_values(ewv_batch(np.moveaxis(paths, 0, 2)))
 
-    moments = merge_moments(replicate(R, stream, workers, run_block))
+    parts = replicate(R, stream, workers, run_block)
+    moments = merge_moments(parts)
     return ConstantEstimate(
         moments.mean,
         moments.se_of_mean,
@@ -257,6 +262,11 @@ def estimate_window_constant(
         step,
         R,
         "window",
+        diagnostics={
+            "sampler_method": None if sampler is None else sampler.method,
+            "sampler_size": 0 if sampler is None else sampler.size,
+            "blocks": len(parts),
+        },
     )
 
 
@@ -275,13 +285,14 @@ def estimate_pickands(
     (independent streams per rung), cancelling the additive boundary term
     that a plain H(S)/S cannot.  The smallest rung is discarded when its
     residual exceeds three of its standard errors.  The per-rung H(S)/S
-    sequence is reported for bias diagnosis and should be non-increasing.
+    sequence is reported for bias diagnosis and should be non-increasing,
+    and ``rung_draws`` holds each rung's window diagnostics.
     """
     require_stream(stream)
     C = _check_amplitudes(C)
     ladder = require_ladder(S_ladder, "S_ladder", min_rungs=3)
     drift = DriftSpec.zero(C.size, exponent=kappa)
-    rungs = []
+    rungs, rung_draws = [], []
     for r, S in enumerate(ladder):
         est = estimate_window_constant(
             C,
@@ -294,6 +305,7 @@ def estimate_pickands(
             workers=workers,
         )
         rungs.append((S, est.value, est.se))
+        rung_draws.append(est.diagnostics)
 
     S_arr, H_arr, se_arr = (np.asarray(col) for col in zip(*rungs))
 
@@ -338,6 +350,7 @@ def estimate_pickands(
             "intercept": intercept,
             "dropped_first_rung": bool(dropped_first),
             "warnings": warnings,
+            "rung_draws": rung_draws,
         },
     )
 
@@ -499,7 +512,7 @@ def closed_forms_n1(C1, kappa, window_T=None) -> float:
             "C1^(2/kappa) and the value by C1^(2/kappa) instead"
         )
     if kappa == 1.0:
-        return float((2.0 + T) * special.ndtr(math.sqrt(T / 2.0)) + math.sqrt(T / math.pi) * math.exp(-T / 4.0))
+        return float((2.0 + T) * 0.5 * math.erfc(-0.5 * math.sqrt(T)) + math.sqrt(T / math.pi) * math.exp(-T / 4.0))
     return 1.0 + T / math.sqrt(math.pi)
 
 
@@ -518,7 +531,7 @@ def pickands_bounds(n, C, kappa):
     if not 0 < kappa <= 2:
         raise DomainError(f"kappa={kappa} outside (0, 2]")
     csum = float((C**2).sum())
-    lower = csum ** (1.0 / kappa) / (4.0 ** (1.0 + 1.0 / kappa) * special.gamma(1.0 / kappa + 1.0))
+    lower = csum ** (1.0 / kappa) / (4.0 ** (1.0 + 1.0 / kappa) * math.gamma(1.0 / kappa + 1.0))
     upper = None
     if kappa in (1.0, 2.0) and np.all(C == 1.0):
         ratio = 1.0 if n == 1 else n / (n - 1.0)

@@ -21,6 +21,14 @@ no Pareto filter; n >= 4 prunes each cloud to its Pareto set and slices the
 last coordinate recursively down to the n = 3 kernel.  Every exponential is
 shifted by a maximum, which keeps coordinates beyond +-700 from
 overflowing.  :func:`ewv_mc` is an independent Monte Carlo estimator.
+
+:func:`ewv_batch` reduces n <= 3 in row chunks: each chunk holds at most
+``_CHUNK_ELEMENTS // m**(n - 1)`` clouds, so every temporary of a kernel
+stays near ``_CHUNK_ELEMENTS`` entries however many clouds come in.  The
+clouds may be any strided (R, m, n) view, such as ``np.moveaxis`` of an
+(n, R, m) block of coordinate planes, and are never copied whole.  Every
+cloud is reduced on its own, with the same operands in the same order, so
+neither the chunking nor the memory layout changes a bit of the result.
 """
 from __future__ import annotations
 
@@ -33,9 +41,10 @@ from .rng import RngStream
 
 __all__ = ["PointCloud", "pareto_prune", "ewv_exact", "ewv_mc", "ewv_batch"]
 
-# Largest temporary, in elements, of the n=3 sweep: clouds are processed in
-# chunks of at most this many (point, cloud, prefix) triples, or one cloud at
-# a time once m^2 exceeds it.
+# Largest temporary, in elements, of the n <= 3 kernels: clouds are reduced
+# in row chunks of at most this many (cloud, point) pairs for n = 2 and
+# (point, cloud, prefix) triples for n = 3, or one cloud at a time once a
+# single cloud exceeds it.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -98,16 +107,24 @@ def _ewv_staircase_log_rows(x: np.ndarray, y: np.ndarray):
     y_prev the previous record.  Every strip is shifted by the largest
     coordinate sum of the row, which no x_k + y_k exceeds, so no term
     overflows.  A point that sets no record adds an exact zero, so pruning
-    dominated points leaves every strip bit for bit.
+    dominated points leaves every strip bit for bit.  Only y and x + y are
+    gathered into sweep order, and the strips are formed in place.
     """
     order = np.argsort(-x, axis=1, kind="stable")
-    xs = np.take_along_axis(x, order, axis=1)
+    total = x + y
+    shift = total.max(axis=1)
+    strips = np.take_along_axis(total, order, axis=1)
     ys = np.take_along_axis(y, order, axis=1)
     run = np.maximum.accumulate(ys, axis=1)
-    prev = np.concatenate([np.full((ys.shape[0], 1), -np.inf), run[:, :-1]], axis=1)
-    shift = (x + y).max(axis=1)
-    strips = np.exp(xs + ys - shift[:, None]) * -np.expm1(np.minimum(prev - ys, 0.0))
-    return shift, strips.sum(axis=1)
+    gap = np.empty_like(ys)  # y_prev - y_k, -inf before the first record
+    gap[:, 0] = -np.inf
+    np.subtract(run[:, :-1], ys[:, 1:], out=gap[:, 1:])
+    np.minimum(gap, 0.0, out=gap)
+    np.expm1(gap, out=gap)  # -(1 - exp(y_prev - y_k))
+    strips -= shift[:, None]
+    np.exp(strips, out=strips)
+    strips *= gap
+    return shift, -strips.sum(axis=1)
 
 
 def _ewv3_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -144,14 +161,28 @@ def _ewv3_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return (E.sum(axis=0) * dz.T).sum(axis=1)
 
 
-def _ewv3_log_rows(pts: np.ndarray):
-    """(shift, mantissa) of the n=3 sweep, clouds in chunks of ``_CHUNK_ELEMENTS``."""
-    B, m, _ = pts.shape
-    shift = pts.sum(axis=2).max(axis=1)
-    mantissa = np.empty(B)
-    step = max(1, _CHUNK_ELEMENTS // (m * m))
-    for lo in range(0, B, step):
-        mantissa[lo : lo + step] = _ewv3_mantissa(pts[lo : lo + step], shift[lo : lo + step])
+def _ewv_log_rows(points: np.ndarray):
+    """(shift, mantissa) of clouds (R, m, n) for n <= 3, in row chunks.
+
+    Each chunk holds at most ``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (at
+    least one), so no temporary of a kernel grows with R.  Every cloud is
+    reduced on its own, so the chunking leaves every bit of the result.
+    """
+    R, m, n = points.shape
+    shift = np.empty(R)
+    mantissa = np.empty(R)
+    rows = max(1, _CHUNK_ELEMENTS // m ** (n - 1))
+    for lo in range(0, R, rows):
+        pts = points[lo : lo + rows]
+        part = slice(lo, lo + pts.shape[0])
+        if n == 1:
+            shift[part] = pts[:, :, 0].max(axis=1)
+            mantissa[part] = 1.0
+        elif n == 2:
+            shift[part], mantissa[part] = _ewv_staircase_log_rows(pts[:, :, 0], pts[:, :, 1])
+        else:
+            shift[part] = pts.sum(axis=2).max(axis=1)
+            mantissa[part] = _ewv3_mantissa(pts, shift[part])
     return shift, mantissa
 
 
@@ -168,7 +199,7 @@ def _ewv_log_cloud(pts: np.ndarray):
     if pts.shape[1] == 4:
         j = np.arange(pts.shape[0])
         prefixes = pts[np.where(j[None, :] <= j[:, None], j[None, :], 0), :3]
-        sub_shift, sub_mant = _ewv3_log_rows(prefixes)
+        sub_shift, sub_mant = _ewv_log_rows(prefixes)
     else:
         sub_shift, sub_mant = np.array([_ewv_log_cloud(pts[: k + 1, :-1]) for k in range(pts.shape[0])]).T
     z = pts[:, -1]
@@ -214,19 +245,17 @@ def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.
     """Exact EWV of many clouds at once; ``points`` has shape (R, m, n).
 
     n = 1 is the maximum, n = 2 the staircase and n = 3 the masked-prefix
-    sweep, each vectorized over clouds; n >= 4 prunes each cloud to its
-    Pareto set and slices the last coordinate down to the n = 3 kernel.
+    sweep, each vectorized over the clouds of a row chunk; n >= 4 prunes
+    each cloud to its Pareto set and slices the last coordinate down to the
+    n = 3 kernel.  ``points`` may be any strided view, such as
+    ``np.moveaxis`` of an (n, R, m) block of coordinate planes; it is never
+    copied whole.
     """
     # ``gen`` is unused: perfbench/run.py and perfbench/probes.py pass it, and
     # the benchmark stays fixed so that its timings compare across versions.
     points = np.asarray(points, dtype=float)
-    n = points.shape[2]
-    if n == 1:
-        return np.exp(points[:, :, 0].max(axis=1))
-    if n == 2:
-        shift, mantissa = _ewv_staircase_log_rows(points[:, :, 0], points[:, :, 1])
-    elif n == 3:
-        shift, mantissa = _ewv3_log_rows(points)
-    else:
+    if points.shape[2] >= 4:
         shift, mantissa = np.array([_ewv_log_cloud(p) for p in points]).reshape(-1, 2).T
+    else:
+        shift, mantissa = _ewv_log_rows(points)
     return np.exp(shift) * mantissa

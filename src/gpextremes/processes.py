@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .errors import AmbiguousMinimumError, DomainError, SpecValidationError, UnsupportedModelError
 
@@ -43,17 +42,22 @@ __all__ = [
 ]
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def gaussian_tail(x):
     """Upper tail probability of a standard normal variable.
 
-    Accepts scalars or arrays; every entry must be finite.  Computed through
-    the complementary error function, giving ~1e-15 relative accuracy until
-    the result underflows into subnormals (around x = 37.6).
+    Accepts scalars or arrays; every entry must be finite.  Computed as
+    erfc(x / sqrt(2)) / 2 with the C library's ``erfc``.  The relative error
+    is below 1e-14 for |x| <= 7 and below 2e-16 * x^2 beyond, from the
+    rounding of x / sqrt(2) (about 1.7e-13 at x = 35.5), until the result
+    underflows into subnormals (around x = 37.6).
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("gaussian_tail requires finite input")
-    out = special.ndtr(-arr)
+    out = 0.5 * _erfc(arr / math.sqrt(2.0))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

@@ -36,6 +36,18 @@ exact in distribution.  :func:`coordinate_samplers` builds the samplers of
 every coordinate of a vector process once, so an estimator can draw every
 replication block with them.  A dense symmetric-square-root sampler serves
 as the independent oracle for cross-validation.
+
+Every draw takes an optional ``out``: ``FgnSampler.increments``,
+``StationarySampler.sample``, the circulant and dense kernels and the
+``draw`` closures of :func:`coordinate_samplers` write their ``(R, count)``
+rows into it and return it.  ``out`` may be any writable strided view, such
+as one coordinate plane ``values[:, i, :]`` of a larger block.  A draw into
+``out`` consumes the same normals in the same order as one without, so the
+two agree bit for bit and leave the generator in the same state.  Normals
+are drawn in row chunks of at most ``_CHUNK_ELEMENTS`` entries that
+continue one stream, so beside ``out`` a draw holds only chunk-sized
+temporaries; the AR(1) recursion and the fBm prefix sum still build
+full-size arrays and copy them into ``out``.
 """
 from __future__ import annotations
 
@@ -119,7 +131,7 @@ class PathBatch:
 
 _CLAMP_REL = 1e-8
 _MAX_DOUBLINGS = 3
-# Entries drawn per chunk of rows in _circulant_draw (16 MB complex) and _dense_draw (8 MB).
+# Entries drawn per chunk of rows in _circulant_draw (16 MB complex) and _normal_rows (8 MB).
 _CHUNK_ELEMENTS = 2**20
 # Largest node count drawn by a dense factor: 2049^2 doubles are 32 MB.
 _DENSE_MAX_NODES = 2049
@@ -179,7 +191,7 @@ def _mode_scale(eigs, size):
     return np.sqrt(eigs[: half + 1] * weight)
 
 
-def _circulant_draw(scale, size, count, R, gen):
+def _circulant_draw(scale, size, count, R, gen, out=None):
     """R stationary Gaussian rows of length count with the embedded covariance.
 
     Fills the half spectrum ``(R, size/2 + 1)`` and transforms it with a
@@ -190,15 +202,18 @@ def _circulant_draw(scale, size, count, R, gen):
     row order, so a given generator state always produces the same batch
     whatever the chunking.  The paired modes enter conjugated, because the
     real part of the forward FFT of a Hermitian spectrum w is
-    ``size * irfft(conj(w[:size/2 + 1]))``.
+    ``size * irfft(conj(w[:size/2 + 1]))``.  The rows go into ``out``, an
+    ``(R, count)`` array or view, when given.
     """
+    if out is None:
+        out = np.empty((R, count))
     if size == 1:
-        return scale[0] * gen.standard_normal((R, 1))
+        np.multiply(scale[0], gen.standard_normal((R, 1)), out=out)
+        return out
     half = size // 2
     first = scale[0] * gen.standard_normal(R)
     last = scale[half] * gen.standard_normal(R)
     paired = scale[1:half]
-    out = np.empty((R, count))
     rows = max(1, _CHUNK_ELEMENTS // size)
     for r0 in range(0, R, rows):
         r1 = min(R, r0 + rows)
@@ -229,19 +244,26 @@ def _dense_factor(cov_of_lag, m):
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
-def _dense_draw(factor, R, gen):
-    """R rows ``standard_normal((R, m)) @ factor.T``.
+def _normal_rows(R, m, gen):
+    """``(rows, z)`` pairs: slices of R rows and their ``standard_normal`` draws.
 
-    The normals are drawn in chunks of at most ``_CHUNK_ELEMENTS`` entries,
-    which continue one stream, so they are those of a single (R, m) call
+    Each chunk holds at most ``_CHUNK_ELEMENTS`` entries.  The chunks
+    continue one stream, so they are the rows of a single (R, m) call
     whatever the chunking.
     """
+    step = max(1, _CHUNK_ELEMENTS // max(m, 1))
+    for r0 in range(0, R, step):
+        r1 = min(R, r0 + step)
+        yield slice(r0, r1), gen.standard_normal((r1 - r0, m))
+
+
+def _dense_draw(factor, R, gen, out=None):
+    """R rows ``standard_normal((R, m)) @ factor.T``, into ``out`` when given."""
     m = factor.shape[0]
-    out = np.empty((R, m))
-    rows = max(1, _CHUNK_ELEMENTS // m)
-    for r0 in range(0, R, rows):
-        r1 = min(R, r0 + rows)
-        np.matmul(gen.standard_normal((r1 - r0, m)), factor.T, out=out[r0:r1])
+    if out is None:
+        out = np.empty((R, m))
+    for rows, z in _normal_rows(R, m, gen):
+        np.matmul(z, factor.T, out=out[rows])
     return out
 
 
@@ -265,11 +287,20 @@ def _plan_draw(cov_of_lag, m):
     return "dense", m, _dense_factor(cov_of_lag, m)
 
 
-def _planned_draw(sampler, R, gen):
+def _planned_draw(sampler, R, gen, out):
     """R rows from a sampler whose ``method`` is circulant or dense."""
     if sampler.method == "circulant":
-        return _circulant_draw(sampler._factor, sampler.size, sampler.count, R, gen)
-    return _dense_draw(sampler._factor, R, gen)
+        return _circulant_draw(sampler._factor, sampler.size, sampler.count, R, gen, out)
+    return _dense_draw(sampler._factor, R, gen, out)
+
+
+def _direct_normals(R, count, gen, scale, out):
+    """``scale * gen.standard_normal((R, count))``, into ``out`` when given."""
+    if out is None:
+        out = np.empty((R, count))
+    for rows, z in _normal_rows(R, count, gen):
+        np.multiply(scale, z, out=out[rows])
+    return out
 
 
 class FgnSampler:
@@ -300,13 +331,17 @@ class FgnSampler:
 
         self.method, self.size, self._factor = _plan_draw(cov, self.count)
 
-    def increments(self, R, gen) -> np.ndarray:
-        if self.method == "direct":
-            if self.kappa == 1.0:
-                return np.sqrt(self.step) * gen.standard_normal((R, self.count))
-            xi = gen.standard_normal(R)
-            return np.broadcast_to(self.step * xi[:, None], (R, self.count)).copy()
-        return _planned_draw(self, R, gen)
+    def increments(self, R, gen, out=None) -> np.ndarray:
+        """``(R, count)`` increments, written into ``out`` and returned when given."""
+        if self.method != "direct":
+            return _planned_draw(self, R, gen, out)
+        if self.kappa == 1.0:
+            return _direct_normals(R, self.count, gen, np.sqrt(self.step), out)
+        xi = gen.standard_normal(R)
+        if out is None:
+            out = np.empty((R, self.count))
+        out[:] = (self.step * xi)[:, None]
+        return out
 
 
 class StationarySampler:
@@ -337,25 +372,29 @@ class StationarySampler:
 
             self.method, self.size, self._factor = _plan_draw(cov, self.count)
 
-    def sample(self, R, gen) -> np.ndarray:
-        if self.method == "direct":
-            rho = np.exp(-self.a * self.step)
-            xi = gen.standard_normal((R, self.count))
-            if self.count == 1:
-                return xi
-            xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
-            path = np.ascontiguousarray(xi.T)  # one contiguous row per node
-            for j in range(1, self.count):
-                path[j] += rho * path[j - 1]
+    def sample(self, R, gen, out=None) -> np.ndarray:
+        """``(R, count)`` unit-variance rows, written into ``out`` and returned when given."""
+        if self.method != "direct":
+            return _planned_draw(self, R, gen, out)
+        if self.count == 1:
+            return _direct_normals(R, 1, gen, 1.0, out)
+        rho = np.exp(-self.a * self.step)
+        xi = gen.standard_normal((R, self.count))
+        xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
+        path = np.ascontiguousarray(xi.T)  # one contiguous row per node
+        for j in range(1, self.count):
+            path[j] += rho * path[j - 1]
+        if out is None:
             return path.T
-        return _planned_draw(self, R, gen)
+        out[:] = path.T
+        return out
 
 
 # -- public sampling operations ----------------------------------------------
 
 
 def _fbm_draw(kappa, grid):
-    """``draw(R, gen)``: fractional Brownian paths with B(0) = 0 on ``grid``.
+    """``draw(R, gen, out=None)``: fractional Brownian paths with B(0) = 0 on ``grid``.
 
     The grid origin must be a non-negative multiple of the step; the path
     starts at 0 that many nodes before the grid and is prefix-summed from
@@ -371,11 +410,14 @@ def _fbm_draw(kappa, grid):
     count = grid.count + j0
     sampler = FgnSampler(kappa, grid.step, count - 1) if count > 1 else None
 
-    def draw(R, gen):
+    def draw(R, gen, out=None):
         path = np.zeros((R, count))
         if sampler is not None:
             np.cumsum(sampler.increments(R, gen), axis=1, out=path[:, 1:])
-        return path[:, j0:]
+        if out is None:
+            return path[:, j0:]
+        out[:] = path[:, j0:]
+        return out
 
     return draw
 
@@ -395,7 +437,7 @@ def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
 
 
 def _locally_stationary_draw(coord, grid, horizon, stationary):
-    """``draw(R, gen)`` of the piecewise-frozen scheme, one sampler per block."""
+    """``draw(R, gen, out=None)`` of the piecewise-frozen scheme, one sampler per block."""
     nodes = grid.nodes()
     block_len = horizon / coord.block_count
     idx = np.minimum((nodes / block_len).astype(int), coord.block_count - 1)
@@ -411,24 +453,31 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
         a_frozen = float(coord.a_profile((b + 0.5) * block_len))
         if a_frozen <= 0:
             raise UnsupportedModelError(f"a_profile must stay positive, got {a_frozen} in block {b}")
-        blocks.append((sel, stationary(a_frozen, coord.kappa, sel.size)))
+        blocks.append((slice(sel[0], pos), stationary(a_frozen, coord.kappa, sel.size)))
 
-    def draw(R, gen):
-        out = np.empty((R, grid.count))
+    def draw(R, gen, out=None):
+        if out is None:
+            out = np.empty((R, grid.count))
         for sel, sampler in blocks:
-            out[:, sel] = sampler.sample(R, gen)
+            sampler.sample(R, gen, out=out[:, sel])
         return out
 
     return draw
 
 
 def _profiled_draw(sampler, sigma):
-    """``draw(R, gen)`` of the sigma profile times a unit-variance path."""
-    return lambda R, gen: sampler.sample(R, gen) * sigma
+    """``draw(R, gen, out=None)`` of the sigma profile times a unit-variance path."""
+
+    def draw(R, gen, out=None):
+        out = sampler.sample(R, gen, out=out)
+        out *= sigma
+        return out
+
+    return draw
 
 
 def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
-    """One ``draw(R, gen) -> (R, grid.count)`` per coordinate of ``spec`` on ``grid``.
+    """One ``draw(R, gen, out=None) -> (R, grid.count)`` per coordinate of ``spec`` on ``grid``.
 
     Builds every embedding and dense factor once, so an estimator builds
     these outside its replication blocks and passes them to
@@ -482,7 +531,7 @@ def sample_vector(
         raise DomainError("R must be >= 1")
     values = np.empty((R, spec.n, grid.count))
     for i, draw in enumerate(samplers):
-        values[:, i, :] = draw(R, stream.child("coord", i).generator())
+        draw(R, stream.child("coord", i).generator(), out=values[:, i, :])
     return PathBatch(grid, spec.n, R, values)
 
 

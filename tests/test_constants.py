@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from gpextremes import (
     pickands_bounds,
     piterbarg_lower_bound,
 )
+from gpextremes.constants import _window_node_count, default_window_step
+from gpextremes.orthants import ewv_batch
+from gpextremes.parallel import RunningMoments, merge_moments, replicate
+from gpextremes.sampling import FgnSampler
 
 STREAM = RngStream(31_337)
 SQRT_PI = math.sqrt(math.pi)
@@ -191,6 +196,80 @@ class TestWindowConstant:
             estimate_window_constant([1.0], 1.0, zero_drift(1), window, R=2000, stream=STREAM)
 
 
+def stacked_window_constant(C, kappa, drift, window, step, R, stream):
+    """(value, se) of the window constant built the way it was before the
+    in-place blocks: a separate zeroed array per coordinate path, anchored
+    and drifted out of place, then ``np.stack`` of the paths handed to
+    ``ewv_batch`` as one contiguous cloud (or the exact bridge maxima)."""
+    C = np.asarray(C, dtype=float)
+    j1 = _window_node_count(window[0], step, "S1")
+    m = j1 + _window_node_count(window[1], step, "S2") + 1
+    t = (np.arange(m) - j1) * step
+    trend = np.abs(t)[:, None] ** kappa * (C**2)[None, :] + drift.evaluate(t)
+    sampler = FgnSampler(kappa, step, m - 1)
+    sqrt2C = math.sqrt(2.0) * C
+
+    def run_block(Rb, block):
+        parts = []
+        for i in range(C.size):
+            path = np.zeros((Rb, m))
+            np.cumsum(sampler.increments(Rb, block("coord", i).generator()), axis=1, out=path[:, 1:])
+            path -= path[:, j1][:, None]
+            parts.append(sqrt2C[i] * path - trend[None, :, i])
+        if C.size == 1 and kappa == 1.0:
+            xi = parts[0]
+            log_u = np.log1p(-block("bridge").generator().random(size=(Rb, m - 1)))
+            a, b = xi[:, :-1], xi[:, 1:]
+            seg_max = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
+            return RunningMoments.from_values(np.exp(seg_max.max(axis=1)))
+        return RunningMoments.from_values(ewv_batch(np.stack(parts, axis=2)))
+
+    moments = merge_moments(replicate(R, stream, 1, run_block))
+    return moments.mean, moments.se_of_mean
+
+
+# (C, kappa, drift, window, grid_step, R) of window constants whose in-place
+# blocks must reproduce the stacked ones bit for bit
+STACKED_WINDOWS = {
+    "n1-fgn": ([1.0], 1.5, DriftSpec.zero(1, 1.5), (0.0, 1.0), 1.0 / 64, 2048),
+    "n2-two-sided": ([1.0, 0.7], 1.5, DriftSpec(1.5, (0.2, 0.1), (0.3, 0.0)), (0.5, 1.0), 1.0 / 64, 2048),
+    "n2-kappa1": ([1.0, 1.0], 1.0, zero_drift(2), (0.25, 1.0), 1.0 / 128, 2048),
+    "n3": ([1.0, 1.0, 0.5], 1.2, zero_drift(3, 1.2), (0.25, 0.5), 1.0 / 32, 1000),
+    "bridge": ([1.0], 1.0, DriftSpec(1.0, (0.0,), (1.0,)), (0.0, 1.0), default_window_step(1.0, 1.0), 2048),
+}
+
+
+class TestInPlaceBlocks:
+    @pytest.mark.parametrize("case", STACKED_WINDOWS.values(), ids=STACKED_WINDOWS.keys())
+    def test_in_place_blocks_equal_stacked_blocks(self, case):
+        C, kappa, drift, window, step, R = case
+        stream = RngStream(2024, 8)
+        est = estimate_window_constant(C, kappa, drift, window, grid_step=step, R=R, stream=stream)
+        assert (est.value, est.se) == stacked_window_constant(C, kappa, drift, window, step, R, stream)
+
+    def test_block_peak_is_a_few_planes(self):
+        # one n = 2 block of R = 2048 paths on m = 513 nodes: the two coordinate
+        # planes, the circulant draw's row chunks and the staircase's row chunks
+        R, m = 2048, 513
+        plane = R * m * 8
+        tracemalloc.start()
+        try:
+            estimate_window_constant(
+                [1.0, 1.0], 1.5, zero_drift(2, 1.5), (0.0, 4.0), grid_step=4.0 / 512, R=R, stream=STREAM.child("mem")
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * plane
+
+    def test_window_diagnostics_report_the_draw(self):
+        common = dict(grid_step=1.0 / 128, R=4096, stream=STREAM.child("diag"))
+        est = estimate_window_constant([1.0], 1.5, zero_drift(1, 1.5), (0.0, 1.0), **common)
+        assert est.diagnostics == {"sampler_method": "circulant", "sampler_size": 256, "blocks": 2}
+        est = estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 1.0), **common)
+        assert est.diagnostics == {"sampler_method": "direct", "sampler_size": 128, "blocks": 2}
+
+
 class TestPickandsEstimator:
     def test_kappa2_slope(self):
         est = estimate_pickands([1.0], 2.0, (1.0, 2.0, 4.0, 8.0), R=5000, stream=STREAM.child("p2"))
@@ -206,6 +285,12 @@ class TestPickandsEstimator:
         diag = est.diagnostics
         assert len(diag["ratios"]) == 3
         assert [S for S, _, _ in diag["rungs"]] == [1.0, 2.0, 4.0]
+
+    def test_rung_draws_reported(self):
+        est = estimate_pickands([1.0], 1.5, (0.5, 1.0, 2.0), R=2048, stream=STREAM.child("pd"))
+        draws = est.diagnostics["rung_draws"]
+        # default step S/512 puts 512 increments in every rung
+        assert draws == [{"sampler_method": "circulant", "sampler_size": 1024, "blocks": 1}] * 3
 
     def test_ladder_preconditions(self):
         with pytest.raises(DomainError):

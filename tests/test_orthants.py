@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpextremes import DomainError, PointCloud, RngStream, ewv_exact, ewv_mc, pareto_prune
+import gpextremes.orthants as orthants
 from gpextremes.orthants import _pareto_mask, ewv_batch
 
 STREAM = RngStream(2024_06)
@@ -233,6 +234,17 @@ class TestEwvBatch:
         batch = ewv_batch(pts)
         for r in (0, 59, 60, 61, 299):
             assert batch[r] == pytest.approx(ewv_exact(PointCloud(3, pts[r])), rel=1e-14)
+
+    # (n, R, m): R spans several row chunks for n <= 3
+    @pytest.mark.parametrize("n, R, m", [(1, 140_000, 3), (2, 5000, 33), (3, 200, 33), (4, 12, 10)])
+    def test_moveaxis_view_in_chunks_equals_single_pass(self, n, R, m, monkeypatch):
+        gen = np.random.default_rng(19)
+        planes = np.cumsum(gen.normal(size=(n, R, m)), axis=2) - np.linspace(0.0, 3.0, m)
+        view = np.moveaxis(planes, 0, 2)
+        chunked = ewv_batch(view)
+        stacked = np.ascontiguousarray(view)
+        monkeypatch.setattr(orthants, "_CHUNK_ELEMENTS", 1 << 62)
+        np.testing.assert_array_equal(chunked, ewv_batch(stacked))
 
     def test_generator_is_ignored(self):
         gen = np.random.default_rng(18)

@@ -260,6 +260,72 @@ class TestDrawPlan:
         assert samplers[0] == samplers[1]
 
 
+def one_coordinate_draw(coord, grid):
+    return sampling.coordinate_samplers(VectorProcessSpec((coord,), 1.0), grid)[0]
+
+
+# name -> (draw builder, node count, R); every draw takes ``out=``
+OUT_DRAWS = {
+    "circulant": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 64).sample, 64, 300),
+    "dense": (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 257).sample, 257, 300),
+    # three chunks of rows of the direct normals
+    "fgn-kappa1": (
+        lambda: sampling.FgnSampler(1.0, 1.0 / 256, 257).increments,
+        257,
+        2 * (sampling._CHUNK_ELEMENTS // 257) + 5,
+    ),
+    "fgn-kappa2": (lambda: sampling.FgnSampler(2.0, 0.1, 16).increments, 16, 300),
+    "fgn-kappa15": (lambda: sampling.FgnSampler(1.5, 1.0 / 512, 512).increments, 512, 300),
+    "fgn-single-increment": (lambda: sampling.FgnSampler(1.5, 0.1, 1).increments, 1, 300),
+    "ar1": (lambda: sampling.StationarySampler(1.0, 1.0, 0.01, 50).sample, 50, 300),
+    "single-node": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 1).sample, 1, 300),
+    "fbm": (lambda: sampling._fbm_draw(1.2, SampleGrid(0.0, 1.0 / 64, 33)), 33, 300),
+    "fbm-origin-offset": (lambda: sampling._fbm_draw(1.5, SampleGrid(0.25, 1.0 / 64, 33)), 33, 300),
+    "locally-stationary": (
+        lambda: one_coordinate_draw(
+            LocallyStationary(ProfileTable.from_function(lambda t: 1.0 + t, 1.0, count=17), 1.5, block_count=4),
+            SampleGrid(0.0, 1.0 / 64, 65),
+        ),
+        65,
+        300,
+    ),
+    "profiled": (
+        lambda: one_coordinate_draw(
+            NonStationary(
+                sigma_profile=ProfileTable.from_function(lambda t: 1.0 / (1.0 + t), 1.0, count=65),
+                alpha=1.5,
+                a=1.0,
+                beta=1.0,
+                b_lower=0.0,
+                b_upper=1.0,
+                holder_G=4.0,
+                holder_gamma=1.0,
+                holder_rho=0.5,
+            ),
+            SampleGrid(0.0, 1.0 / 64, 65),
+        ),
+        65,
+        300,
+    ),
+}
+
+
+class TestOutContract:
+    @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
+    def test_out_equals_a_fresh_draw(self, case):
+        build, count, R = case
+        draw = build()
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        ref = draw(R, ref_gen)
+        # a strided destination: the middle plane of a (R, 3, count) block
+        block = np.full((R, 3, count), np.nan)
+        got = draw(R, gen, out=block[:, 1, :])
+        assert np.shares_memory(got, block)
+        np.testing.assert_array_equal(block[:, 1, :], ref)
+        assert np.isnan(block[:, [0, 2], :]).all()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
 class TestSampleVector:
     def test_single_node_two_coords(self):
         spec = VectorProcessSpec((Stationary(1.0, 1.0), Stationary(2.0, 0.5)), 1.0)
@@ -429,10 +495,11 @@ class TestPathDump:
 
 def test_import_leaves_scipy_signal_unloaded():
     # nor the subpackages that only profile splines, the variance minimizer
-    # and the quadratures use; they are imported where they are used
+    # and the quadratures use, which are imported where they are used, nor
+    # scipy.special, which the package does without
     src = str(pathlib.Path(gpextremes.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    heavy = ("scipy.signal", "scipy.interpolate", "scipy.optimize", "scipy.integrate")
+    heavy = ("scipy.signal", "scipy.interpolate", "scipy.optimize", "scipy.integrate", "scipy.special")
     code = f"import sys, gpextremes; print(*sorted(set({heavy!r}) & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code],
