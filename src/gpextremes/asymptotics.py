@@ -157,7 +157,7 @@ class MonteCarloProvider(ConstantProvider):
     def _key(kind, *parts):
         """Cache key of a request, holding plain Python values only.
 
-        ``_stream_for`` hashes ``repr(key)``, and a numpy scalar's repr
+        :meth:`_cached` hashes ``repr(key)``, and a numpy scalar's repr
         depends on the numpy version (``np.float64(1.0)`` under numpy 2), so
         every number becomes a plain ``float`` rounded to 12 decimals.
         """
@@ -171,53 +171,28 @@ class MonteCarloProvider(ConstantProvider):
 
         return (kind,) + tuple(canonical(p) for p in parts)
 
-    def _stream_for(self, key) -> RngStream:
-        return self.stream.child("provider", repr(key))
-
-    def pickands(self, C) -> ConstantEstimate:
-        key = self._key("pickands", C)
+    def _cached(self, key, estimate, *args) -> ConstantEstimate:
+        """``estimate(*args, ...)`` on the stream keyed by ``repr(key)``, computed once per key."""
         if key not in self._cache:
-            self._cache[key] = estimate_pickands(
-                C,
-                self.kappa,
-                self.S_ladder,
+            self._cache[key] = estimate(
+                *args,
                 grid_step=self.grid_step,
                 R=self.R,
-                stream=self._stream_for(key),
+                stream=self.stream.child("provider", repr(key)),
                 workers=self.workers,
             )
         return self._cache[key]
+
+    def pickands(self, C) -> ConstantEstimate:
+        return self._cached(self._key("pickands", C), estimate_pickands, C, self.kappa, self.S_ladder)
 
     def window(self, C, drift: DriftSpec, window) -> ConstantEstimate:
         key = self._key("window", C, drift.exponent, drift.d_lower, drift.d_upper, window[0], window[1])
-        if key not in self._cache:
-            self._cache[key] = estimate_window_constant(
-                C,
-                self.kappa,
-                drift,
-                window,
-                grid_step=self.grid_step,
-                R=self.R,
-                stream=self._stream_for(key),
-                workers=self.workers,
-            )
-        return self._cache[key]
+        return self._cached(key, estimate_window_constant, C, self.kappa, drift, window)
 
     def piterbarg(self, C, drift: DriftSpec, variant: str) -> ConstantEstimate:
         key = self._key("piterbarg", C, drift.exponent, drift.d_lower, drift.d_upper, variant)
-        if key not in self._cache:
-            self._cache[key] = estimate_piterbarg(
-                C,
-                self.kappa,
-                drift,
-                variant,
-                _PITERBARG_LADDER,
-                grid_step=self.grid_step,
-                R=self.R,
-                stream=self._stream_for(key),
-                workers=self.workers,
-            )
-        return self._cache[key]
+        return self._cached(key, estimate_piterbarg, C, self.kappa, drift, variant, _PITERBARG_LADDER)
 
 
 class ScalingProvider(ConstantProvider):

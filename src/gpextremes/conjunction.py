@@ -103,14 +103,23 @@ def _count_hits(values, thr, strides=(1,)):
     return counts
 
 
-def _scan_hits(spec, thr, grid, R, stream, workers, strides=(1,)):
-    """Hit counts with shape (len(thr), len(strides)), shared paths throughout."""
+def _path_blocks(spec, grid, R, stream, workers, reduce):
+    """``[reduce(values) for each replication block]`` of ``R`` paths of ``spec`` on ``grid``.
+
+    Builds the coordinate samplers once; each block's ``(Rb, n, m)`` paths
+    are drawn from the block's stream and handed to ``reduce``.
+    """
     samplers = coordinate_samplers(spec, grid)
 
     def run_block(Rb, block):
-        return _count_hits(sample_vector(spec, grid, Rb, block(), samplers).values, thr, strides)
+        return reduce(sample_vector(spec, grid, Rb, block(), samplers).values)
 
-    return sum(replicate(R, stream, workers, run_block))
+    return replicate(R, stream, workers, run_block)
+
+
+def _scan_hits(spec, thr, grid, R, stream, workers, strides=(1,)):
+    """Hit counts with shape (len(thr), len(strides)), shared paths throughout."""
+    return sum(_path_blocks(spec, grid, R, stream, workers, lambda values: _count_hits(values, thr, strides)))
 
 
 def estimate_conjunction_prob(
@@ -209,11 +218,9 @@ def estimate_double_event(
     grid = SampleGrid(0.0, step, count)
     starts = [int(round(off / S * _DOUBLE_EVENT_NODES)) for off in offsets]
     thr = np.full(spec.n, u)
-    samplers = coordinate_samplers(spec, grid)
 
-    def run_block(Rb, block):
-        batch = sample_vector(spec, grid, Rb, block(), samplers)
-        exceed_all = (batch.values > thr[None, :, None]).all(axis=1)  # (Rb, m)
+    def reduce(values):
+        exceed_all = (values > thr[None, :, None]).all(axis=1)  # (Rb, m)
         hit0 = exceed_all[:, : _DOUBLE_EVENT_NODES + 1].any(axis=1)
         single = int(hit0.sum())
         joint = [
@@ -222,7 +229,7 @@ def estimate_double_event(
         ]
         return np.asarray([single] + joint, dtype=np.int64)
 
-    counts = sum(replicate(R, stream, workers, run_block))
+    counts = sum(_path_blocks(spec, grid, R, stream, workers, reduce))
     single = _prob_from_hits(int(counts[0]), R, step)
     joint = tuple(_prob_from_hits(int(c), R, step) for c in counts[1:])
     return DoubleEventResult(tuple(offsets), joint, single)
@@ -331,14 +338,12 @@ def audit_borell(
         raise PreconditionError("tau^2 must be positive on the grid")
     tau_sq = float(finite_g.min())
     thr = np.asarray([[u] * spec.n for u in us])
-    samplers = coordinate_samplers(spec, grid)
 
-    def run_block(Rb, block):
-        values = sample_vector(spec, grid, Rb, block(), samplers).values
+    def reduce(values):
         sup_mix = np.einsum("rnm,nm->rm", values, lam).max(axis=1)
         return RunningMoments.from_values(sup_mix), _count_hits(values, thr)[:, 0]
 
-    parts = replicate(R, stream, workers, run_block)
+    parts = _path_blocks(spec, grid, R, stream, workers, reduce)
     moments = merge_moments([p[0] for p in parts])
     counts = sum(p[1] for p in parts)
     mu_hat = moments.mean

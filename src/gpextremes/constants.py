@@ -52,12 +52,14 @@ class DriftSpec:
     d_upper: tuple
 
     def __post_init__(self):
-        if not self.exponent > 0:
-            raise DomainError(f"drift exponent must be positive, got {self.exponent}")
+        if not (math.isfinite(self.exponent) and self.exponent > 0):
+            raise DomainError(f"drift exponent must be finite and positive, got {self.exponent}")
         lo = tuple(float(v) for v in self.d_lower)
         hi = tuple(float(v) for v in self.d_upper)
         if len(lo) != len(hi) or not lo:
             raise DomainError("d_lower and d_upper must be non-empty and equally long")
+        if not all(math.isfinite(v) for v in lo + hi):
+            raise DomainError(f"drift coefficients must be finite, got {lo} and {hi}")
         object.__setattr__(self, "d_lower", lo)
         object.__setattr__(self, "d_upper", hi)
 
@@ -223,7 +225,7 @@ def estimate_window_constant(
             "window",
             diagnostics={"evaluation": "exact quadrature over the linear-path normals"},
         )
-    sampler = FgnSampler(kappa, step, m - 1) if m > 1 else None
+    sampler = FgnSampler(kappa, step, m - 1)
     sqrt2C = math.sqrt(2.0) * C
     # Single Brownian coordinate with a segmentwise-linear drift: conditional
     # on the node values, segment maxima follow the exact bridge-maximum law,
@@ -235,10 +237,7 @@ def estimate_window_constant(
         # one (Rb, m) plane per coordinate, each filled and drifted in place
         paths = np.empty((C.size, Rb, m))
         for i, path in enumerate(paths):
-            gen = block("coord", i).generator()
-            path[:, 0] = 0.0
-            if sampler is not None:
-                np.cumsum(sampler.increments(Rb, gen, out=path[:, 1:]), axis=1, out=path[:, 1:])
+            sampler.path(Rb, block("coord", i).generator(), out=path)
             if j1 > 0:
                 # anchor the two-sided path at the j1-th node (time 0)
                 path -= path[:, j1, None].copy()
@@ -262,11 +261,7 @@ def estimate_window_constant(
         step,
         R,
         "window",
-        diagnostics={
-            "sampler_method": None if sampler is None else sampler.method,
-            "sampler_size": 0 if sampler is None else sampler.size,
-            "blocks": len(parts),
-        },
+        diagnostics={"sampler_method": sampler.method, "sampler_size": sampler.size, "blocks": len(parts)},
     )
 
 
@@ -434,7 +429,10 @@ def estimate_discrete_zero(
     unit-mean exponential tilts independent per coordinate; the final value
     linearly extrapolates the last two rungs to u = 0.  The horizon must
     push the drift to at least 40 for some coordinate so that truncation
-    error is far below Monte Carlo noise.
+    error is far below Monte Carlo noise.  Each replication block draws
+    every coordinate's path from B(0) = 0 into one reused (R_b, K + 1)
+    plane, scales, drifts and tilts it in place, and folds its K lattice
+    nodes into the running minimum.
     """
     require_stream(stream)
     C = _check_amplitudes(C)
@@ -461,10 +459,13 @@ def estimate_discrete_zero(
 
         def run_block(Rb, block):
             mins = np.full((Rb, K), np.inf)
+            path = np.empty((Rb, K + 1))
             for i in range(C.size):
-                path = np.cumsum(sampler.increments(Rb, block("coord", i).generator()), axis=1)
-                tilt = block("tilt", i).generator().exponential(size=Rb)
-                np.minimum(mins, sqrt2C[i] * path - trend[None, :, i] + tilt[:, None], out=mins)
+                nodes = sampler.path(Rb, block("coord", i).generator(), out=path)[:, 1:]
+                nodes *= sqrt2C[i]
+                nodes -= trend[:, i]
+                nodes += block("tilt", i).generator().exponential(size=Rb)[:, None]
+                np.minimum(mins, nodes, out=mins)
             return int((mins.max(axis=1) <= 0.0).sum())
 
         hits = sum(replicate(R, stream.child("rung", r), workers, run_block))

@@ -406,7 +406,10 @@ def _probability_pieces(tree, section_path, seed, workers, index=0):
     u = _number(section, section_path, "u")
     limits = _vector(section, section_path, "limits_c", required=False, default=[1.0] * spec.n)
     offsets = _vector(section, section_path, "offsets", required=False, default=[0.0] * spec.n)
-    family = ThresholdFamily(tuple(limits), tuple(offsets))
+    try:
+        family = ThresholdFamily(tuple(limits), tuple(offsets))
+    except GpxError as exc:  # each of its messages opens with the field it rejects
+        raise ConfigError(_join(section_path, str(exc).split()[0]), str(exc)) from exc
     kappa_min = min(
         c.kappa if isinstance(c, (Stationary, LocallyStationary, FractionalBrownian)) else c.alpha
         for c in spec.coords

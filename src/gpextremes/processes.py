@@ -183,7 +183,7 @@ class VectorProcessSpec:
 
 @dataclass(frozen=True)
 class ThresholdFamily:
-    """Linear threshold family f_i(u) = c_i * u + offset_i with c > 0."""
+    """Linear threshold family f_i(u) = c_i * u + offset_i with finite c > 0 and offsets."""
 
     limits_c: tuple
     offsets: tuple = ()
@@ -191,10 +191,12 @@ class ThresholdFamily:
     def __post_init__(self):
         c = tuple(float(v) for v in self.limits_c)
         offs = tuple(float(v) for v in self.offsets) if self.offsets else (0.0,) * len(c)
+        if not all(math.isfinite(v) and v > 0 for v in c):
+            raise DomainError(f"limits_c must be finite and positive componentwise, got {c}")
         if len(offs) != len(c):
             raise DomainError("offsets must match limits_c in length")
-        if any(v <= 0 for v in c):
-            raise DomainError("limits_c must be positive componentwise")
+        if not all(math.isfinite(v) for v in offs):
+            raise DomainError(f"offsets must be finite, got {offs}")
         object.__setattr__(self, "limits_c", c)
         object.__setattr__(self, "offsets", offs)
 

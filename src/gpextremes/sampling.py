@@ -32,26 +32,28 @@ kappa > 1 on short spans goes dense, while fractional Gaussian noise, whose
 least embedding is nonnegative definite, stays circulant.
 
 Fractional Brownian motion is the prefix sum of fractional Gaussian noise,
-exact in distribution.  :func:`coordinate_samplers` builds the samplers of
-every coordinate of a vector process once, so an estimator can draw every
+exact in distribution; :meth:`FgnSampler.path` is the one place that forms
+it, in place from B(0) = 0.  :func:`coordinate_samplers` builds the samplers
+of every coordinate of a vector process once, so an estimator can draw every
 replication block with them.  A dense symmetric-square-root sampler serves
 as the independent oracle for cross-validation.
 
-Every draw takes an optional ``out``: ``FgnSampler.increments``,
-``StationarySampler.sample``, the circulant and dense kernels and the
-``draw`` closures of :func:`coordinate_samplers` write their ``(R, count)``
-rows into it and return it.  ``out`` may be any writable strided view, such
-as one coordinate plane ``values[:, i, :]`` of a larger block.  A draw into
-``out`` consumes the same normals in the same order as one without, so the
-two agree bit for bit and leave the generator in the same state.  Normals
-are drawn in row chunks of at most ``_CHUNK_ELEMENTS`` entries that
-continue one stream, so beside ``out`` a draw holds only chunk-sized
-temporaries; the AR(1) recursion and the fBm prefix sum still build
-full-size arrays and copy them into ``out``.
+Every draw takes an optional ``out``: the sampler methods, the circulant
+and dense kernels and the ``draw`` closures of :func:`coordinate_samplers`
+write their rows into it and return it.  ``out`` may be any writable
+strided view, such as one coordinate plane ``values[:, i, :]`` of a larger
+block.  A draw into ``out`` consumes the same normals in the same order as
+one without, so the two agree bit for bit and leave the generator in the
+same state.  Normals are drawn, and the AR(1) recursion runs, in row chunks
+of at most ``_CHUNK_ELEMENTS`` entries that continue one stream, so beside
+``out`` a draw holds only chunk-sized temporaries.  Only an fBm coordinate
+on a grid that starts after the origin builds its longer path from
+B(0) = 0 whole and copies the tail into ``out``.
 """
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,8 +97,10 @@ class SampleGrid:
     count: int
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise DomainError(f"grid step must be positive, got {self.step}")
+        if not math.isfinite(self.origin):
+            raise DomainError(f"grid origin must be finite, got {self.origin}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise DomainError(f"grid step must be finite and positive, got {self.step}")
         if self.count < 1:
             raise DomainError(f"grid count must be >= 1, got {self.count}")
 
@@ -294,24 +298,15 @@ def _planned_draw(sampler, R, gen, out):
     return _dense_draw(sampler._factor, R, gen, out)
 
 
-def _direct_normals(R, count, gen, scale, out):
-    """``scale * gen.standard_normal((R, count))``, into ``out`` when given."""
-    if out is None:
-        out = np.empty((R, count))
-    for rows, z in _normal_rows(R, count, gen):
-        np.multiply(scale, z, out=out[rows])
-    return out
-
-
 class FgnSampler:
     """Batch sampler for fractional Gaussian noise increments on a fixed grid.
 
     kappa = 1 increments are independent and kappa = 2 increments are one
-    shared normal (the path is a.s. linear); both are drawn directly.  All
-    other exponents use the circulant or the dense draw that
-    :func:`_plan_draw` picks.  ``method`` records the choice and ``size``
-    the length of each row's draw (the embedding size for circulant, the
-    node count otherwise).
+    shared normal (the path is a.s. linear); both are drawn directly, as is
+    the empty draw of ``count`` = 0.  All other exponents use the circulant
+    or the dense draw that :func:`_plan_draw` picks.  ``method`` records the
+    choice and ``size`` the length of each row's draw (the embedding size
+    for circulant, the node count otherwise).
     """
 
     def __init__(self, kappa, step, count):
@@ -320,7 +315,7 @@ class FgnSampler:
         self.kappa = float(kappa)
         self.step = float(step)
         self.count = int(count)
-        if self.kappa in (1.0, 2.0):
+        if self.kappa in (1.0, 2.0) or self.count == 0:
             self.method, self.size, self._factor = "direct", self.count, None
             return
         scale = self.step**self.kappa
@@ -335,22 +330,37 @@ class FgnSampler:
         """``(R, count)`` increments, written into ``out`` and returned when given."""
         if self.method != "direct":
             return _planned_draw(self, R, gen, out)
-        if self.kappa == 1.0:
-            return _direct_normals(R, self.count, gen, np.sqrt(self.step), out)
-        xi = gen.standard_normal(R)
         if out is None:
             out = np.empty((R, self.count))
-        out[:] = (self.step * xi)[:, None]
+        if self.kappa == 1.0:
+            for rows, z in _normal_rows(R, self.count, gen):
+                np.multiply(np.sqrt(self.step), z, out=out[rows])
+        else:
+            out[:] = (self.step * gen.standard_normal(R))[:, None]
+        return out
+
+    def path(self, R, gen, out=None) -> np.ndarray:
+        """``(R, count + 1)`` fractional Brownian paths from B(0) = 0, into ``out`` when given.
+
+        The :meth:`increments` are drawn into ``out[:, 1:]`` and prefix-summed
+        in place.  With ``count`` = 0 the path is the one node B(0) = 0.
+        """
+        if out is None:
+            out = np.empty((R, self.count + 1))
+        out[:, 0] = 0.0
+        if self.count:
+            steps = self.increments(R, gen, out=out[:, 1:])
+            np.cumsum(steps, axis=1, out=steps)
         return out
 
 
 class StationarySampler:
     """Batch sampler for the unit-variance exponential-correlation family.
 
-    kappa = 1 uses the exact AR(1) recursion (the correlation is Markov) and
-    a single node is one normal; other exponents use the circulant or the
-    dense draw that :func:`_plan_draw` picks, recorded in ``method`` and
-    ``size`` as for :class:`FgnSampler`.
+    kappa = 1 uses the exact AR(1) recursion (the correlation is Markov),
+    which on a single node is one normal, whatever kappa; other exponents
+    use the circulant or the dense draw that :func:`_plan_draw` picks,
+    recorded in ``method`` and ``size`` as for :class:`FgnSampler`.
     """
 
     def __init__(self, a, kappa, step, count):
@@ -376,17 +386,14 @@ class StationarySampler:
         """``(R, count)`` unit-variance rows, written into ``out`` and returned when given."""
         if self.method != "direct":
             return _planned_draw(self, R, gen, out)
-        if self.count == 1:
-            return _direct_normals(R, 1, gen, 1.0, out)
-        rho = np.exp(-self.a * self.step)
-        xi = gen.standard_normal((R, self.count))
-        xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
-        path = np.ascontiguousarray(xi.T)  # one contiguous row per node
-        for j in range(1, self.count):
-            path[j] += rho * path[j - 1]
         if out is None:
-            return path.T
-        out[:] = path.T
+            out = np.empty((R, self.count))
+        rho = np.exp(-self.a * self.step)
+        for rows, xi in _normal_rows(R, self.count, gen):
+            xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
+            for j in range(1, self.count):
+                xi[:, j] += rho * xi[:, j - 1]
+            out[rows] = xi
         return out
 
 
@@ -396,9 +403,9 @@ class StationarySampler:
 def _fbm_draw(kappa, grid):
     """``draw(R, gen, out=None)``: fractional Brownian paths with B(0) = 0 on ``grid``.
 
-    The grid origin must be a non-negative multiple of the step; the path
-    starts at 0 that many nodes before the grid and is prefix-summed from
-    fractional Gaussian noise increments.
+    The grid origin must be a non-negative multiple j0 of the step.  The
+    path is :meth:`FgnSampler.path` on j0 + count nodes from the origin,
+    written straight into ``out`` when j0 = 0 and sliced at j0 otherwise.
     """
     offset = grid.origin / grid.step
     j0 = int(round(offset))
@@ -407,16 +414,15 @@ def _fbm_draw(kappa, grid):
             "fractional Brownian coordinates need the grid origin to be a "
             "non-negative multiple of the step"
         )
-    count = grid.count + j0
-    sampler = FgnSampler(kappa, grid.step, count - 1) if count > 1 else None
+    sampler = FgnSampler(kappa, grid.step, grid.count + j0 - 1)
 
     def draw(R, gen, out=None):
-        path = np.zeros((R, count))
-        if sampler is not None:
-            np.cumsum(sampler.increments(R, gen), axis=1, out=path[:, 1:])
+        if j0 == 0:
+            return sampler.path(R, gen, out)
+        path = sampler.path(R, gen)[:, j0:]
         if out is None:
-            return path[:, j0:]
-        out[:] = path[:, j0:]
+            return path
+        out[:] = path
         return out
 
     return draw

@@ -270,6 +270,82 @@ class TestInPlaceBlocks:
         assert est.diagnostics == {"sampler_method": "direct", "sampler_size": 128, "blocks": 2}
 
 
+def cumsum_discrete_zero(C, kappa, u_ladder, horizon, R, stream):
+    """(value, se, rungs) of the discrete-zero estimate built the way it was
+    before the in-place blocks: a separate increments array per coordinate,
+    ``np.cumsum`` of it, and the out-of-place ``sqrt2C * path - trend + tilt``
+    folded into the running minimum, from the same ``replicate`` streams."""
+    C = np.asarray(C, dtype=float)
+    sqrt2C = math.sqrt(2.0) * C
+    rungs = []
+    for r, u in enumerate(u_ladder):
+        K = int(math.floor(horizon / u + 1e-9))
+        trend = (u * np.arange(1, K + 1))[:, None] ** kappa * (C**2)[None, :]
+        sampler = FgnSampler(kappa, u, K)
+
+        def run_block(Rb, block):
+            mins = np.full((Rb, K), np.inf)
+            for i in range(C.size):
+                path = np.cumsum(sampler.increments(Rb, block("coord", i).generator()), axis=1)
+                tilt = block("tilt", i).generator().exponential(size=Rb)
+                np.minimum(mins, sqrt2C[i] * path - trend[None, :, i] + tilt[:, None], out=mins)
+            return int((mins.max(axis=1) <= 0.0).sum())
+
+        p = sum(replicate(R, stream.child("rung", r), 1, run_block)) / R
+        rungs.append((u, p / u, math.sqrt(p * (1.0 - p) / R) / u))
+    (u1, h1, se1), (u2, h2, se2) = rungs[-2], rungs[-1]
+    w = u2 / (u1 - u2)
+    return h2 + (h2 - h1) * w, math.hypot((1.0 + w) * se2, w * se1), rungs
+
+
+# (C, kappa, u_ladder, horizon, R) of discrete-zero estimates whose in-place
+# blocks must reproduce the cumsum blocks bit for bit
+CUMSUM_DISCRETE_ZERO = {
+    "n1-kappa1": ([1.0], 1.0, (0.4, 0.2), 41.0, 2048),
+    "n2-kappa15": ([1.0, 0.8], 1.5, (0.25, 0.125), 12.0, 2048),
+    "n3-kappa12": ([1.0, 1.0, 0.5], 1.2, (0.5, 0.25), 22.0, 1000),
+    "n3-kappa2": ([1.0, 1.0, 0.5], 2.0, (0.4, 0.2), 6.5, 1000),
+}
+
+
+class TestInPlaceDiscreteZero:
+    @pytest.mark.parametrize("case", CUMSUM_DISCRETE_ZERO.values(), ids=CUMSUM_DISCRETE_ZERO.keys())
+    def test_in_place_blocks_equal_cumsum_blocks(self, case):
+        C, kappa, ladder, horizon, R = case
+        stream = RngStream(2024, 9)
+        est = estimate_discrete_zero(C, kappa, ladder, horizon, R=R, stream=stream)
+        value, se, rungs = cumsum_discrete_zero(C, kappa, ladder, horizon, R, stream)
+        assert (est.value, est.se, est.diagnostics["rungs"]) == (value, se, rungs)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_peak_is_a_few_planes(self, n):
+        # one block of R = 2048 paths on K = 512 lattice nodes: the running
+        # minimum, the one reused path plane and the circulant draw's row chunks
+        R, K, kappa = 2048, 512, 1.5
+        horizon = 1.01 * 40.0 ** (1.0 / kappa)
+        u = horizon / K
+        plane = R * K * 8
+        tracemalloc.start()
+        try:
+            estimate_discrete_zero([1.0] * n, kappa, (2.0 * u, u), horizon, R=R, stream=STREAM.child("dzmem"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * plane
+
+
+class TestDriftSpec:
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, 0.0])
+    def test_exponent_must_be_finite_and_positive(self, exponent):
+        with pytest.raises(DomainError, match="exponent"):
+            DriftSpec(exponent, (0.0,), (1.0,))
+
+    @pytest.mark.parametrize("d_lower, d_upper", [((math.nan,), (0.0,)), ((0.0, 0.0), (1.0, -math.inf))])
+    def test_coefficients_must_be_finite(self, d_lower, d_upper):
+        with pytest.raises(DomainError, match="finite"):
+            DriftSpec(1.0, d_lower, d_upper)
+
+
 class TestPickandsEstimator:
     def test_kappa2_slope(self):
         est = estimate_pickands([1.0], 2.0, (1.0, 2.0, 4.0, 8.0), R=5000, stream=STREAM.child("p2"))

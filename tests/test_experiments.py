@@ -206,6 +206,30 @@ NESTED_KEY_CASES = [
                 lambda t: t["processes"]["ou"]["coords"][0].update(a=-math.inf),
             ),
             ("seed", "nan", probability_config, lambda t: t.update(seed=math.nan)),
+            # array entries that a drift or a threshold family rejects
+            ("constant.drift", "nan", window_config, lambda t: t["constant"]["drift"].update(d_upper=[math.nan])),
+            (
+                "bounds_table.drifts[0]",
+                "inf",
+                bounds_config,
+                lambda t: t["bounds_table"].update(
+                    drifts=[{"exponent": 1.0, "d_lower": [math.inf], "d_upper": [1.0]}]
+                ),
+            ),
+            ("probability.limits_c", "nan", probability_config, lambda t: t["probability"].update(limits_c=[math.nan])),
+            ("probability.offsets", "inf", probability_config, lambda t: t["probability"].update(offsets=[math.inf])),
+            (
+                "compare.probability.limits_c",
+                "inf",
+                compare_config,
+                lambda t: t["compare"]["probability"].update(limits_c=[math.inf]),
+            ),
+            (
+                "compare.probability.offsets",
+                "-inf",
+                compare_config,
+                lambda t: t["compare"]["probability"].update(offsets=[-math.inf]),
+            ),
         ]
     ],
 ]

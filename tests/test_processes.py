@@ -199,6 +199,14 @@ class TestThresholdFamily:
         with pytest.raises(DomainError):
             ThresholdFamily((1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "limits_c, offsets, field",
+        [((math.nan, 1.0), (), "limits_c"), ((math.inf,), (0.0,), "limits_c"), ((1.0, 1.0), (math.inf, 0.0), "offsets")],
+    )
+    def test_entries_must_be_finite(self, limits_c, offsets, field):
+        with pytest.raises(DomainError, match=f"^{field}"):
+            ThresholdFamily(limits_c, offsets)
+
     @given(st.floats(1.0, 50.0))
     @settings(max_examples=25)
     def test_ratio_tends_to_c(self, u):

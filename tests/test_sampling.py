@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ def max_cov_z(values, target):
     exact = se == np.inf
     assert np.all(np.abs(emp - target)[exact] < 1e-12)
     return float(z.max())
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize(
+        "origin, step", [(math.nan, 0.1), (-math.inf, 0.1), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)]
+    )
+    def test_origin_and_step_must_be_finite(self, origin, step):
+        with pytest.raises(DomainError, match="grid"):
+            SampleGrid(origin, step, 5)
 
 
 class TestSampleFbm:
@@ -281,6 +291,8 @@ OUT_DRAWS = {
     "single-node": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 1).sample, 1, 300),
     "fbm": (lambda: sampling._fbm_draw(1.2, SampleGrid(0.0, 1.0 / 64, 33)), 33, 300),
     "fbm-origin-offset": (lambda: sampling._fbm_draw(1.5, SampleGrid(0.25, 1.0 / 64, 33)), 33, 300),
+    "fbm-one-node": (lambda: sampling._fbm_draw(1.5, SampleGrid(0.0, 1.0 / 64, 1)), 1, 300),
+    "fgn-path": (lambda: sampling.FgnSampler(1.5, 1.0 / 512, 512).path, 513, 300),
     "locally-stationary": (
         lambda: one_coordinate_draw(
             LocallyStationary(ProfileTable.from_function(lambda t: 1.0 + t, 1.0, count=17), 1.5, block_count=4),
@@ -324,6 +336,25 @@ class TestOutContract:
         np.testing.assert_array_equal(block[:, 1, :], ref)
         assert np.isnan(block[:, [0, 2], :]).all()
         assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: sampling.StationarySampler(1.0, 1.0, 1.0 / 512, m).sample,
+            lambda m: sampling._fbm_draw(1.0, SampleGrid(0.0, 1.0 / 512, m)),
+        ],
+        ids=["ar1", "fbm-from-origin"],
+    )
+    def test_draw_into_out_holds_only_row_chunks(self, build):
+        R, m = 8192, 513
+        draw, out = build(m), np.empty((R, m))
+        tracemalloc.start()
+        try:
+            draw(R, np.random.default_rng(3), out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sampling._CHUNK_ELEMENTS * 8
 
 
 class TestSampleVector:
