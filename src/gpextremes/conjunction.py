@@ -6,6 +6,18 @@ resolves the u^(-2/kappa) mesoscale of the local-window theory; nested
 refinement (evaluating strided subsets of one fine-grid batch) makes the
 discretization bias monotone and exactly measurable per replication.
 
+The hit scans draw each replication block lazily, coordinate by
+coordinate.  Coordinate 0 is drawn on every row and gives, per threshold
+row, the node mask of its exceedances.  A row without an exceeding node
+for any threshold row cannot hit, so each later coordinate is drawn only
+on the rows still alive (the ``rows`` argument of the samplers) and
+narrows the masks.  A restricted draw gives the rows of the full draw from
+the same stream, so the counts are those of full paths; only a dense
+coordinate's product may round its last bits differently, which flips a
+hit only for a value within rounding of its threshold.  The Borell audit
+needs whole paths and draws them eagerly.  Every estimate reports its
+draw in ``diagnostics``, including the rows drawn per coordinate.
+
 The audits turn the comparison inequalities into empirical verdicts:
 correlation dominance must not raise the conjunction probability
 (Slepian), the variance-weighted mixture bounds the tail by a Gaussian
@@ -57,7 +69,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """Binomial hit-probability estimate; zero hits report the rule-of-three bound."""
+    """Binomial hit-probability estimate; zero hits report the rule-of-three bound.
+
+    ``diagnostics`` records the draw: each coordinate's sampler ``method``
+    and ``size``, the number of replication blocks and the rows drawn per
+    coordinate, which the lazy scan keeps below R for later coordinates.
+    """
 
     value: float
     se: float
@@ -65,13 +82,16 @@ class ProbEstimate:
     replications: int
     grid_step: float
     notes: str = ""
+    diagnostics: dict = field(default_factory=dict)
 
 
-def _prob_from_hits(hits, R, grid_step) -> ProbEstimate:
+def _prob_from_hits(hits, R, grid_step, diagnostics) -> ProbEstimate:
     p = hits / R
     if hits == 0:
-        return ProbEstimate(0.0, 3.0 / R, 0, R, grid_step, "rare event: zero hits; se is the rule-of-three bound 3/R")
-    return ProbEstimate(p, math.sqrt(p * (1.0 - p) / R), int(hits), R, grid_step)
+        return ProbEstimate(
+            0.0, 3.0 / R, 0, R, grid_step, "rare event: zero hits; se is the rule-of-three bound 3/R", dict(diagnostics)
+        )
+    return ProbEstimate(p, math.sqrt(p * (1.0 - p) / R), int(hits), R, grid_step, "", dict(diagnostics))
 
 
 def default_grid_step(horizon_T, u, kappa_min) -> float:
@@ -90,36 +110,82 @@ def _threshold_matrix(thresholds, n):
     return thr
 
 
-def _count_hits(values, thr, strides=(1,)):
-    """Hit counts of paths ``values`` (Rb, n, m), shape (len(thr), len(strides)).
+def _stride_hits(exceed, strides=(1,)):
+    """Hit counts of node masks ``exceed`` (J, rows, m), shape (J, len(strides)).
 
-    Stride s counts the replications that hit on every s-th node.
+    Stride s counts the rows that have an exceeding node among every s-th.
     """
-    counts = np.zeros((thr.shape[0], len(strides)), dtype=np.int64)
-    for j, row in enumerate(thr):
-        exceed_all = (values > row[None, :, None]).all(axis=1)  # (Rb, m)
+    counts = np.zeros((exceed.shape[0], len(strides)), dtype=np.int64)
+    for j, mask in enumerate(exceed):
         for k, stride in enumerate(strides):
-            counts[j, k] = int(exceed_all[:, ::stride].any(axis=1).sum())
+            counts[j, k] = int(mask[:, ::stride].any(axis=1).sum())
     return counts
 
 
+def _draw_diagnostics(samplers, blocks, rows_drawn):
+    return {
+        "sampler_methods": [draw.method for draw in samplers],
+        "sampler_sizes": [int(draw.size) for draw in samplers],
+        "blocks": blocks,
+        "rows_drawn": [int(r) for r in rows_drawn],
+    }
+
+
 def _path_blocks(spec, grid, R, stream, workers, reduce):
-    """``[reduce(values) for each replication block]`` of ``R`` paths of ``spec`` on ``grid``.
+    """``([reduce(values) for each replication block], diagnostics)`` of ``R`` paths of ``spec`` on ``grid``.
 
     Builds the coordinate samplers once; each block's ``(Rb, n, m)`` paths
-    are drawn from the block's stream and handed to ``reduce``.
+    are drawn in full from the block's stream and handed to ``reduce``.
     """
     samplers = coordinate_samplers(spec, grid)
 
     def run_block(Rb, block):
         return reduce(sample_vector(spec, grid, Rb, block(), samplers).values)
 
-    return replicate(R, stream, workers, run_block)
+    parts = replicate(R, stream, workers, run_block)
+    return parts, _draw_diagnostics(samplers, len(parts), [R] * spec.n)
+
+
+def _exceed_blocks(spec, thr, grid, R, stream, workers, reduce):
+    """``([reduce(exceed) for each replication block], diagnostics)``, drawn lazily.
+
+    ``exceed`` is the (J, k, m) node mask "every coordinate exceeds" of the
+    J threshold rows ``thr``, on the k rows of the block that have an
+    exceeding node for some threshold row; the other rows cannot hit.
+    Coordinate 0 is drawn on every row.  Each later coordinate is drawn on
+    the rows still alive only, from the same per-coordinate stream that
+    :func:`sample_vector` uses, and then narrows the masks.
+    """
+    samplers = coordinate_samplers(spec, grid)
+
+    def run_block(Rb, block):
+        paths = block()
+        alive = None  # every row
+        exceed = None
+        drawn = [0] * spec.n
+        for i, draw in enumerate(samplers):
+            drawn[i] = Rb if alive is None else alive.size
+            above = draw(Rb, paths.child("coord", i).generator(), rows=alive) > thr[:, i, None, None]
+            exceed = above if exceed is None else np.logical_and(exceed, above, out=above)
+            live = exceed.any(axis=(0, 2))
+            if not live.all():
+                alive = np.flatnonzero(live) if alive is None else alive[live]
+                exceed = exceed[:, live]
+                if not alive.size:
+                    break
+        return reduce(exceed), drawn
+
+    parts = replicate(R, stream, workers, run_block)
+    rows_drawn = np.sum([drawn for _, drawn in parts], axis=0)
+    return [out for out, _ in parts], _draw_diagnostics(samplers, len(parts), rows_drawn)
 
 
 def _scan_hits(spec, thr, grid, R, stream, workers, strides=(1,)):
-    """Hit counts with shape (len(thr), len(strides)), shared paths throughout."""
-    return sum(_path_blocks(spec, grid, R, stream, workers, lambda values: _count_hits(values, thr, strides)))
+    """``(counts, diagnostics)``: hit counts (len(thr), len(strides)) on shared, lazily drawn paths."""
+    parts, diagnostics = _exceed_blocks(
+        spec, thr, grid, R, stream, workers, lambda exceed: _stride_hits(exceed, strides)
+    )
+    return sum(parts), diagnostics
 
 
 def estimate_conjunction_prob(
@@ -139,8 +205,8 @@ def estimate_conjunction_prob(
     """
     ensure_valid(spec)
     thr = _threshold_matrix(thresholds, spec.n)
-    counts = _scan_hits(spec, thr, grid, R, stream, workers)
-    out = [_prob_from_hits(int(c[0]), R, grid.step) for c in counts]
+    counts, diagnostics = _scan_hits(spec, thr, grid, R, stream, workers)
+    out = [_prob_from_hits(int(c[0]), R, grid.step, diagnostics) for c in counts]
     return out[0] if np.asarray(thresholds).ndim == 1 else out
 
 
@@ -166,8 +232,8 @@ def conjunction_prob_nested(
     thr = _threshold_matrix(thresholds, spec.n)
     if thr.shape[0] != 1:
         raise DomainError("nested mode takes a single threshold vector")
-    counts = _scan_hits(spec, thr, grid, R, stream, workers, strides=strides)
-    return [_prob_from_hits(int(c), R, grid.step * s) for c, s in zip(counts[0], strides)]
+    counts, diagnostics = _scan_hits(spec, thr, grid, R, stream, workers, strides=strides)
+    return [_prob_from_hits(int(c), R, grid.step * s, diagnostics) for c, s in zip(counts[0], strides)]
 
 
 @dataclass(frozen=True)
@@ -217,10 +283,10 @@ def estimate_double_event(
     count = int(round((offsets[-1] + S) / S * _DOUBLE_EVENT_NODES)) + 1
     grid = SampleGrid(0.0, step, count)
     starts = [int(round(off / S * _DOUBLE_EVENT_NODES)) for off in offsets]
-    thr = np.full(spec.n, u)
+    thr = np.full((1, spec.n), u)
 
-    def reduce(values):
-        exceed_all = (values > thr[None, :, None]).all(axis=1)  # (Rb, m)
+    def reduce(exceed):
+        exceed_all = exceed[0]  # (rows, m)
         hit0 = exceed_all[:, : _DOUBLE_EVENT_NODES + 1].any(axis=1)
         single = int(hit0.sum())
         joint = [
@@ -229,9 +295,10 @@ def estimate_double_event(
         ]
         return np.asarray([single] + joint, dtype=np.int64)
 
-    counts = sum(_path_blocks(spec, grid, R, stream, workers, reduce))
-    single = _prob_from_hits(int(counts[0]), R, step)
-    joint = tuple(_prob_from_hits(int(c), R, step) for c in counts[1:])
+    parts, diagnostics = _exceed_blocks(spec, thr, grid, R, stream, workers, reduce)
+    counts = sum(parts)
+    single = _prob_from_hits(int(counts[0]), R, step, diagnostics)
+    joint = tuple(_prob_from_hits(int(c), R, step, diagnostics) for c in counts[1:])
     return DoubleEventResult(tuple(offsets), joint, single)
 
 
@@ -341,9 +408,10 @@ def audit_borell(
 
     def reduce(values):
         sup_mix = np.einsum("rnm,nm->rm", values, lam).max(axis=1)
-        return RunningMoments.from_values(sup_mix), _count_hits(values, thr)[:, 0]
+        exceed = np.stack([(values > row[None, :, None]).all(axis=1) for row in thr])
+        return RunningMoments.from_values(sup_mix), _stride_hits(exceed)[:, 0]
 
-    parts = _path_blocks(spec, grid, R, stream, workers, reduce)
+    parts, diagnostics = _path_blocks(spec, grid, R, stream, workers, reduce)
     moments = merge_moments([p[0] for p in parts])
     counts = sum(p[1] for p in parts)
     mu_hat = moments.mean
@@ -352,7 +420,7 @@ def audit_borell(
 
     reports = []
     for u, hits in zip(us, counts):
-        emp = _prob_from_hits(int(hits), R, grid.step)
+        emp = _prob_from_hits(int(hits), R, grid.step, diagnostics)
         if u <= mu_conservative:
             reports.append(BorellReport(tau_sq, mu_hat, mu_se, math.nan, emp, "inconclusive"))
             continue
@@ -408,13 +476,13 @@ def audit_piterbarg_decay(
     tau_sq = float(g[np.isfinite(g)].min())
     mes = grid.span
     thr = np.asarray([[u] * spec.n for u in us])
-    counts = _scan_hits(spec, thr, grid, R, stream, workers)[:, 0]
+    counts, draw_diagnostics = _scan_hits(spec, thr, grid, R, stream, workers)
 
     estimates = []
     ratios = []
     bounds = []
-    for u, hits in zip(us, counts):
-        emp = _prob_from_hits(int(hits), R, grid.step)
+    for u, hits in zip(us, counts[:, 0]):
+        emp = _prob_from_hits(int(hits), R, grid.step, draw_diagnostics)
         denom = mes * u ** (2.0 / nu - 1.0) * math.exp(-0.5 * u * u * tau_sq)
         estimates.append(emp)
         if hits == 0:

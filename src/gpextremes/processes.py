@@ -78,6 +78,8 @@ class ProfileTable:
         values = tuple(float(v) for v in self.values)
         if len(nodes) != len(values) or not nodes:
             raise DomainError("ProfileTable needs matching, non-empty nodes and values")
+        if not all(math.isfinite(x) for x in nodes + values):
+            raise DomainError("ProfileTable nodes and values must be finite")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise DomainError("ProfileTable nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)

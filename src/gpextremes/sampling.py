@@ -49,6 +49,18 @@ of at most ``_CHUNK_ELEMENTS`` entries that continue one stream, so beside
 ``out`` a draw holds only chunk-sized temporaries.  Only an fBm coordinate
 on a grid that starts after the origin builds its longer path from
 B(0) = 0 whole and copies the tail into ``out``.
+
+Every draw also takes an optional ``rows``, a sorted array of distinct row
+indices of the R-row draw.  A restricted draw consumes the generator
+exactly as the full R-row draw does, so it ends in the same state, and it
+writes only the selected rows, in order, into ``out`` of shape
+``(len(rows), count)``.  The dense draw multiplies only the selected rows
+of each normal chunk and the circulant draw transforms only the selected
+spectrum rows; the direct draws select their rows before the row-wise
+scaling or recursion.  So every restricted row equals the full draw's row
+bit for bit, except that a dense product may round its last bits
+differently (BLAS blocks a different row count differently).  A ``rows``
+that selects all R rows is the full draw.
 """
 from __future__ import annotations
 
@@ -141,6 +153,31 @@ _CHUNK_ELEMENTS = 2**20
 _DENSE_MAX_NODES = 2049
 
 
+def _rows_out(out, R, rows, count):
+    """``out``, or a new array for the draw's rows: ``(R, count)``, or ``(len(rows), count)``."""
+    if out is None:
+        out = np.empty((R if rows is None else len(rows), count))
+    return out
+
+
+def _row_chunks(R, step, rows):
+    """``(r0, r1, dest, pick)`` for the consecutive chunks of at most ``step`` of R rows.
+
+    ``dest`` slices the output rows that chunk ``r0:r1`` fills and ``pick``
+    indexes them within the chunk: every row (``slice(None)``) when ``rows``
+    is None or selects all R, otherwise the chunk's entries of ``rows``.
+    """
+    if rows is not None and len(rows) == R:
+        rows = None
+    for r0 in range(0, R, step):
+        r1 = min(R, r0 + step)
+        if rows is None:
+            yield r0, r1, slice(r0, r1), slice(None)
+        else:
+            i0, i1 = np.searchsorted(rows, (r0, r1))
+            yield r0, r1, slice(i0, i1), rows[i0:i1] - r0
+
+
 def _least_embedding_size(m):
     """The least power of two >= 2 (m - 1): the embedding size before any padding."""
     size = 1
@@ -195,7 +232,7 @@ def _mode_scale(eigs, size):
     return np.sqrt(eigs[: half + 1] * weight)
 
 
-def _circulant_draw(scale, size, count, R, gen, out=None):
+def _circulant_draw(scale, size, count, R, gen, out=None, rows=None):
     """R stationary Gaussian rows of length count with the embedded covariance.
 
     Fills the half spectrum ``(R, size/2 + 1)`` and transforms it with a
@@ -207,27 +244,28 @@ def _circulant_draw(scale, size, count, R, gen, out=None):
     whatever the chunking.  The paired modes enter conjugated, because the
     real part of the forward FFT of a Hermitian spectrum w is
     ``size * irfft(conj(w[:size/2 + 1]))``.  The rows go into ``out``, an
-    ``(R, count)`` array or view, when given.
+    ``(R, count)`` array or view, when given.  With ``rows`` every normal is
+    still drawn, but only the selected spectrum rows are built and
+    transformed.
     """
-    if out is None:
-        out = np.empty((R, count))
+    out = _rows_out(out, R, rows, count)
     if size == 1:
-        np.multiply(scale[0], gen.standard_normal((R, 1)), out=out)
+        z = gen.standard_normal((R, 1))
+        np.multiply(scale[0], z if rows is None else z[rows], out=out)
         return out
     half = size // 2
     first = scale[0] * gen.standard_normal(R)
     last = scale[half] * gen.standard_normal(R)
     paired = scale[1:half]
-    rows = max(1, _CHUNK_ELEMENTS // size)
-    for r0 in range(0, R, rows):
-        r1 = min(R, r0 + rows)
-        spectrum = np.empty((r1 - r0, half + 1), dtype=complex)
-        spectrum[:, 0] = first[r0:r1]
-        spectrum[:, half] = last[r0:r1]
-        uv = gen.standard_normal((r1 - r0, 2, half - 1))
+    for r0, r1, dest, pick in _row_chunks(R, max(1, _CHUNK_ELEMENTS // size), rows):
+        spectrum = np.empty((dest.stop - dest.start, half + 1), dtype=complex)
+        uv = gen.standard_normal((r1 - r0, 2, half - 1))[pick]
+        spectrum[:, 0] = first[r0:r1][pick]
+        spectrum[:, half] = last[r0:r1][pick]
         np.multiply(uv[:, 0], paired, out=spectrum.real[:, 1:half])
         np.multiply(uv[:, 1], -paired, out=spectrum.imag[:, 1:half])
-        out[r0:r1] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
+        del uv  # freed before the transform allocates its output
+        out[dest] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
     return out
 
 
@@ -248,26 +286,30 @@ def _dense_factor(cov_of_lag, m):
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
-def _normal_rows(R, m, gen):
-    """``(rows, z)`` pairs: slices of R rows and their ``standard_normal`` draws.
+def _normal_rows(R, m, gen, rows=None):
+    """``(dest, z)`` pairs: a slice of the output rows and their ``standard_normal`` draws.
 
-    Each chunk holds at most ``_CHUNK_ELEMENTS`` entries.  The chunks
+    Each chunk draws at most ``_CHUNK_ELEMENTS`` entries.  The chunks
     continue one stream, so they are the rows of a single (R, m) call
-    whatever the chunking.
+    whatever the chunking.  With ``rows``, z keeps the chunk's selected rows
+    and ``dest`` slices the ``len(rows)`` output rows; every chunk is still
+    drawn, and one without a selected row yields nothing.
     """
-    step = max(1, _CHUNK_ELEMENTS // max(m, 1))
-    for r0 in range(0, R, step):
-        r1 = min(R, r0 + step)
-        yield slice(r0, r1), gen.standard_normal((r1 - r0, m))
+    for r0, r1, dest, pick in _row_chunks(R, max(1, _CHUNK_ELEMENTS // max(m, 1)), rows):
+        z = gen.standard_normal((r1 - r0, m))[pick]
+        if len(z):
+            yield dest, z
 
 
-def _dense_draw(factor, R, gen, out=None):
-    """R rows ``standard_normal((R, m)) @ factor.T``, into ``out`` when given."""
+def _dense_draw(factor, R, gen, out=None, rows=None):
+    """R rows ``standard_normal((R, m)) @ factor.T``, into ``out`` when given.
+
+    With ``rows`` only the selected rows of each normal chunk are multiplied.
+    """
     m = factor.shape[0]
-    if out is None:
-        out = np.empty((R, m))
-    for rows, z in _normal_rows(R, m, gen):
-        np.matmul(z, factor.T, out=out[rows])
+    out = _rows_out(out, R, rows, m)
+    for dest, z in _normal_rows(R, m, gen, rows):
+        np.matmul(z, factor.T, out=out[dest])
     return out
 
 
@@ -291,11 +333,11 @@ def _plan_draw(cov_of_lag, m):
     return "dense", m, _dense_factor(cov_of_lag, m)
 
 
-def _planned_draw(sampler, R, gen, out):
-    """R rows from a sampler whose ``method`` is circulant or dense."""
+def _planned_draw(sampler, R, gen, out, rows):
+    """R rows, or the selected ``rows``, from a sampler whose ``method`` is circulant or dense."""
     if sampler.method == "circulant":
-        return _circulant_draw(sampler._factor, sampler.size, sampler.count, R, gen, out)
-    return _dense_draw(sampler._factor, R, gen, out)
+        return _circulant_draw(sampler._factor, sampler.size, sampler.count, R, gen, out, rows)
+    return _dense_draw(sampler._factor, R, gen, out, rows)
 
 
 class FgnSampler:
@@ -326,30 +368,33 @@ class FgnSampler:
 
         self.method, self.size, self._factor = _plan_draw(cov, self.count)
 
-    def increments(self, R, gen, out=None) -> np.ndarray:
-        """``(R, count)`` increments, written into ``out`` and returned when given."""
+    def increments(self, R, gen, out=None, rows=None) -> np.ndarray:
+        """``(R, count)`` increments, written into ``out`` and returned when given.
+
+        With ``rows`` only those rows of the R-row draw, ``(len(rows), count)``.
+        """
         if self.method != "direct":
-            return _planned_draw(self, R, gen, out)
-        if out is None:
-            out = np.empty((R, self.count))
+            return _planned_draw(self, R, gen, out, rows)
+        out = _rows_out(out, R, rows, self.count)
         if self.kappa == 1.0:
-            for rows, z in _normal_rows(R, self.count, gen):
-                np.multiply(np.sqrt(self.step), z, out=out[rows])
+            for dest, z in _normal_rows(R, self.count, gen, rows):
+                np.multiply(np.sqrt(self.step), z, out=out[dest])
         else:
-            out[:] = (self.step * gen.standard_normal(R))[:, None]
+            xi = self.step * gen.standard_normal(R)
+            out[:] = (xi if rows is None else xi[rows])[:, None]
         return out
 
-    def path(self, R, gen, out=None) -> np.ndarray:
+    def path(self, R, gen, out=None, rows=None) -> np.ndarray:
         """``(R, count + 1)`` fractional Brownian paths from B(0) = 0, into ``out`` when given.
 
         The :meth:`increments` are drawn into ``out[:, 1:]`` and prefix-summed
         in place.  With ``count`` = 0 the path is the one node B(0) = 0.
+        With ``rows`` only those rows of the R-row draw.
         """
-        if out is None:
-            out = np.empty((R, self.count + 1))
+        out = _rows_out(out, R, rows, self.count + 1)
         out[:, 0] = 0.0
         if self.count:
-            steps = self.increments(R, gen, out=out[:, 1:])
+            steps = self.increments(R, gen, out=out[:, 1:], rows=rows)
             np.cumsum(steps, axis=1, out=steps)
         return out
 
@@ -382,26 +427,43 @@ class StationarySampler:
 
             self.method, self.size, self._factor = _plan_draw(cov, self.count)
 
-    def sample(self, R, gen, out=None) -> np.ndarray:
-        """``(R, count)`` unit-variance rows, written into ``out`` and returned when given."""
+    def sample(self, R, gen, out=None, rows=None) -> np.ndarray:
+        """``(R, count)`` unit-variance rows, written into ``out`` and returned when given.
+
+        With ``rows`` only those rows of the R-row draw, ``(len(rows), count)``.
+        """
         if self.method != "direct":
-            return _planned_draw(self, R, gen, out)
-        if out is None:
-            out = np.empty((R, self.count))
+            return _planned_draw(self, R, gen, out, rows)
+        out = _rows_out(out, R, rows, self.count)
         rho = np.exp(-self.a * self.step)
-        for rows, xi in _normal_rows(R, self.count, gen):
+        for dest, xi in _normal_rows(R, self.count, gen, rows):
             xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
             for j in range(1, self.count):
                 xi[:, j] += rho * xi[:, j - 1]
-            out[rows] = xi
+            out[dest] = xi
         return out
+
+    def __call__(self, R, gen, out=None, rows=None) -> np.ndarray:
+        """:meth:`sample`: the sampler is itself the draw of a stationary coordinate."""
+        return self.sample(R, gen, out, rows)
 
 
 # -- public sampling operations ----------------------------------------------
 
 
+def _described(draw, samplers):
+    """``draw`` with the ``method`` and ``size`` of the samplers it runs.
+
+    The distinct methods are joined by "+" in order, and ``size`` is the sum
+    of the sizes: the length of each row's draw.
+    """
+    draw.method = "+".join(dict.fromkeys(s.method for s in samplers))
+    draw.size = sum(s.size for s in samplers)
+    return draw
+
+
 def _fbm_draw(kappa, grid):
-    """``draw(R, gen, out=None)``: fractional Brownian paths with B(0) = 0 on ``grid``.
+    """``draw(R, gen, out=None, rows=None)``: fractional Brownian paths with B(0) = 0 on ``grid``.
 
     The grid origin must be a non-negative multiple j0 of the step.  The
     path is :meth:`FgnSampler.path` on j0 + count nodes from the origin,
@@ -416,16 +478,16 @@ def _fbm_draw(kappa, grid):
         )
     sampler = FgnSampler(kappa, grid.step, grid.count + j0 - 1)
 
-    def draw(R, gen, out=None):
+    def draw(R, gen, out=None, rows=None):
         if j0 == 0:
-            return sampler.path(R, gen, out)
-        path = sampler.path(R, gen)[:, j0:]
+            return sampler.path(R, gen, out, rows)
+        path = sampler.path(R, gen, rows=rows)[:, j0:]
         if out is None:
             return path
         out[:] = path
         return out
 
-    return draw
+    return _described(draw, [sampler])
 
 
 def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
@@ -443,7 +505,7 @@ def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
 
 
 def _locally_stationary_draw(coord, grid, horizon, stationary):
-    """``draw(R, gen, out=None)`` of the piecewise-frozen scheme, one sampler per block."""
+    """``draw(R, gen, out=None, rows=None)`` of the piecewise-frozen scheme, one sampler per block."""
     nodes = grid.nodes()
     block_len = horizon / coord.block_count
     idx = np.minimum((nodes / block_len).astype(int), coord.block_count - 1)
@@ -461,35 +523,36 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
             raise UnsupportedModelError(f"a_profile must stay positive, got {a_frozen} in block {b}")
         blocks.append((slice(sel[0], pos), stationary(a_frozen, coord.kappa, sel.size)))
 
-    def draw(R, gen, out=None):
-        if out is None:
-            out = np.empty((R, grid.count))
+    def draw(R, gen, out=None, rows=None):
+        out = _rows_out(out, R, rows, grid.count)
         for sel, sampler in blocks:
-            sampler.sample(R, gen, out=out[:, sel])
+            sampler.sample(R, gen, out=out[:, sel], rows=rows)
         return out
 
-    return draw
+    return _described(draw, [sampler for _, sampler in blocks])
 
 
 def _profiled_draw(sampler, sigma):
-    """``draw(R, gen, out=None)`` of the sigma profile times a unit-variance path."""
+    """``draw(R, gen, out=None, rows=None)`` of the sigma profile times a unit-variance path."""
 
-    def draw(R, gen, out=None):
-        out = sampler.sample(R, gen, out=out)
+    def draw(R, gen, out=None, rows=None):
+        out = sampler.sample(R, gen, out, rows)
         out *= sigma
         return out
 
-    return draw
+    return _described(draw, [sampler])
 
 
 def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
-    """One ``draw(R, gen, out=None) -> (R, grid.count)`` per coordinate of ``spec`` on ``grid``.
+    """One ``draw(R, gen, out=None, rows=None) -> (R, grid.count)`` per coordinate of ``spec`` on ``grid``.
 
     Builds every embedding and dense factor once, so an estimator builds
     these outside its replication blocks and passes them to
     :func:`sample_vector` in each block.  Coordinates (and frozen blocks)
-    with equal parameters share one sampler.  Validates the spec and
-    requires the grid to lie inside [0, T].
+    with equal parameters share one sampler; a stationary coordinate's draw
+    is its :class:`StationarySampler`.  Every draw records the ``method``
+    and ``size`` of the samplers it runs.  Validates the spec and requires
+    the grid to lie inside [0, T].
     """
     ensure_valid(spec)
     nodes = grid.nodes()
@@ -506,7 +569,7 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
     draws = []
     for coord in spec.coords:
         if isinstance(coord, Stationary):
-            draws.append(stationary(coord.a, coord.kappa, grid.count).sample)
+            draws.append(stationary(coord.a, coord.kappa, grid.count))
         elif isinstance(coord, LocallyStationary):
             draws.append(_locally_stationary_draw(coord, grid, spec.horizon_T, stationary))
         elif isinstance(coord, NonStationary):

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gpextremes.conjunction as conjunction
 from gpextremes import (
     AsymptoticApproximation,
     DomainError,
     FractionalBrownian,
+    LocallyStationary,
     NonStationary,
     PreconditionError,
     ProfileTable,
@@ -26,6 +29,8 @@ from gpextremes import (
     sample_vector,
 )
 from gpextremes.conjunction import ProbEstimate
+from gpextremes.parallel import replicate
+from gpextremes.sampling import coordinate_samplers
 
 STREAM = RngStream(90210)
 
@@ -267,6 +272,145 @@ class TestPiterbargDecayAudit:
         # mes(T) is the grid span, zero on one node, and divides the tail
         with pytest.raises(DomainError, match="two nodes"):
             audit_piterbarg_decay(ou_spec(), (1.2, 1.6, 2.0), SampleGrid(0.0, 0.25, 1), 2000, STREAM)
+
+
+def mixed_pair_spec():
+    # a dense kappa = 1.5 stationary coordinate and a circulant fBm one
+    return VectorProcessSpec((Stationary(1.0, 1.5), FractionalBrownian(1.2)), 1.0)
+
+
+def mixed_triple_spec():
+    # AR(1), locally stationary (dense frozen blocks) and non-stationary (dense) coordinates
+    return VectorProcessSpec(
+        (
+            Stationary(2.0, 1.0),
+            LocallyStationary(ProfileTable.from_function(lambda t: 1.0 + t, 1.0, count=17), 1.5, block_count=4),
+            NonStationary(
+                sigma_profile=ProfileTable.from_function(lambda t: 1.0 / (1.0 + t), 1.0, count=65),
+                alpha=1.5,
+                a=1.0,
+                beta=1.0,
+                b_lower=0.0,
+                b_upper=1.0,
+                holder_G=4.0,
+                holder_gamma=1.0,
+                holder_rho=0.5,
+            ),
+        ),
+        1.0,
+    )
+
+
+MIXED_SPECS = {"n2": mixed_pair_spec, "n3": mixed_triple_spec}
+
+
+def eager_counts(spec, grid, thr, R, stream, reduce, workers=1):
+    """``reduce`` summed over full blocks: every coordinate drawn on every row by ``sample_vector``.
+
+    The reference for the lazy scan: the same ``replicate`` streams, the
+    node masks "every coordinate exceeds" of each threshold row of ``thr``.
+    """
+    samplers = coordinate_samplers(spec, grid)
+
+    def block(Rb, blk):
+        values = sample_vector(spec, grid, Rb, blk(), samplers).values
+        return reduce(np.stack([(values > row[None, :, None]).all(axis=1) for row in np.atleast_2d(thr)]))
+
+    return sum(replicate(R, stream, workers, block))
+
+
+def stride_counts(strides=(1,)):
+    return lambda exceed: np.array([[mask[:, ::s].any(axis=1).sum() for s in strides] for mask in exceed])
+
+
+class TestLazyScan:
+    """The lazy scan draws later coordinates only on rows that can still hit; counts are the eager ones."""
+
+    @pytest.mark.parametrize("name", MIXED_SPECS)
+    def test_threshold_stack_equals_eager(self, name):
+        spec = MIXED_SPECS[name]()
+        thr = [[0.3] * spec.n, [1.0] + [1.5] * (spec.n - 1), [2.5] * spec.n]
+        grid, R, stream = unit_grid(257), 5000, STREAM.child("lazy-stack", name)
+        ests = estimate_conjunction_prob(spec, thr, grid, R, stream)
+        ref = eager_counts(spec, grid, thr, R, stream, stride_counts())
+        assert [e.hits for e in ests] == list(ref[:, 0])
+        assert ref[0, 0] > ref[1, 0] > 0
+
+    @pytest.mark.parametrize("name", MIXED_SPECS)
+    def test_nested_strides_equal_eager(self, name):
+        spec = MIXED_SPECS[name]()
+        strides = (8, 4, 2, 1)
+        grid, R, stream = unit_grid(513), 5000, STREAM.child("lazy-nest", name)
+        ests = conjunction_prob_nested(spec, [0.8] * spec.n, grid, strides, R, stream)
+        ref = eager_counts(spec, grid, [0.8] * spec.n, R, stream, stride_counts(strides))
+        assert [e.hits for e in ests] == list(ref[0])
+        assert ref[0, 0] < ref[0, -1]
+
+    def test_double_event_equals_eager(self):
+        spec = VectorProcessSpec((Stationary(1.0, 1.5), Stationary(2.0, 1.0)), 6.0)
+        u, S, offsets, R, stream = 1.5, 2.0, (4.0, 8.0), 5000, STREAM.child("lazy-dbl")
+        res = estimate_double_event(spec, u, S, offsets, R, stream)
+        nodes = conjunction._DOUBLE_EVENT_NODES
+        grid = SampleGrid(0.0, S * u ** -2.0 / nodes, int(round((offsets[-1] + S) / S * nodes)) + 1)
+        starts = [int(round(off / S * nodes)) for off in offsets]
+
+        def reduce(exceed):
+            hit0 = exceed[0, :, : nodes + 1].any(axis=1)
+            joint = [(hit0 & exceed[0, :, s : s + nodes + 1].any(axis=1)).sum() for s in starts]
+            return np.array([hit0.sum()] + joint)
+
+        ref = eager_counts(spec, grid, [u, u], R, stream, reduce)
+        assert [res.single_window.hits] + [j.hits for j in res.joint] == list(ref)
+        assert ref[0] > ref[1] > 0
+
+    def test_piterbarg_decay_equals_eager(self):
+        spec = mixed_triple_spec()
+        us, grid, R, stream = (0.6, 1.0, 1.4), unit_grid(257), 5000, STREAM.child("lazy-pd")
+        rep = audit_piterbarg_decay(spec, us, grid, R, stream)
+        ref = eager_counts(spec, grid, [[u] * spec.n for u in us], R, stream, stride_counts())
+        assert [e.hits for e in rep.estimates] == list(ref[:, 0])
+        assert ref[-1, 0] > 0
+
+    @pytest.mark.parametrize("name", MIXED_SPECS)
+    def test_worker_count_invariance(self, name):
+        spec = MIXED_SPECS[name]()
+        grid, stream = unit_grid(257), STREAM.child("lazy-workers", name)
+        thr = [[0.5] * spec.n, [1.5] * spec.n]
+        one, two = (estimate_conjunction_prob(spec, thr, grid, 5000, stream, workers=w) for w in (1, 2))
+        assert one == two
+        one, two = (conjunction_prob_nested(spec, thr[0], grid, (4, 1), 5000, stream, workers=w) for w in (1, 2))
+        assert one == two
+
+    def test_diagnostics_report_the_draw(self):
+        spec = ou_spec(n=2, kappa=1.5)
+        grid, R = unit_grid(1025), 4096
+        est = estimate_conjunction_prob(spec, [1.5, 1.5], grid, R, STREAM.child("lazy-diag"))
+        diag = est.diagnostics
+        assert diag["sampler_methods"] == ["dense", "dense"]
+        assert diag["sampler_sizes"] == [1025, 1025]
+        assert diag["blocks"] == 2
+        assert diag["rows_drawn"][0] == R
+        # coordinate 1 is drawn only where coordinate 0 exceeds, about a fifth of the rows
+        assert est.hits <= diag["rows_drawn"][1] < R // 2
+        rare = estimate_conjunction_prob(spec, [20.0, 20.0], grid, 2048, STREAM.child("lazy-rare"))
+        assert rare.hits == 0 and rare.diagnostics["rows_drawn"] == [2048, 0]
+        triple = conjunction_prob_nested(mixed_triple_spec(), [1.0] * 3, unit_grid(257), (2, 1), 2048, STREAM)
+        rows = triple[0].diagnostics["rows_drawn"]
+        assert rows[0] == 2048 and rows[0] > rows[1] > rows[2] > 0
+        assert triple[0].diagnostics["sampler_methods"] == ["direct", "dense", "dense"]
+
+    def test_block_peak_is_below_two_and_a_half_planes(self, monkeypatch):
+        # one conj-n2-shaped block: two dense kappa = 1.5 coordinates, 2048 rows of 1025 nodes
+        spec, grid, R = ou_spec(n=2, kappa=1.5), unit_grid(1025), 2048
+        samplers = coordinate_samplers(spec, grid)
+        monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: samplers)
+        tracemalloc.start()
+        try:
+            estimate_conjunction_prob(spec, [1.5, 1.5], grid, R, STREAM.child("lazy-mem"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * R * grid.count * 8
 
 
 class TestCompareWithAsymptotic:

@@ -230,6 +230,37 @@ NESTED_KEY_CASES = [
                 compare_config,
                 lambda t: t["compare"]["probability"].update(offsets=[-math.inf]),
             ),
+            # profile tables whose spline would fail at its first evaluation
+            (
+                "processes.ou.coords[0].a_profile",
+                "nan",
+                probability_config,
+                lambda t: t["processes"]["ou"]["coords"].__setitem__(
+                    0,
+                    {
+                        "variant": "locally_stationary",
+                        "a_profile": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, math.nan, 1.0]},
+                        "kappa": 1.0,
+                    },
+                ),
+            ),
+            (
+                "processes.ou.coords[0].sigma_profile",
+                "inf",
+                probability_config,
+                lambda t: t["processes"]["ou"]["coords"].__setitem__(
+                    0,
+                    {
+                        "variant": "nonstationary",
+                        "sigma_profile": {"nodes": [0.0, math.inf], "values": [1.0, 0.5]},
+                        "alpha": 1.0,
+                        "a": 1.0,
+                        "beta": 1.0,
+                        "b_lower": 0.0,
+                        "b_upper": 1.0,
+                    },
+                ),
+            ),
         ]
     ],
 ]

@@ -226,6 +226,14 @@ class TestProfileTable:
         with pytest.raises(DomainError):
             ProfileTable((0.0, 0.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "nodes, values",
+        [((0.0, 1.0), (1.0, math.nan)), ((0.0, math.inf), (1.0, 1.0)), ((-math.inf,), (2.0,)), ((0.0,), (math.inf,))],
+    )
+    def test_entries_must_be_finite(self, nodes, values):
+        with pytest.raises(DomainError, match="finite"):
+            ProfileTable(nodes, values)
+
 
 def test_variance_profile_rejects_fbm():
     spec = VectorProcessSpec((make_nonstat(lambda t: 1.0 / (1.0 + t), b_upper=1.0), FractionalBrownian(1.0)), 1.0)

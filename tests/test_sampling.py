@@ -337,13 +337,45 @@ class TestOutContract:
         assert np.isnan(block[:, [0, 2], :]).all()
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
+    @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
+    def test_rows_select_rows_of_a_full_draw(self, case):
+        build, count, R = case
+        draw = build()
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        full = draw(R, ref_gen)
+        rows = np.flatnonzero(np.random.default_rng(1).random(R) < 0.2)
+        got = draw(R, gen, rows=rows)
+        assert got.shape == (rows.size, count)
+        # a restricted dense product may round its last bits differently; every other draw is exact
+        method = getattr(getattr(draw, "__self__", draw), "method")
+        atol = 1e-12 if "dense" in method else 0.0
+        np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
+    def test_rows_selecting_every_row_is_the_full_draw(self, case):
+        build, count, R = case
+        draw = build()
+        full = draw(R, np.random.default_rng(8))
+        block = np.full((R, 3, count), np.nan)
+        draw(R, np.random.default_rng(8), out=block[:, 1, :], rows=np.arange(R))
+        np.testing.assert_array_equal(block[:, 1, :], full)
+
+    def test_rows_selecting_none_consume_the_draw(self):
+        draw = sampling.StationarySampler(1.0, 1.5, 0.1, 64)
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        draw(300, ref_gen)
+        assert draw(300, gen, rows=np.arange(0)).shape == (0, 64)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
     @pytest.mark.parametrize(
         "build",
         [
             lambda m: sampling.StationarySampler(1.0, 1.0, 1.0 / 512, m).sample,
             lambda m: sampling._fbm_draw(1.0, SampleGrid(0.0, 1.0 / 512, m)),
+            lambda m: sampling._fbm_draw(1.5, SampleGrid(0.0, 1.0 / 512, m)),
         ],
-        ids=["ar1", "fbm-from-origin"],
+        ids=["ar1", "fbm-from-origin", "fbm-k15"],
     )
     def test_draw_into_out_holds_only_row_chunks(self, build):
         R, m = 8192, 513
