@@ -36,7 +36,6 @@ from .processes import (
     VectorProcessSpec,
     coord_covariance,
     coord_variance,
-    ensure_valid,
     eval_correlation,
     gaussian_tail,
     validate_spec,

@@ -40,7 +40,6 @@ from .processes import (
     ThresholdFamily,
     VarianceProfileReport,
     VectorProcessSpec,
-    ensure_valid,
     gaussian_tail,
 )
 from .rng import RngStream
@@ -324,7 +323,6 @@ def approx_locally_stationary(
     value = (integral over [0,T] of the frozen-model limit constant)
             * u^(2/kappa) * prod_i Psi(f_i(u)).
     """
-    ensure_valid(spec)
     u = float(u)
     if u <= 0:
         raise DomainError("u must be positive")
@@ -386,7 +384,6 @@ def approx_nonstationary(
     alpha > beta: exactly the product of coordinate tails.  Stationary
     coordinates may be mixed in (unit variance, zero curvature coefficients).
     """
-    ensure_valid(spec)
     u = float(u)
     if u <= 0:
         raise DomainError("u must be positive")

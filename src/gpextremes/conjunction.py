@@ -37,14 +37,11 @@ from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
 from .parallel import RunningMoments, merge_moments, replicate, require_ladder, require_stream
 from .processes import (
-    FractionalBrownian,
-    LocallyStationary,
     NonStationary,
     Stationary,
     VectorProcessSpec,
     coord_covariance,
     coord_variance,
-    ensure_valid,
 )
 from .rng import RngStream
 from .sampling import SampleGrid, coordinate_samplers, sample_vector
@@ -107,6 +104,8 @@ def _threshold_matrix(thresholds, n):
         thr = thr[None, :]
     if thr.ndim != 2 or thr.shape[1] != n:
         raise DomainError(f"thresholds shape {thr.shape} incompatible with n={n}")
+    if not np.isfinite(thr).all():
+        raise DomainError(f"thresholds must be finite, got {thr.tolist()}")
     return thr
 
 
@@ -203,7 +202,6 @@ def estimate_conjunction_prob(
     hit a lower one missed, making monotonicity in u exact per replication).
     Returns one estimate or a list matching the stack.
     """
-    ensure_valid(spec)
     thr = _threshold_matrix(thresholds, spec.n)
     counts, diagnostics = _scan_hits(spec, thr, grid, R, stream, workers)
     out = [_prob_from_hits(int(c[0]), R, grid.step, diagnostics) for c in counts]
@@ -221,14 +219,16 @@ def conjunction_prob_nested(
 ):
     """Conjunction estimates on nested node subsets of one fine grid.
 
-    ``strides`` are decreasing positive ints (e.g. (4, 2, 1)); stride s uses
-    every s-th node.  Because node sets nest and paths are shared, the hit
-    indicator is monotone under refinement, exactly.
+    ``strides`` are strictly decreasing positive ints, each a multiple of
+    the next (e.g. (4, 2, 1)); stride s uses every s-th node.  Because node
+    sets nest and paths are shared, the hit indicator is monotone under
+    refinement, exactly.
     """
-    ensure_valid(spec)
     strides = tuple(int(s) for s in strides)
     if any(s < 1 for s in strides):
         raise DomainError("strides must be positive")
+    if any(a <= b or a % b for a, b in zip(strides, strides[1:])):
+        raise DomainError(f"strides must strictly decrease, each a multiple of the next, got {strides}")
     thr = _threshold_matrix(thresholds, spec.n)
     if thr.shape[0] != 1:
         raise DomainError("nested mode takes a single threshold vector")
@@ -262,7 +262,6 @@ def estimate_double_event(
     offsets t0 > S > 1; paths are shared across offsets for variance
     reduction.  Offsets snap to the window grid.
     """
-    ensure_valid(spec)
     if not all(isinstance(c, Stationary) for c in spec.coords):
         raise DomainError("double-event windows are defined for stationary coordinates")
     u = float(u)
@@ -329,8 +328,6 @@ def audit_slepian(
     grid; then the verdict passes iff P_A <= P_B + 3 pooled se.
     """
     require_stream(stream)
-    ensure_valid(specA)
-    ensure_valid(specB)
     if specA.n != specB.n:
         raise PreconditionError("specs must have the same number of coordinates")
     nodes = grid.nodes()
@@ -396,7 +393,6 @@ def audit_borell(
     falsely failing.  For each u > mu the empirical tail must not exceed
     exp(-(u - mu)^2 tau^2 / 2).
     """
-    ensure_valid(spec)
     us = require_ladder(u_ladder, "u_ladder")
     nodes = grid.nodes()
     lam, g = _variance_weights(spec, nodes)
@@ -444,11 +440,9 @@ class PiterbargDecayReport:
 
 
 def _holder_exponent(coord):
-    if isinstance(coord, (Stationary, LocallyStationary, FractionalBrownian)):
-        return coord.kappa
     if isinstance(coord, NonStationary):
         return min(coord.alpha, coord.holder_gamma)
-    raise PreconditionError(f"no smoothness exponent for {type(coord)!r}")
+    return coord.kappa  # every other coordinate type of a valid spec
 
 
 def audit_piterbarg_decay(
@@ -466,7 +460,6 @@ def audit_piterbarg_decay(
     of its median.  Entries with zero hits only contribute a rule-of-three
     bound; fewer than two hit-bearing entries leave the audit inconclusive.
     """
-    ensure_valid(spec)
     us = require_ladder(u_ladder, "u_ladder", min_rungs=3)
     if not grid.span > 0:
         raise DomainError("the grid needs at least two nodes: mes(T) is its span")

@@ -44,7 +44,7 @@ from .constants import (
     pickands_bounds,
     piterbarg_lower_bound,
 )
-from .errors import ConfigError, GpxError
+from .errors import ConfigError, GpxError, SpecValidationError
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -53,7 +53,6 @@ from .processes import (
     Stationary,
     ThresholdFamily,
     VectorProcessSpec,
-    validate_spec,
     variance_profile,
 )
 from .rng import derive_stream
@@ -243,14 +242,13 @@ def _resolve_process(tree, name, path) -> VectorProcessSpec:
     coords = _get(node, at, "coords", list)
     if not coords:
         raise ConfigError(f"{at}.coords", "needs at least one coordinate")
-    spec = VectorProcessSpec(
-        tuple(_parse_coord(c, f"{at}.coords[{i}]") for i, c in enumerate(coords)),
-        horizon_T=_number(node, at, "horizon"),
-    )
-    report = validate_spec(spec)
-    if not report.ok:
-        raise ConfigError(at, "; ".join(report.failures))
-    return spec
+    try:
+        return VectorProcessSpec(
+            tuple(_parse_coord(c, f"{at}.coords[{i}]") for i, c in enumerate(coords)),
+            horizon_T=_number(node, at, "horizon"),
+        )
+    except SpecValidationError as exc:
+        raise ConfigError(at, str(exc)) from exc
 
 
 def _parse_drift(node, path) -> DriftSpec:

@@ -9,6 +9,11 @@ strictly below 1 away from the diagonal.  Non-stationary coordinates are
 a positive standard-deviation profile times a unit-variance exponential-
 correlation process.  A fractional Brownian coordinate is also available
 for self-similar benchmarks.
+
+A :class:`VectorProcessSpec` is valid by construction: its constructor runs
+:func:`validate_spec` and raises :class:`SpecValidationError` on any
+failure, so every operation that takes a spec may rely on the structural
+hypotheses of the limit theory without checking them again.
 """
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ __all__ = [
     "VarianceProfileReport",
     "gaussian_tail",
     "validate_spec",
-    "ensure_valid",
     "variance_profile",
     "eval_correlation",
     "coord_variance",
@@ -169,7 +173,12 @@ CoordinateSpec = Union[Stationary, LocallyStationary, NonStationary, FractionalB
 
 @dataclass(frozen=True)
 class VectorProcessSpec:
-    """n independent coordinates on a shared horizon [0, T]."""
+    """n independent coordinates on a shared horizon [0, T], valid by construction.
+
+    The constructor runs :func:`validate_spec` and raises
+    :class:`SpecValidationError` with its failures, so a spec that exists
+    satisfies every structural constraint; the warnings are not raised.
+    """
 
     coords: tuple
     horizon_T: float
@@ -177,6 +186,9 @@ class VectorProcessSpec:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
         object.__setattr__(self, "horizon_T", float(self.horizon_T))
+        failures = validate_spec(self).failures
+        if failures:
+            raise SpecValidationError(failures)
 
     @property
     def n(self) -> int:
@@ -297,7 +309,9 @@ def validate_spec(spec: VectorProcessSpec) -> ValidationReport:
     Returns a report with hard failures (parameter ranges, positivity,
     shared beta, unique variance minimizer) and warnings (a vanishing
     one-sided curvature coefficient makes the non-stationary limit theorem
-    inapplicable on that side).
+    inapplicable on that side).  The :class:`VectorProcessSpec` constructor
+    runs this rule and raises on its failures, so a constructed spec
+    reports none and only its warnings remain to be read.
     """
     rep = ValidationReport()
     if spec.n < 1:
@@ -368,12 +382,6 @@ def validate_spec(spec: VectorProcessSpec) -> ValidationReport:
                 "right curvature coefficient at the variance minimizer"
             )
     return rep
-
-
-def ensure_valid(spec: VectorProcessSpec) -> None:
-    rep = validate_spec(spec)
-    if not rep.ok:
-        raise SpecValidationError(rep.failures)
 
 
 # -- generalized variance profile ---------------------------------------------

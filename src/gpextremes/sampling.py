@@ -18,18 +18,20 @@ sampler is built and recorded as its ``method``:
 
 The embedding is always computed first, at the least power-of-two size
 that holds the sequence.  Eigenvalues slightly below zero (>= -1e-8 of the
-maximum) are clamped with a logged warning, whichever method is then
-chosen; deeper negativity triggers up to three padding doublings.  The
-rule in :func:`_plan_draw` picks the method from that outcome.  A feasible
-embedding of least size stays circulant.  One that needed a doubling draws
-at least four normals per node, and the dense draw measured cheaper on
-every such spec up to ``_DENSE_MAX_NODES`` = 2049 nodes (with one BLAS
-thread, 2048 rows: 142 against 582 ms at 1025 nodes padded 4x, 484 against
-578 ms at 2049 nodes padded 2x), so it goes dense; so does an infeasible
-one.  Above that cap, where the factor would pass 32 MB, a padded embedding
-stays circulant and an infeasible one raises :class:`EmbeddingError`.  So
-kappa > 1 on short spans goes dense, while fractional Gaussian noise, whose
-least embedding is nonnegative definite, stays circulant.
+maximum) are clamped with a logged warning; deeper negativity makes the
+embedding infeasible at that size.  The rule in :func:`_plan_draw` picks
+the method from that outcome.  A feasible embedding of least size stays
+circulant.  A padded one would draw at least four normals per node, and
+the dense draw measured cheaper on every padded spec up to
+``_DENSE_MAX_NODES`` = 2049 nodes (with one BLAS thread, 2048 rows: 142
+against 582 ms at 1025 nodes padded 4x, 484 against 578 ms at 2049 nodes
+padded 2x), so up to that cap an infeasible least embedding goes dense and
+no padded one is computed; the clamps logged are those of the embedding
+that is drawn.  Above that cap, where the factor would pass 32 MB, the
+padding doubles up to three times: a padded embedding stays circulant and
+one still infeasible raises :class:`EmbeddingError`.  So kappa > 1 on short
+spans goes dense, while fractional Gaussian noise, whose least embedding is
+nonnegative definite, stays circulant.
 
 Fractional Brownian motion is the prefix sum of fractional Gaussian noise,
 exact in distribution; :meth:`FgnSampler.path` is the one place that forms
@@ -46,7 +48,8 @@ block.  A draw into ``out`` consumes the same normals in the same order as
 one without, so the two agree bit for bit and leave the generator in the
 same state.  Normals are drawn, and the AR(1) recursion runs, in row chunks
 of at most ``_CHUNK_ELEMENTS`` entries that continue one stream, so beside
-``out`` a draw holds only chunk-sized temporaries.  Only an fBm coordinate
+``out`` a draw holds only chunk-sized temporaries, and a chunk of normals is
+released before the next is drawn.  Only an fBm coordinate
 on a grid that starts after the origin builds its longer path from
 B(0) = 0 whole and copies the tail into ``out``.
 
@@ -73,12 +76,10 @@ import numpy as np
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
 from .processes import (
-    FractionalBrownian,
     LocallyStationary,
     NonStationary,
     Stationary,
     VectorProcessSpec,
-    ensure_valid,
 )
 from .rng import RngStream
 
@@ -178,26 +179,21 @@ def _row_chunks(R, step, rows):
             yield r0, r1, slice(i0, i1), rows[i0:i1] - r0
 
 
-def _least_embedding_size(m):
-    """The least power of two >= 2 (m - 1): the embedding size before any padding."""
-    size = 1
-    while size < 2 * (m - 1):
-        size *= 2
-    return size
+def _embedding_eigenvalues(cov_of_lag, m, doublings=_MAX_DOUBLINGS):
+    """``(eigenvalues, size)`` of the circulant extension of a length-m covariance sequence.
 
-
-def _embedding_eigenvalues(cov_of_lag, m):
-    """Eigenvalues of the circulant extension of a length-m covariance sequence.
-
-    ``cov_of_lag`` maps an integer lag array to covariances.  Doubles the
-    padding until all eigenvalues clear -1e-8 of the maximum; tiny negatives
-    are clamped to zero.  Raises :class:`EmbeddingError` when three
-    doublings do not suffice.
+    ``cov_of_lag`` maps an integer lag array to covariances.  Starts at the
+    least power of two >= 2 (m - 1) and doubles the padding, at most
+    ``doublings`` times, until all eigenvalues clear -1e-8 of the maximum;
+    tiny negatives are clamped to zero.  Raises :class:`EmbeddingError` when
+    that does not suffice.
     """
     if m == 1:
         return np.asarray([float(cov_of_lag(np.zeros(1, dtype=int))[0])]), 1
-    size = _least_embedding_size(m)
-    for _ in range(_MAX_DOUBLINGS + 1):
+    size = 1
+    while size < 2 * (m - 1):
+        size *= 2
+    for _ in range(doublings + 1):
         lags = np.arange(size)
         folded = np.minimum(lags, size - lags)
         row = np.asarray(cov_of_lag(folded), dtype=float)
@@ -215,7 +211,7 @@ def _embedding_eigenvalues(cov_of_lag, m):
         size *= 2
     raise EmbeddingError(
         f"circulant eigenvalues of {m} nodes below {-_CLAMP_REL:.0e} of max after "
-        f"{_MAX_DOUBLINGS} padding doublings (the dense factor takes at most "
+        f"{doublings} padding doublings (the dense factor takes at most "
         f"{_DENSE_MAX_NODES} nodes)"
     )
 
@@ -286,19 +282,20 @@ def _dense_factor(cov_of_lag, m):
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
-def _normal_rows(R, m, gen, rows=None):
-    """``(dest, z)`` pairs: a slice of the output rows and their ``standard_normal`` draws.
+def _normal_rows(R, m, gen, rows, fill):
+    """Call ``fill(dest, z)`` per chunk: a slice of the output rows and their ``standard_normal`` draws.
 
     Each chunk draws at most ``_CHUNK_ELEMENTS`` entries.  The chunks
     continue one stream, so they are the rows of a single (R, m) call
     whatever the chunking.  With ``rows``, z keeps the chunk's selected rows
     and ``dest`` slices the ``len(rows)`` output rows; every chunk is still
-    drawn, and one without a selected row yields nothing.
+    drawn, and one without a selected row is not passed on.
     """
     for r0, r1, dest, pick in _row_chunks(R, max(1, _CHUNK_ELEMENTS // max(m, 1)), rows):
         z = gen.standard_normal((r1 - r0, m))[pick]
         if len(z):
-            yield dest, z
+            fill(dest, z)
+        del z  # freed before the next chunk is drawn
 
 
 def _dense_draw(factor, R, gen, out=None, rows=None):
@@ -308,8 +305,7 @@ def _dense_draw(factor, R, gen, out=None, rows=None):
     """
     m = factor.shape[0]
     out = _rows_out(out, R, rows, m)
-    for dest, z in _normal_rows(R, m, gen, rows):
-        np.matmul(z, factor.T, out=out[dest])
+    _normal_rows(R, m, gen, rows, lambda dest, z: np.matmul(z, factor.T, out=out[dest]))
     return out
 
 
@@ -317,20 +313,19 @@ def _plan_draw(cov_of_lag, m):
     """``(method, size, factor)`` of the draw of a length-m stationary sequence.
 
     Circulant (``factor`` the mode scale, ``size`` the embedding size) when
-    the embedding is feasible at its least size or m exceeds
-    ``_DENSE_MAX_NODES``; dense (``factor`` the Toeplitz factor, ``size`` =
-    m) when it needed padding or is infeasible.  An infeasible embedding
-    beyond the cap raises :class:`EmbeddingError`.
+    the embedding is feasible: at its least size up to ``_DENSE_MAX_NODES``
+    nodes, after at most three padding doublings beyond.  Otherwise dense
+    (``factor`` the Toeplitz factor, ``size`` = m) up to the cap, and
+    :class:`EmbeddingError` beyond it.
     """
+    dense_ok = m <= _DENSE_MAX_NODES
     try:
-        eigs, size = _embedding_eigenvalues(cov_of_lag, m)
+        eigs, size = _embedding_eigenvalues(cov_of_lag, m, 0 if dense_ok else _MAX_DOUBLINGS)
     except EmbeddingError:
-        if m > _DENSE_MAX_NODES:
+        if not dense_ok:
             raise
         return "dense", m, _dense_factor(cov_of_lag, m)
-    if m > _DENSE_MAX_NODES or size == _least_embedding_size(m):
-        return "circulant", size, _mode_scale(eigs, size)
-    return "dense", m, _dense_factor(cov_of_lag, m)
+    return "circulant", size, _mode_scale(eigs, size)
 
 
 def _planned_draw(sampler, R, gen, out, rows):
@@ -377,8 +372,8 @@ class FgnSampler:
             return _planned_draw(self, R, gen, out, rows)
         out = _rows_out(out, R, rows, self.count)
         if self.kappa == 1.0:
-            for dest, z in _normal_rows(R, self.count, gen, rows):
-                np.multiply(np.sqrt(self.step), z, out=out[dest])
+            root = np.sqrt(self.step)
+            _normal_rows(R, self.count, gen, rows, lambda dest, z: np.multiply(root, z, out=out[dest]))
         else:
             xi = self.step * gen.standard_normal(R)
             out[:] = (xi if rows is None else xi[rows])[:, None]
@@ -436,11 +431,14 @@ class StationarySampler:
             return _planned_draw(self, R, gen, out, rows)
         out = _rows_out(out, R, rows, self.count)
         rho = np.exp(-self.a * self.step)
-        for dest, xi in _normal_rows(R, self.count, gen, rows):
+
+        def recur(dest, xi):
             xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
             for j in range(1, self.count):
                 xi[:, j] += rho * xi[:, j - 1]
             out[dest] = xi
+
+        _normal_rows(R, self.count, gen, rows, recur)
         return out
 
     def __call__(self, R, gen, out=None, rows=None) -> np.ndarray:
@@ -551,10 +549,9 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
     :func:`sample_vector` in each block.  Coordinates (and frozen blocks)
     with equal parameters share one sampler; a stationary coordinate's draw
     is its :class:`StationarySampler`.  Every draw records the ``method``
-    and ``size`` of the samplers it runs.  Validates the spec and requires
-    the grid to lie inside [0, T].
+    and ``size`` of the samplers it runs.  Requires the grid to lie inside
+    [0, T].
     """
-    ensure_valid(spec)
     nodes = grid.nodes()
     if nodes[0] < -1e-12 or nodes[-1] > spec.horizon_T * (1 + 1e-12) + 1e-12:
         raise DomainError("grid extends outside the process horizon [0, T]")
@@ -575,10 +572,8 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
         elif isinstance(coord, NonStationary):
             sampler = stationary(coord.a, coord.alpha, grid.count)
             draws.append(_profiled_draw(sampler, coord.sigma_profile(nodes)))
-        elif isinstance(coord, FractionalBrownian):
+        else:  # a valid spec's only other coordinate type
             draws.append(_fbm_draw(coord.kappa, grid))
-        else:
-            raise UnsupportedModelError(f"unknown coordinate type {type(coord)!r}")
     return tuple(draws)
 
 

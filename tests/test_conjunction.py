@@ -108,6 +108,25 @@ class TestConjunctionProb:
         with pytest.raises(DomainError):
             R_ENTRY_POINTS[entry](R)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda thr: estimate_conjunction_prob(ou_spec(n=2), thr, unit_grid(65), 2000, STREAM),
+            lambda thr: conjunction_prob_nested(ou_spec(n=2), thr, unit_grid(65), (2, 1), 2000, STREAM),
+            lambda thr: audit_slepian(ou_spec(n=2), ou_spec(n=2), thr, unit_grid(65), 2000, STREAM),
+        ],
+        ids=["prob", "nested", "slepian"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_thresholds_are_domain_errors(self, entry, bad):
+        with pytest.raises(DomainError, match="finite"):
+            entry([bad, 0.5])
+
+    @pytest.mark.parametrize("strides", [(2, 3, 1), (4, 4, 1)])
+    def test_nested_strides_must_nest(self, strides):
+        with pytest.raises(DomainError, match="strides"):
+            conjunction_prob_nested(ou_spec(), [1.0], unit_grid(65), strides, 2000, STREAM)
+
     def test_order_statistics_consistency(self):
         # exchangeable pair: P(sup max > u) / P(sup X1 > u) -> 2
         spec = ou_spec(n=2)

@@ -360,6 +360,14 @@ class TestRunExperiment:
         assert "ghost" in str(err.value)
         assert err.value.path == "probability.process"
 
+    def test_invalid_process_is_config_error(self):
+        tree = probability_config()
+        tree["processes"]["ou"]["coords"][0]["kappa"] = 2.5
+        with pytest.raises(ConfigError) as err:
+            run_experiment(tree)
+        assert err.value.path == "processes.ou"
+        assert str(err.value) == "processes.ou: coord[0]: kappa=2.5 outside (0, 2]"
+
     def test_missing_key_paths(self):
         tree = probability_config()
         del tree["probability"]["u"]

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpextremes import (
-    AmbiguousMinimumError,
     DomainError,
     FractionalBrownian,
     NonStationary,
     ProfileTable,
+    SpecValidationError,
     Stationary,
     ThresholdFamily,
     UnsupportedModelError,
@@ -113,13 +113,13 @@ class TestValidateSpec:
         assert validate_spec(spec).ok
 
     def test_kappa_out_of_range(self):
-        spec = VectorProcessSpec((Stationary(1.0, 2.5),), 1.0)
-        rep = validate_spec(spec)
-        assert not rep.ok and "kappa" in rep.failures[0]
+        with pytest.raises(SpecValidationError) as exc:
+            VectorProcessSpec((Stationary(1.0, 2.5),), 1.0)
+        assert "kappa" in exc.value.failures[0]
 
     def test_nonpositive_a(self):
-        rep = validate_spec(VectorProcessSpec((Stationary(0.0, 1.0),), 1.0))
-        assert not rep.ok
+        with pytest.raises(SpecValidationError):
+            VectorProcessSpec((Stationary(0.0, 1.0),), 1.0)
 
     def test_zero_upper_theta_warns(self):
         # g minimal at t0 = 0 but every declared b_upper is 0: theta_upper = 0
@@ -133,13 +133,44 @@ class TestValidateSpec:
     def test_mismatched_beta_fails(self):
         c1 = make_nonstat(lambda t: 1.0 / (1.0 + t), beta=1.0, b_upper=1.0)
         c2 = make_nonstat(lambda t: 1.0 + t**2, beta=2.0, b_upper=-1.0)
-        rep = validate_spec(VectorProcessSpec((c1, c2), 1.0))
-        assert not rep.ok and "beta" in rep.failures[0]
+        with pytest.raises(SpecValidationError) as exc:
+            VectorProcessSpec((c1, c2), 1.0)
+        assert "beta" in exc.value.failures[0]
 
     def test_negative_sigma_fails(self):
         coord = make_nonstat(lambda t: 1.0 - 2.0 * t)
-        rep = validate_spec(VectorProcessSpec((coord,), 1.0))
-        assert not rep.ok
+        with pytest.raises(SpecValidationError):
+            VectorProcessSpec((coord,), 1.0)
+
+
+INVALID_SPECS = {
+    "kappa": (lambda: (Stationary(1.0, 2.5),), "coord[0]: kappa=2.5 outside (0, 2]"),
+    "a": (lambda: (Stationary(0.0, 1.0),), "coord[0]: a=0.0 must be positive"),
+    "beta": (
+        lambda: (
+            make_nonstat(lambda t: 1.0 / (1.0 + t), beta=1.0, b_upper=1.0),
+            make_nonstat(lambda t: 1.0 + t**2, beta=2.0, b_upper=-1.0),
+        ),
+        "non-stationary coordinates must share beta, got [1.0, 2.0]",
+    ),
+    "sigma": (
+        lambda: (make_nonstat(lambda t: 1.0 - 2.0 * t),),
+        "coord[0].sigma_profile: must be strictly positive on [0.0, 1.0]",
+    ),
+    "ambiguous": (
+        lambda: (make_nonstat(lambda t: 1.0), make_nonstat(lambda t: 1.0)),
+        "generalized variance has no unique minimizer: second local minimum at t=0.00390625 within tolerance of t=0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_SPECS)
+def test_constructor_raises_the_rule_failures(name):
+    coords, failure = INVALID_SPECS[name]
+    with pytest.raises(SpecValidationError) as exc:
+        VectorProcessSpec(coords(), 1.0)
+    assert exc.value.failures == [failure]
+    assert str(exc.value) == failure
 
 
 class TestVarianceProfile:
@@ -154,9 +185,9 @@ class TestVarianceProfile:
         assert prof.theta_upper == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_profile_is_ambiguous(self):
-        spec = VectorProcessSpec((make_nonstat(lambda t: 1.0), make_nonstat(lambda t: 1.0)), 1.0)
-        with pytest.raises(AmbiguousMinimumError):
-            variance_profile(spec, scan_step=0.05)
+        with pytest.raises(SpecValidationError) as exc:
+            VectorProcessSpec((make_nonstat(lambda t: 1.0), make_nonstat(lambda t: 1.0)), 1.0)
+        assert "no unique minimizer" in exc.value.failures[0]
 
     def test_interior_minimum_refined(self):
         # sigma = 1/(1 + (t-0.4)^2) peaks at t=0.4, so g is minimal there

@@ -171,11 +171,19 @@ class TestCirculantDraw:
         assert end.var() == pytest.approx(0.1**1.5, rel=4 * math.sqrt(2.0 / R))
 
     def test_clamp_warning(self, caplog):
+        # 33 nodes: the least embedding (size 64) is feasible after clamping, and is drawn
         with caplog.at_level(logging.WARNING, logger="gpextremes.sampling"):
-            sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17)
+            sampler = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 33)
+        assert (sampler.method, sampler.size) == ("circulant", 64)
         (record,) = caplog.records
         assert record.getMessage().startswith("clamped")
         assert record.args[0] > 0
+        # 17 nodes: the least embedding is infeasible, so the draw is dense and
+        # no padded embedding is computed whose clamps would touch no draw
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="gpextremes.sampling"):
+            assert sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).method == "dense"
+        assert not caplog.records
 
 
 def exp_correlation(a, kappa, step):
@@ -387,6 +395,27 @@ class TestOutContract:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * sampling._CHUNK_ELEMENTS * 8
+
+
+    @pytest.mark.parametrize(
+        "build, R, m",
+        [
+            (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025).sample, 2048, 1025),
+            (lambda: sampling.StationarySampler(1.0, 1.0, 1.0 / 512, 513).sample, 8192, 513),
+            (lambda: sampling.FgnSampler(1.0, 1.0 / 512, 513).increments, 8192, 513),
+        ],
+        ids=["dense", "ar1", "fgn-kappa1"],
+    )
+    def test_normal_row_draws_hold_one_chunk(self, build, R, m):
+        # a chunk of normals is freed before the next one is drawn
+        draw, out = build(), np.empty((R, m))
+        tracemalloc.start()
+        try:
+            draw(R, np.random.default_rng(3), out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sampling._CHUNK_ELEMENTS * 8
 
 
 class TestSampleVector:
