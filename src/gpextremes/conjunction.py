@@ -225,6 +225,8 @@ def conjunction_prob_nested(
     refinement, exactly.
     """
     strides = tuple(int(s) for s in strides)
+    if not strides:
+        raise DomainError("strides must name at least one stride")
     if any(s < 1 for s in strides):
         raise DomainError("strides must be positive")
     if any(a <= b or a % b for a, b in zip(strides, strides[1:])):
@@ -326,10 +328,14 @@ def audit_slepian(
     Applicable only when the two specs match variances on the grid within
     1e-12 and A's coordinate covariances dominate B's everywhere on the
     grid; then the verdict passes iff P_A <= P_B + 3 pooled se.
+    ``thresholds`` is a single vector of length n.
     """
     require_stream(stream)
     if specA.n != specB.n:
         raise PreconditionError("specs must have the same number of coordinates")
+    thr = np.asarray(thresholds, dtype=float)
+    if thr.ndim != 1:
+        raise DomainError(f"the Slepian audit takes a single threshold vector, got shape {thr.shape}")
     nodes = grid.nodes()
     for i, (ca, cb) in enumerate(zip(specA.coords, specB.coords)):
         va = np.asarray(coord_variance(ca, nodes))
@@ -340,7 +346,6 @@ def audit_slepian(
         cov_b = np.asarray(coord_covariance(cb, nodes[:, None], nodes[None, :]))
         if np.min(cov_a - cov_b) < -1e-12:
             raise PreconditionError(f"coordinate {i}: covariance dominance fails on the grid")
-    thr = np.asarray(thresholds, dtype=float)
     pa = estimate_conjunction_prob(specA, thr, grid, R, stream.child("dominating"), workers)
     pb = estimate_conjunction_prob(specB, thr, grid, R, stream.child("dominated"), workers)
     pooled = math.hypot(pa.se, pb.se)

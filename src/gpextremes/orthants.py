@@ -29,6 +29,15 @@ clouds may be any strided (R, m, n) view, such as ``np.moveaxis`` of an
 (n, R, m) block of coordinate planes, and are never copied whole.  Every
 cloud is reduced on its own, with the same operands in the same order, so
 neither the chunking nor the memory layout changes a bit of the result.
+
+Every sweep orders its points with numpy's default argsort, a SIMD sort that
+places tied keys in no fixed order.  With distinct keys the sorted
+permutation is unique, so the result does not depend on the sort, nor on the
+order of the points in a cloud.  Where keys tie exactly, the tied points
+enter the sweep in some order; the EWV is the same number in exact
+arithmetic whatever that order, but the rounding of its sum may move in the
+last bits, with the order of the input points or with the SIMD level of the
+sort.
 """
 from __future__ import annotations
 
@@ -110,7 +119,7 @@ def _ewv_staircase_log_rows(x: np.ndarray, y: np.ndarray):
     dominated points leaves every strip bit for bit.  Only y and x + y are
     gathered into sweep order, and the strips are formed in place.
     """
-    order = np.argsort(-x, axis=1, kind="stable")
+    order = np.argsort(-x, axis=1)
     total = x + y
     shift = total.max(axis=1)
     strips = np.take_along_axis(total, order, axis=1)
@@ -142,9 +151,9 @@ def _ewv3_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
     zero.
     """
     m = pts.shape[1]
-    order = np.argsort(-pts[:, :, 0], axis=1, kind="stable")
+    order = np.argsort(-pts[:, :, 0], axis=1)
     x, y, z = np.take_along_axis(pts, order[:, :, None], axis=1).transpose(2, 1, 0)  # (point, cloud)
-    z_order = np.argsort(-z, axis=0, kind="stable")
+    z_order = np.argsort(-z, axis=0)
     zs = np.take_along_axis(z, z_order, axis=0)
     rank = np.empty_like(z_order)
     np.put_along_axis(rank, z_order, np.arange(m)[:, None], axis=0)
@@ -195,7 +204,7 @@ def _ewv_log_cloud(pts: np.ndarray):
     every prefix of a 4-D cloud goes to the n=3 kernel in one batch.
     """
     pts = pts[_pareto_mask(pts)]
-    pts = pts[np.argsort(-pts[:, -1], kind="stable")]
+    pts = pts[np.argsort(-pts[:, -1])]
     if pts.shape[1] == 4:
         j = np.arange(pts.shape[0])
         prefixes = pts[np.where(j[None, :] <= j[:, None], j[None, :], 0), :3]
@@ -249,7 +258,9 @@ def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.
     each cloud to its Pareto set and slices the last coordinate down to the
     n = 3 kernel.  ``points`` may be any strided view, such as
     ``np.moveaxis`` of an (n, R, m) block of coordinate planes; it is never
-    copied whole.
+    copied whole.  The result does not depend on the order of the points
+    within a cloud, except in the rounding of clouds with exactly tied
+    coordinates (see the module docstring).
     """
     # ``gen`` is unused: perfbench/run.py and perfbench/probes.py pass it, and
     # the benchmark stays fixed so that its timings compare across versions.

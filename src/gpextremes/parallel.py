@@ -5,16 +5,23 @@ Every Monte Carlo estimator in the package runs its replications through
 it into blocks of ``BLOCK_SIZE``, keys each block's random streams and
 returns the block results in block order.  Block b always draws from the
 caller's stream child ("block", b, ...), so the worker count changes wall
-time only, never a single bit of the output.  The argument checks that
+time only, never a single bit of the output.  While the blocks run,
+numpy's bundled OpenBLAS is held to one thread, whatever the worker count:
+the workers, not the threads of each matrix product, share the cores, and
+a product rounds its last bits by the BLAS thread count, so one count for
+every worker count keeps the output the same.  The argument checks that
 every estimator shares live here too: :func:`require_stream` for the
 stream and :func:`require_ladder` for the S, u and offset ladders.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -36,12 +43,57 @@ def block_sizes(total: int):
     return out
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or None.
+
+    The functions are resolved with ctypes from the library in the
+    ``numpy.libs`` folder of a numpy wheel; None when there is no such
+    library or it lacks them (numpy built against another BLAS).
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread in the body, then restore its count.
+
+    The count is process-wide.  Does nothing when :func:`_openblas_threads`
+    finds no such library.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    prior = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(prior)
+
+
 def map_blocks(fn, n_blocks: int, workers: int = 1):
-    """Apply ``fn(block_index)`` to every block, results in block order."""
-    if workers <= 1 or n_blocks <= 1:
-        return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_blocks)))
+    """Apply ``fn(block_index)`` to every block, results in block order.
+
+    Several workers run the blocks on a thread pool.  Either way numpy's
+    bundled OpenBLAS is held to one thread while they run.
+    """
+    with _one_blas_thread():
+        if workers <= 1 or n_blocks <= 1:
+            return [fn(b) for b in range(n_blocks)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(n_blocks)))
 
 
 def require_stream(stream) -> None:

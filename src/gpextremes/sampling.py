@@ -47,11 +47,16 @@ strided view, such as one coordinate plane ``values[:, i, :]`` of a larger
 block.  A draw into ``out`` consumes the same normals in the same order as
 one without, so the two agree bit for bit and leave the generator in the
 same state.  Normals are drawn, and the AR(1) recursion runs, in row chunks
-of at most ``_CHUNK_ELEMENTS`` entries that continue one stream, so beside
-``out`` a draw holds only chunk-sized temporaries, and a chunk of normals is
-released before the next is drawn.  Only an fBm coordinate
-on a grid that starts after the origin builds its longer path from
-B(0) = 0 whole and copies the tail into ``out``.
+of at most ``_CHUNK_ELEMENTS`` entries (8 MB) that continue one stream.  The
+circulant draw builds and transforms its spectrum in smaller row chunks, of
+at most ``_SPECTRUM_ELEMENTS`` embedding entries (64 rows at size 1024, a
+0.5 MB complex half spectrum).  So beside ``out`` a draw holds only
+chunk-sized temporaries, and a chunk is released before the next is drawn.
+Every row of a circulant draw is the same whatever its chunk, but a dense
+product of another row count may round differently, so the normal-row chunk
+stays at ``_CHUNK_ELEMENTS``.  Only an fBm coordinate on a grid that starts
+after the origin builds its longer path from B(0) = 0 whole and copies the
+tail into ``out``.
 
 Every draw also takes an optional ``rows``, a sorted array of distinct row
 indices of the R-row draw.  A restricted draw consumes the generator
@@ -148,8 +153,12 @@ class PathBatch:
 
 _CLAMP_REL = 1e-8
 _MAX_DOUBLINGS = 3
-# Entries drawn per chunk of rows in _circulant_draw (16 MB complex) and _normal_rows (8 MB).
+# Entries drawn per chunk of rows in _normal_rows (8 MB).
 _CHUNK_ELEMENTS = 2**20
+# Embedding entries per chunk of rows in _circulant_draw: 64 rows at size 1024,
+# whose half spectrum, normals and transform hold 0.5 MB each, so a chunk stays
+# within a per-core L2 cache.
+_SPECTRUM_ELEMENTS = 2**16
 # Largest node count drawn by a dense factor: 2049^2 doubles are 32 MB.
 _DENSE_MAX_NODES = 2049
 
@@ -232,9 +241,9 @@ def _circulant_draw(scale, size, count, R, gen, out=None, rows=None):
     """R stationary Gaussian rows of length count with the embedded covariance.
 
     Fills the half spectrum ``(R, size/2 + 1)`` and transforms it with a
-    real inverse FFT, one chunk of at most ``_CHUNK_ELEMENTS`` spectrum
-    entries at a time so the working set stays a few MB.  Draw order is
-    fixed: the normals of mode 0 for all rows, then of mode size/2, then the
+    real inverse FFT, one chunk of at most ``_SPECTRUM_ELEMENTS`` embedding
+    entries at a time so the working set stays within about 2 MB.  Draw
+    order is fixed: the normals of mode 0 for all rows, then of mode size/2, then the
     ``(R, 2, size/2 - 1)`` real and imaginary parts of the paired modes in
     row order, so a given generator state always produces the same batch
     whatever the chunking.  The paired modes enter conjugated, because the
@@ -253,7 +262,7 @@ def _circulant_draw(scale, size, count, R, gen, out=None, rows=None):
     first = scale[0] * gen.standard_normal(R)
     last = scale[half] * gen.standard_normal(R)
     paired = scale[1:half]
-    for r0, r1, dest, pick in _row_chunks(R, max(1, _CHUNK_ELEMENTS // size), rows):
+    for r0, r1, dest, pick in _row_chunks(R, max(1, _SPECTRUM_ELEMENTS // size), rows):
         spectrum = np.empty((dest.stop - dest.start, half + 1), dtype=complex)
         uv = gen.standard_normal((r1 - r0, 2, half - 1))[pick]
         spectrum[:, 0] = first[r0:r1][pick]

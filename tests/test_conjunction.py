@@ -122,7 +122,7 @@ class TestConjunctionProb:
         with pytest.raises(DomainError, match="finite"):
             entry([bad, 0.5])
 
-    @pytest.mark.parametrize("strides", [(2, 3, 1), (4, 4, 1)])
+    @pytest.mark.parametrize("strides", [(2, 3, 1), (4, 4, 1), ()])
     def test_nested_strides_must_nest(self, strides):
         with pytest.raises(DomainError, match="strides"):
             conjunction_prob_nested(ou_spec(), [1.0], unit_grid(65), strides, 2000, STREAM)
@@ -213,6 +213,10 @@ class TestSlepianAudit:
         spec_fbm = VectorProcessSpec((FractionalBrownian(1.0),), 1.0)
         with pytest.raises(PreconditionError):
             audit_slepian(ou_spec(), spec_fbm, [1.5], unit_grid(65), 2000, STREAM)
+
+    def test_threshold_stack_is_domain_error(self):
+        with pytest.raises(DomainError, match="single threshold vector"):
+            audit_slepian(ou_spec(), ou_spec(), [[1.5], [2.0]], unit_grid(65), 2000, STREAM)
 
 
 class TestBorellAudit:

@@ -128,6 +128,34 @@ class TestWindowConstant:
         )
         assert abs(est.value - (1.0 + 1.0 / SQRT_PI)) < max(3.0 * est.se, 1e-6)
 
+    @pytest.mark.parametrize(
+        "C, drift, window, value, se",
+        [
+            ([1.0, 1.0], zero_drift(2, 2.0), (1.0, 1.0), "0x1.a0b4d0d01bcacp+1", "0x1.5ea226dbe42dcp-22"),
+            (
+                [1.0, 0.5],
+                DriftSpec(2.0, (0.3, 0.1), (0.3, 0.1)),
+                (2.0, 2.0),
+                "0x1.442ec458b17e3p+1",
+                "0x1.2e67d1c9d2f70p-23",
+            ),
+            (
+                [1.0, 1.0],
+                DriftSpec(1.0, (0.5, 0.5), (0.5, 0.5)),
+                (0.5, 0.5),
+                "0x1.8c9b43b1ddd32p+0",
+                "0x1.21c75d1000fc9p-17",
+            ),
+        ],
+        ids=["zero-drift", "quadratic-drift", "linear-drift"],
+    )
+    def test_kappa2_n2_symmetric_window_bits(self, C, drift, window, value, se):
+        # On a symmetric window the quadrature row of a zero normal has tied
+        # x at t and -t.  The values are those of a stable sort: the order in
+        # which the sweep meets tied points leaves these results bit for bit.
+        est = estimate_window_constant(C, 2.0, drift, window, R=0, stream=None)
+        assert (est.value, est.se) == (float.fromhex(value), float.fromhex(se))
+
     def test_kappa1_window_matches_closed_form(self):
         est = estimate_window_constant(
             [1.0], 1.0, zero_drift(1), (0.0, 1.0), R=20_000, stream=STREAM.child("k1")

@@ -227,6 +227,19 @@ class TestEwvBatch:
         oracle = [inclusion_exclusion_ewv(pts) for pts in clouds]
         np.testing.assert_allclose(ewv_batch(clouds), oracle, rtol=1e-12)
 
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_point_order_invariance(self, n, ties):
+        # distinct keys sort into one permutation, so any point order gives the
+        # same bits; tied keys and duplicate points may move only the rounding
+        clouds = oracle_clouds(n, ties, count=200, seed=2)
+        gen = np.random.default_rng([23, n, ties])
+        batch = ewv_batch(clouds)
+        for _ in range(3):
+            perm = gen.permuted(np.broadcast_to(np.arange(clouds.shape[1]), clouds.shape[:2]), axis=1)
+            shuffled = ewv_batch(np.take_along_axis(clouds, perm[:, :, None], axis=1))
+            np.testing.assert_allclose(shuffled, batch, rtol=1e-12 if ties else 0.0, atol=0.0)
+
     def test_batch_n3_spans_several_chunks(self):
         # 300 clouds of 33 points exceed one chunk of the n=3 sweep
         gen = np.random.default_rng(17)

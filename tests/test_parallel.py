@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gpextremes import (
@@ -17,7 +18,8 @@ from gpextremes import (
     estimate_pickands,
     estimate_piterbarg,
 )
-from gpextremes.parallel import BLOCK_SIZE, MIN_REPLICATIONS, replicate, require_ladder
+from gpextremes import parallel, sampling
+from gpextremes.parallel import BLOCK_SIZE, MIN_REPLICATIONS, map_blocks, replicate, require_ladder
 
 STREAM = RngStream(2718)
 
@@ -46,6 +48,29 @@ class TestReplicate:
     def test_stream_required(self):
         with pytest.raises(DomainError):
             replicate(5000, None, 1, record)
+
+
+@pytest.mark.skipif(parallel._openblas_threads() is None, reason="numpy has no bundled OpenBLAS")
+def test_worker_pool_holds_blas_to_one_thread():
+    get, set_ = parallel._openblas_threads()
+    prior = get()
+    factor = sampling._dense_factor(lambda lags: np.exp(-np.abs(lags / 256.0) ** 1.5), 257)
+
+    def draw(b):
+        return get(), sampling._dense_draw(factor, 512, np.random.default_rng(b))
+
+    set_(2)
+    try:
+        pooled = map_blocks(draw, 4, workers=2)
+        after = get()
+        serial = map_blocks(draw, 4, workers=1)
+    finally:
+        set_(prior)
+    assert after == 2
+    assert [threads for threads, _ in pooled + serial] == [1] * 8
+    # a product rounds by the BLAS thread count, so one count for every worker count
+    for (_, a), (_, b) in zip(pooled, serial):
+        np.testing.assert_array_equal(a, b)
 
 
 def ou_spec():

@@ -155,8 +155,8 @@ class TestCirculantDraw:
             lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa), count
         )
         assert size == 8192
-        R = 300  # three chunks of rows
-        assert R > sampling._CHUNK_ELEMENTS // size * 2
+        R = 300  # 38 chunks of rows
+        assert R > sampling._SPECTRUM_ELEMENTS // size * 2
         scale = sampling._mode_scale(eigs, size)
         new = sampling._circulant_draw(scale, size, count, R, np.random.default_rng(5))
         old = full_fft_circulant_draw(eigs, size, count, R, np.random.default_rng(5))
@@ -416,6 +416,20 @@ class TestOutContract:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * sampling._CHUNK_ELEMENTS * 8
+
+    def test_circulant_draw_holds_a_small_spectrum_chunk(self):
+        # the spectrum, its normals and its transform are built 64 rows at a time
+        R, m = 2048, 513
+        sampler = sampling.FgnSampler(1.5, 1.0 / 512, m - 1)
+        assert (sampler.method, sampler.size) == ("circulant", 1024)
+        out = np.empty((R, m))
+        tracemalloc.start()
+        try:
+            sampler.path(R, np.random.default_rng(3), out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * out.nbytes
 
 
 class TestSampleVector:
