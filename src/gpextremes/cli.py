@@ -1,14 +1,17 @@
 """Command-line front end for the experiment runner.
 
 Verbs map one-to-one onto experiment kinds; every verb takes the same
-flags.  Exit codes: 0 success, 1 config error, 2 runtime failure (an
-estimator error, or results that cannot be written), 3 audit-verdict
+flags.  A run writes its results table, manifest, plot series and path
+dump to the output directory; ``--format json`` adds the table as JSON
+beside the CSV.  Exit codes: 0 success, 1 config error, 2 runtime failure
+(an estimator error, or results that cannot be written), 3 audit-verdict
 failure.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ConfigError
 from .experiments import load_config, run_experiment, write_results
@@ -53,9 +56,11 @@ def main(argv=None) -> int:
         if kind != expected:
             raise ConfigError("kind", f"verb '{args.verb}' needs kind '{expected}', config says {kind!r}")
         out_dir = args.out or tree.get("output_dir") or "gpx-results"
-        manifest = run_experiment(tree, out_dir=None, seed_override=args.seed, workers=args.workers)
+        manifest = run_experiment(tree, out_dir=out_dir, seed_override=args.seed, workers=args.workers)
         exp_id = tree.get("experiment_id", kind)
-        paths = write_results(manifest, out_dir, exp_id, fmt=args.format)
+        results = Path(out_dir) / f"{exp_id}.results.csv"
+        if args.format == "json":
+            results = write_results(manifest, out_dir, exp_id, fmt="json")["results"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -67,7 +72,7 @@ def main(argv=None) -> int:
         value = rec["value"]
         shown = f"{value:.6g}" if isinstance(value, float) else value
         print(f"[{marker}] {rec['kind']}/{rec['regime']}: value={shown} se={rec['se']} {rec['notes']}")
-    print(f"results written to {paths['results']}")
+    print(f"results written to {results}")
     if manifest.failed:
         return EXIT_RUNTIME
     if tree.get("kind") == "audit" and manifest.audit_failed:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
-from .parallel import RunningMoments, merge_moments, replicate, require_ladder, require_stream
+from .parallel import mean_and_se, replicate, require_ladder, require_stream
 from .processes import (
     NonStationary,
     Stationary,
@@ -410,13 +410,11 @@ def audit_borell(
     def reduce(values):
         sup_mix = np.einsum("rnm,nm->rm", values, lam).max(axis=1)
         exceed = np.stack([(values > row[None, :, None]).all(axis=1) for row in thr])
-        return RunningMoments.from_values(sup_mix), _stride_hits(exceed)[:, 0]
+        return sup_mix, _stride_hits(exceed)[:, 0]
 
     parts, diagnostics = _path_blocks(spec, grid, R, stream, workers, reduce)
-    moments = merge_moments([p[0] for p in parts])
+    mu_hat, mu_se = mean_and_se([p[0] for p in parts])
     counts = sum(p[1] for p in parts)
-    mu_hat = moments.mean
-    mu_se = moments.se_of_mean
     mu_conservative = mu_hat + 3.0 * mu_se
 
     reports = []
@@ -485,7 +483,7 @@ def audit_piterbarg_decay(
         estimates.append(emp)
         if hits == 0:
             ratios.append(None)
-            bounds.append((3.0 / R) / denom)
+            bounds.append(emp.se / denom)
         else:
             ratios.append(emp.value / denom)
             bounds.append(None)
@@ -523,7 +521,7 @@ def compare_with_asymptotic(empirical: ProbEstimate, approx: AsymptoticApproxima
         raise DomainError("asymptotic value must be positive")
     a = approx.value_at_u
     if empirical.hits == 0:
-        bound = (3.0 / empirical.replications) / a
+        bound = empirical.se / a
         return RatioReport(None, (0.0, bound), empirical.grid_step, bound, "zero hits: ratio undefined")
     lo = max(0.0, empirical.value - 3.0 * empirical.se) / a
     hi = (empirical.value + 3.0 * empirical.se) / a

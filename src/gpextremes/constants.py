@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import RunningMoments, merge_moments, replicate, require_ladder, require_stream
+from .parallel import mean_and_se, replicate, require_ladder, require_stream
 from .rng import RngStream
 from .sampling import FgnSampler
 
@@ -249,14 +249,14 @@ def estimate_window_constant(
             log_u = np.log1p(-gen_u.random(size=(Rb, m - 1)))
             a, bb = xi[:, :-1], xi[:, 1:]
             seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
-            return RunningMoments.from_values(np.exp(seg_max.max(axis=1)))
-        return RunningMoments.from_values(ewv_batch(np.moveaxis(paths, 0, 2)))
+            return np.exp(seg_max.max(axis=1))
+        return ewv_batch(np.moveaxis(paths, 0, 2))
 
     parts = replicate(R, stream, workers, run_block)
-    moments = merge_moments(parts)
+    value, se = mean_and_se(parts)
     return ConstantEstimate(
-        moments.mean,
-        moments.se_of_mean,
+        value,
+        se,
         (S1, S2),
         step,
         R,
@@ -369,13 +369,12 @@ def estimate_piterbarg(
     Estimates the window constant on each ladder rung and declares
     convergence when consecutive rungs differ by less than
     max(2 pooled se, 1e-3 |value|) -- the operational meaning of S -> infinity
-    here, recorded in the diagnostics.  Every rung draws from the same
-    stream addresses, but each rung's window has a different node count, so
-    the draws fill arrays of different shapes and consecutive rungs are
-    almost independent; the pooled se hypot(se, se') assumes exactly that.
-    Without a drift making the relevant sum positive the limit diverges, so
-    that precondition is enforced.
+    here, recorded in the diagnostics.  Rung r draws from its own stream
+    child ("rung", r), so consecutive rungs are independent, as the pooled
+    se hypot(se, se') assumes.  Without a drift making the relevant sum
+    positive the limit diverges, so that precondition is enforced.
     """
+    require_stream(stream)
     C = _check_amplitudes(C)
     if variant not in _PITERBARG_VARIANTS:
         raise DomainError(f"variant must be one of {_PITERBARG_VARIANTS}")
@@ -387,10 +386,10 @@ def estimate_piterbarg(
 
     sequence = []
     prev = None
-    for S in ladder:
+    for r, S in enumerate(ladder):
         window = {"right": (0.0, S), "left": (S, 0.0), "two_sided": (S, S)}[variant]
         est = estimate_window_constant(
-            C, kappa, drift, window, grid_step=grid_step, R=R, stream=stream, workers=workers
+            C, kappa, drift, window, grid_step=grid_step, R=R, stream=stream.child("rung", r), workers=workers
         )
         sequence.append((S, est.value, est.se))
         if prev is not None:

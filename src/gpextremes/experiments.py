@@ -398,7 +398,7 @@ def _run_constant(tree, exp_id, seed, workers, out_dir, records, plots):
     plots[exp_id] = list(rungs)
 
 
-def _probability_pieces(tree, section_path, seed, workers, index=0):
+def _probability_pieces(tree, section_path, seed, workers):
     section = _get(tree, "", section_path, dict)
     spec = _resolve_process(tree, _get(section, section_path, "process", str), f"{section_path}.process")
     u = _number(section, section_path, "u")
@@ -418,27 +418,23 @@ def _probability_pieces(tree, section_path, seed, workers, index=0):
     count = int(round(spec.horizon_T / step)) + 1
     grid = SampleGrid(0.0, step, count)
     R = _integer(section, section_path, "replications")
-    stream = derive_stream(seed, "prob", index)
+    stream = derive_stream(seed, "prob", 0)
     est = estimate_conjunction_prob(spec, family.realize(u), grid, R, stream, workers)
-    return spec, family, u, grid, R, est
+    return spec, family, u, grid, R, est, kappa_min
 
 
 def _run_probability(tree, exp_id, seed, workers, out_dir, records, plots):
-    _, _, u, grid, R, est = _probability_pieces(tree, "probability", seed, workers)
+    _, _, u, grid, R, est, _ = _probability_pieces(tree, "probability", seed, workers)
     records.append(
         _row(exp_id, "probability", "conjunction", est.value, est.se, grid.step, R, "prob:0", "", est.notes or f"u={u}")
     )
 
 
 def _run_compare(tree, exp_id, seed, workers, out_dir, records, plots):
-    spec, family, u, grid, R, est = _probability_pieces(tree, "compare.probability", seed, workers)
+    spec, family, u, grid, R, est, kappa_min = _probability_pieces(tree, "compare.probability", seed, workers)
     section = _get(tree, "", "compare.asymptotic", dict)
     regime = _get(section, "compare.asymptotic", "regime", str)
     provider_kind = _get(section, "compare.asymptotic", "provider", str, required=False, default="closed_form")
-    kappa_min = min(
-        c.kappa if isinstance(c, (Stationary, LocallyStationary, FractionalBrownian)) else c.alpha
-        for c in spec.coords
-    )
     if provider_kind == "closed_form":
         provider = ClosedFormProvider(kappa_min)
     elif provider_kind == "monte_carlo":

@@ -5,13 +5,15 @@ Every Monte Carlo estimator in the package runs its replications through
 it into blocks of ``BLOCK_SIZE``, keys each block's random streams and
 returns the block results in block order.  Block b always draws from the
 caller's stream child ("block", b, ...), so the worker count changes wall
-time only, never a single bit of the output.  While the blocks run,
-numpy's bundled OpenBLAS is held to one thread, whatever the worker count:
-the workers, not the threads of each matrix product, share the cores, and
-a product rounds its last bits by the BLAS thread count, so one count for
-every worker count keeps the output the same.  The argument checks that
-every estimator shares live here too: :func:`require_stream` for the
-stream and :func:`require_ladder` for the S, u and offset ladders.
+time only, never a single bit of the output.  A block returns its
+per-replication values as an array, and :func:`mean_and_se` joins the
+arrays in block order into every replication-mean estimate.  While the
+blocks run, numpy's bundled OpenBLAS is held to one thread, whatever the
+worker count: the workers, not the threads of each matrix product, share
+the cores, and a product rounds its last bits by the BLAS thread count, so
+one count for every worker count keeps the output the same.  The argument
+checks that every estimator shares live here too: :func:`require_stream`
+for the stream and :func:`require_ladder` for the S, u and offset ladders.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import ctypes
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,7 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     block's stream ``stream.child("block", b, *salt)``: ``block()`` for one
     stream per block, ``block("coord", i)`` and the like for several.  Rejects
     a missing stream and ``R < MIN_REPLICATIONS``.  The caller reduces the
-    list, so the reduction is free to merge moments, counts or both.
+    list: :func:`mean_and_se` for per-replication values, a sum for counts.
     """
     require_stream(stream)
     if R < MIN_REPLICATIONS:
@@ -146,45 +147,7 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     return map_blocks(run, len(sizes), workers)
 
 
-@dataclass
-class RunningMoments:
-    """Count / mean / M2 accumulator with numerically stable merging."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    @classmethod
-    def from_values(cls, values) -> "RunningMoments":
-        values = np.asarray(values, dtype=float)
-        n = values.size
-        if n == 0:
-            return cls()
-        mu = float(values.mean())
-        return cls(n, mu, float(((values - mu) ** 2).sum()))
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / n
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
-        return RunningMoments(n, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def se_of_mean(self) -> float:
-        return float(np.sqrt(self.variance / self.count)) if self.count > 0 else 0.0
-
-
-def merge_moments(parts) -> RunningMoments:
-    total = RunningMoments()
-    for part in parts:
-        total = total.merge(part)
-    return total
+def mean_and_se(parts) -> tuple:
+    """``(mean, std(ddof=1) / sqrt(R))`` of the blocks' value arrays ``parts``, joined in block order."""
+    values = np.concatenate(parts)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))

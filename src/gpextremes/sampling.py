@@ -80,6 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
+from .parallel import _one_blas_thread
 from .processes import (
     LocallyStationary,
     NonStationary,
@@ -279,16 +280,18 @@ def _dense_factor(cov_of_lag, m):
 
     The lower Cholesky factor; where rounding leaves the matrix numerically
     indefinite, the symmetric square root with its negative eigenvalues
-    clipped to zero, as :func:`sample_cholesky_oracle` factorizes.
+    clipped to zero, as :func:`sample_cholesky_oracle` factorizes.  Either
+    runs on one BLAS thread: the factor's last bits depend on the count.
     """
     row = np.asarray(cov_of_lag(np.arange(m)), dtype=float)
     nodes = np.arange(m)
     cov = row[np.abs(nodes[:, None] - nodes[None, :])]
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eigval, eigvec = np.linalg.eigh(cov)
-        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    with _one_blas_thread():
+        try:
+            return np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            eigval, eigvec = np.linalg.eigh(cov)
+            return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
 def _normal_rows(R, m, gen, rows, fill):

@@ -22,7 +22,7 @@ from gpextremes import (
 )
 from gpextremes.constants import _window_node_count, default_window_step
 from gpextremes.orthants import ewv_batch
-from gpextremes.parallel import RunningMoments, merge_moments, replicate
+from gpextremes.parallel import mean_and_se, replicate
 from gpextremes.sampling import FgnSampler
 
 STREAM = RngStream(31_337)
@@ -249,11 +249,10 @@ def stacked_window_constant(C, kappa, drift, window, step, R, stream):
             log_u = np.log1p(-block("bridge").generator().random(size=(Rb, m - 1)))
             a, b = xi[:, :-1], xi[:, 1:]
             seg_max = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
-            return RunningMoments.from_values(np.exp(seg_max.max(axis=1)))
-        return RunningMoments.from_values(ewv_batch(np.stack(parts, axis=2)))
+            return np.exp(seg_max.max(axis=1))
+        return ewv_batch(np.stack(parts, axis=2))
 
-    moments = merge_moments(replicate(R, stream, 1, run_block))
-    return moments.mean, moments.se_of_mean
+    return mean_and_se(replicate(R, stream, 1, run_block))
 
 
 # (C, kappa, drift, window, grid_step, R) of window constants whose in-place
@@ -437,10 +436,12 @@ class TestPiterbargEstimator:
     def test_zero_drift_rung_equals_window(self):
         stream = STREAM.child("zdr2")
         drift = DriftSpec(1.0, (0.0,), (0.5,))
-        pit = estimate_piterbarg([1.0], 1.0, drift, "right", (2.0, 4.0), R=4000, stream=stream, grid_step=1.0 / 64)
+        ladder = (2.0, 4.0)
+        pit = estimate_piterbarg([1.0], 1.0, drift, "right", ladder, R=4000, stream=stream, grid_step=1.0 / 64)
         S_conv = pit.diagnostics["converged_at_S"]
+        rung = stream.child("rung", ladder.index(S_conv))
         win = estimate_window_constant(
-            [1.0], 1.0, drift, (0.0, S_conv), R=4000, stream=stream, grid_step=1.0 / 64
+            [1.0], 1.0, drift, (0.0, S_conv), R=4000, stream=rung, grid_step=1.0 / 64
         )
         assert pit.value == win.value and pit.se == win.se
 

@@ -507,6 +507,16 @@ class TestCli:
         data = json.loads((tmp_path / "oj" / "ou-u2.results.json").read_text())
         assert data["columns"] == list(RESULT_COLUMNS)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_paths_verb_writes_the_dump(self, tmp_path, capsys, fmt):
+        cfg = self._write(tmp_path, sample_paths_config())
+        out = tmp_path / "out"
+        assert cli_main(["sample-paths", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        assert (out / f"paths.results.{fmt}").exists()
+        batch = read_path_dump(out / "paths.paths.gpb")
+        run_experiment(sample_paths_config(), out_dir=tmp_path / "api")
+        np.testing.assert_array_equal(batch.values, read_path_dump(tmp_path / "api" / "paths.paths.gpb").values)
+
     def test_seed_override_flag(self, tmp_path, capsys):
         cfg = self._write(tmp_path, probability_config())
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

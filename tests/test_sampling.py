@@ -11,6 +11,7 @@ import pytest
 from scipy import signal, stats
 
 import gpextremes
+import gpextremes.parallel as parallel
 import gpextremes.sampling as sampling
 from gpextremes import (
     DomainError,
@@ -235,7 +236,7 @@ class TestDrawPlan:
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_cost_rule_choices(self):
-        # the conj-n2 coordinate pads its embedding of 1025 nodes from 2048 to 8192: dense
+        # the conj-n2 coordinate's least embedding of 1025 nodes (2048) is infeasible: dense
         conj = sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025)
         assert (conj.method, conj.size) == ("dense", 1025)
         # FGN never pads its embedding: circulant at every node count
@@ -245,7 +246,7 @@ class TestDrawPlan:
         # the unpadded spec of this class (and of the circulant oracle test) stays circulant
         plain = sampling.StationarySampler(self.A, self.KAPPA, self.STEP, self.COUNT)
         assert (plain.method, plain.size) == ("circulant", 128)
-        # test_clamp_warning's sampler clamps its padded embedding and then goes dense
+        # the 17-node sampler's least embedding (32) is infeasible: dense
         assert sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).method == "dense"
         assert sampling.FgnSampler(1.0, 0.1, 9).method == "direct"
         assert sampling.StationarySampler(1.0, 1.0, 0.1, 9).method == "direct"
@@ -257,6 +258,20 @@ class TestDrawPlan:
         assert sampling.StationarySampler(1.0, 1.5, 0.1 / 2048, 2049).method == "dense"
         with pytest.raises(EmbeddingError):
             sampling.StationarySampler(1.0, 1.5, 0.1 / 2049, 2050)
+
+    @pytest.mark.skipif(parallel._openblas_threads() is None, reason="numpy has no bundled OpenBLAS")
+    def test_dense_factor_is_independent_of_blas_threads(self):
+        get, set_ = parallel._openblas_threads()
+        prior = get()
+        factors = []
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                factors.append(sampling.StationarySampler(2.0, 1.5, 1.0 / 1024, 1025)._factor)
+                assert get() == threads
+        finally:
+            set_(prior)
+        np.testing.assert_array_equal(factors[0], factors[1])
 
     def test_short_span_covariance(self):
         spec = VectorProcessSpec((Stationary(1.0, 1.5),), 1.0)
