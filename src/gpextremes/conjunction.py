@@ -6,17 +6,19 @@ resolves the u^(-2/kappa) mesoscale of the local-window theory; nested
 refinement (evaluating strided subsets of one fine-grid batch) makes the
 discretization bias monotone and exactly measurable per replication.
 
-The hit scans draw each replication block lazily, coordinate by
-coordinate.  Coordinate 0 is drawn on every row and gives, per threshold
-row, the node mask of its exceedances.  A row without an exceeding node
-for any threshold row cannot hit, so each later coordinate is drawn only
-on the rows still alive (the ``rows`` argument of the samplers) and
-narrows the masks.  A restricted draw gives the rows of the full draw from
-the same stream, so the counts are those of full paths; only a dense
-coordinate's product may round its last bits differently, which flips a
-hit only for a value within rounding of its threshold.  The Borell audit
-needs whole paths and draws them eagerly.  Every estimate reports its
-draw in ``diagnostics``, including the rows drawn per coordinate.
+The hit scans stream each replication block in chunks of rows, lazily,
+coordinate by coordinate.  In each chunk coordinate 0 is drawn on every
+row and gives, per threshold row, the node mask of its exceedances.  A row
+without an exceeding node for any threshold row cannot hit, so each later
+coordinate is drawn only on the chunk's rows still alive (the picks of the
+samplers' chunk cursors) and narrows the masks.  A picked draw gives the
+rows of the full draw from the same stream, so the counts are those of full
+paths; only a dense coordinate's product may round its last bits
+differently, which flips a hit only for a value within rounding of its
+threshold.  The Borell audit needs whole paths: it draws every coordinate
+of a chunk and reduces the chunk.  Every estimate reports its draw in
+``diagnostics``, including the rows drawn per coordinate and the samplers'
+numerical fallbacks.
 
 The audits turn the comparison inequalities into empirical verdicts:
 correlation dominance must not raise the conjunction probability
@@ -44,7 +46,7 @@ from .processes import (
     coord_variance,
 )
 from .rng import RngStream
-from .sampling import SampleGrid, coordinate_samplers, sample_vector
+from .sampling import SampleGrid, _chunk_rows, coordinate_samplers
 
 __all__ = [
     "ProbEstimate",
@@ -125,66 +127,92 @@ def _draw_diagnostics(samplers, blocks, rows_drawn):
     return {
         "sampler_methods": [draw.method for draw in samplers],
         "sampler_sizes": [int(draw.size) for draw in samplers],
+        "sampler_clamped": [int(draw.clamped) for draw in samplers],
+        "sampler_factors": [draw.factor for draw in samplers],
         "blocks": blocks,
         "rows_drawn": [int(r) for r in rows_drawn],
     }
 
 
-def _path_blocks(spec, grid, R, stream, workers, reduce):
-    """``([reduce(values) for each replication block], diagnostics)`` of ``R`` paths of ``spec`` on ``grid``.
+def _block_cursors(samplers, Rb, block, chunk):
+    """Each coordinate's chunk cursor over ``Rb`` rows, from the per-coordinate streams of the block stream."""
+    paths = block()
+    return [draw.chunks(Rb, paths.child("coord", i).generator(), chunk) for i, draw in enumerate(samplers)]
 
-    Builds the coordinate samplers once; each block's ``(Rb, n, m)`` paths
-    are drawn in full from the block's stream and handed to ``reduce``.
+
+def _path_blocks(spec, grid, R, stream, workers, reduce):
+    """``([reduce(values) for each chunk of each block], diagnostics)`` of ``R`` paths of ``spec`` on ``grid``.
+
+    Builds the coordinate samplers once; each block streams its paths in
+    chunks of rows, every coordinate of a chunk drawn into one
+    ``(rows, n, m)`` array that is handed to ``reduce``.  The chunks of the
+    blocks are listed in row order, and their rows are those that
+    :func:`sample_vector` draws from the block's stream, up to the last bits
+    of a dense product (its chunks have other row counts).
     """
     samplers = coordinate_samplers(spec, grid)
+    chunk = _chunk_rows(spec.n * grid.count)
 
     def run_block(Rb, block):
-        return reduce(sample_vector(spec, grid, Rb, block(), samplers).values)
+        takes = _block_cursors(samplers, Rb, block, chunk)
+        planes = np.empty((min(chunk, Rb), spec.n, grid.count))
+        parts = []
+        for r0 in range(0, Rb, chunk):
+            values = planes[: min(chunk, Rb - r0)]
+            for i, take in enumerate(takes):
+                take(out=values[:, i, :])
+            parts.append(reduce(values))
+        return parts
 
-    parts = replicate(R, stream, workers, run_block)
-    return parts, _draw_diagnostics(samplers, len(parts), [R] * spec.n)
+    blocks = replicate(R, stream, workers, run_block)
+    parts = [part for block in blocks for part in block]
+    return parts, _draw_diagnostics(samplers, len(blocks), [R] * spec.n)
 
 
 def _exceed_blocks(spec, thr, grid, R, stream, workers, reduce):
-    """``([reduce(exceed) for each replication block], diagnostics)``, drawn lazily.
+    """``(sum of reduce(exceed) over every chunk of every block, diagnostics)``, drawn lazily.
 
     ``exceed`` is the (J, k, m) node mask "every coordinate exceeds" of the
-    J threshold rows ``thr``, on the k rows of the block that have an
+    J threshold rows ``thr``, on the k rows of a chunk that have an
     exceeding node for some threshold row; the other rows cannot hit.
-    Coordinate 0 is drawn on every row.  Each later coordinate is drawn on
-    the rows still alive only, from the same per-coordinate stream that
-    :func:`sample_vector` uses, and then narrows the masks.
+    ``reduce`` returns counts.  In each chunk coordinate 0 is drawn on every
+    row; each later coordinate is drawn on the rows still alive only, from
+    the same per-coordinate stream that :func:`sample_vector` uses, and then
+    narrows the masks.  A chunk holds one coordinate's rows at a time.
     """
     samplers = coordinate_samplers(spec, grid)
+    chunk = _chunk_rows(grid.count)
 
     def run_block(Rb, block):
-        paths = block()
-        alive = None  # every row
-        exceed = None
-        drawn = [0] * spec.n
-        for i, draw in enumerate(samplers):
-            drawn[i] = Rb if alive is None else alive.size
-            above = draw(Rb, paths.child("coord", i).generator(), rows=alive) > thr[:, i, None, None]
-            exceed = above if exceed is None else np.logical_and(exceed, above, out=above)
-            live = exceed.any(axis=(0, 2))
-            if not live.all():
-                alive = np.flatnonzero(live) if alive is None else alive[live]
-                exceed = exceed[:, live]
-                if not alive.size:
-                    break
-        return reduce(exceed), drawn
+        takes = _block_cursors(samplers, Rb, block, chunk)
+        plane = np.empty((min(chunk, Rb), grid.count))
+        counts = 0
+        drawn = np.zeros(spec.n, dtype=np.int64)
+        for r0 in range(0, Rb, chunk):
+            alive = slice(None)  # every row of the chunk
+            rows = min(chunk, Rb - r0)
+            exceed = None
+            for i, take in enumerate(takes):
+                above = take(alive, out=plane[:rows]) > thr[:, i, None, None]
+                drawn[i] += rows
+                exceed = above if exceed is None else np.logical_and(exceed, above, out=above)
+                live = exceed.any(axis=(0, 2))
+                if not live.all():
+                    alive = np.flatnonzero(live) if isinstance(alive, slice) else alive[live]
+                    exceed = exceed[:, live]
+                    rows = alive.size
+            counts = counts + reduce(exceed)
+        return counts, drawn
 
     parts = replicate(R, stream, workers, run_block)
+    counts = sum(c for c, _ in parts)
     rows_drawn = np.sum([drawn for _, drawn in parts], axis=0)
-    return [out for out, _ in parts], _draw_diagnostics(samplers, len(parts), rows_drawn)
+    return counts, _draw_diagnostics(samplers, len(parts), rows_drawn)
 
 
 def _scan_hits(spec, thr, grid, R, stream, workers, strides=(1,)):
     """``(counts, diagnostics)``: hit counts (len(thr), len(strides)) on shared, lazily drawn paths."""
-    parts, diagnostics = _exceed_blocks(
-        spec, thr, grid, R, stream, workers, lambda exceed: _stride_hits(exceed, strides)
-    )
-    return sum(parts), diagnostics
+    return _exceed_blocks(spec, thr, grid, R, stream, workers, lambda exceed: _stride_hits(exceed, strides))
 
 
 def estimate_conjunction_prob(
@@ -296,8 +324,7 @@ def estimate_double_event(
         ]
         return np.asarray([single] + joint, dtype=np.int64)
 
-    parts, diagnostics = _exceed_blocks(spec, thr, grid, R, stream, workers, reduce)
-    counts = sum(parts)
+    counts, diagnostics = _exceed_blocks(spec, thr, grid, R, stream, workers, reduce)
     single = _prob_from_hits(int(counts[0]), R, step, diagnostics)
     joint = tuple(_prob_from_hits(int(c), R, step, diagnostics) for c in counts[1:])
     return DoubleEventResult(tuple(offsets), joint, single)

@@ -27,7 +27,7 @@ from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedM
 from .orthants import ewv_batch
 from .parallel import mean_and_se, replicate, require_ladder, require_stream
 from .rng import RngStream
-from .sampling import FgnSampler
+from .sampling import FgnSampler, _chunk_rows
 
 __all__ = [
     "DriftSpec",
@@ -190,9 +190,12 @@ def estimate_window_constant(
     where that matters -- except for a single Brownian coordinate (kappa = 1)
     with segmentwise-linear drift, where exact bridge maxima remove the
     discretization bias entirely.  The degenerate window [0, 0] is exactly 1.
-    Each replication block fills one (R_b, m) plane per coordinate in place
-    and hands the orthant volume a view of them.  ``diagnostics`` records
-    the increment sampler's ``method`` and ``size`` and the block count.
+    Each replication block streams its paths in chunks of rows: a chunk
+    fills one (rows, m) plane per coordinate in place and hands the orthant
+    volume (or the bridge maxima) a view of them, and the block joins the
+    chunks' values in row order, so the estimate is that of whole blocks.
+    ``diagnostics`` records the increment sampler's ``method``, ``size``,
+    ``clamped`` and ``factor`` and the block count.
     """
     C = _check_amplitudes(C)
     if not 0 < kappa <= 2:
@@ -233,24 +236,32 @@ def estimate_window_constant(
     drift_is_zero = all(v == 0.0 for v in drift.d_lower + drift.d_upper)
     exact_bridge = C.size == 1 and kappa == 1.0 and m > 1 and (drift.exponent == 1.0 or drift_is_zero)
 
+    chunk = _chunk_rows(C.size * m)
+
     def run_block(Rb, block):
-        # one (Rb, m) plane per coordinate, each filled and drifted in place
-        paths = np.empty((C.size, Rb, m))
-        for i, path in enumerate(paths):
-            sampler.path(Rb, block("coord", i).generator(), out=path)
-            if j1 > 0:
-                # anchor the two-sided path at the j1-th node (time 0)
-                path -= path[:, j1, None].copy()
-            path *= sqrt2C[i]
-            path -= trend[:, i]
-        if exact_bridge:
-            xi = paths[0]
-            gen_u = block("bridge").generator()
-            log_u = np.log1p(-gen_u.random(size=(Rb, m - 1)))
-            a, bb = xi[:, :-1], xi[:, 1:]
-            seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
-            return np.exp(seg_max.max(axis=1))
-        return ewv_batch(np.moveaxis(paths, 0, 2))
+        takes = [sampler.path_chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
+        gen_u = block("bridge").generator() if exact_bridge else None
+        values = []
+        planes = np.empty((C.size, min(chunk, Rb), m))
+        for r0 in range(0, Rb, chunk):
+            # one (rows, m) plane per coordinate, each filled and drifted in place
+            paths = planes[:, : min(chunk, Rb - r0)]
+            for i, path in enumerate(paths):
+                takes[i](out=path)
+                if j1 > 0:
+                    # anchor the two-sided path at the j1-th node (time 0)
+                    path -= path[:, j1, None].copy()
+                path *= sqrt2C[i]
+                path -= trend[:, i]
+            if exact_bridge:
+                xi = paths[0]
+                log_u = np.log1p(-gen_u.random(size=(xi.shape[0], m - 1)))
+                a, bb = xi[:, :-1], xi[:, 1:]
+                seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
+                values.append(np.exp(seg_max.max(axis=1)))
+            else:
+                values.append(ewv_batch(np.moveaxis(paths, 0, 2)))
+        return np.concatenate(values)
 
     parts = replicate(R, stream, workers, run_block)
     value, se = mean_and_se(parts)
@@ -261,7 +272,13 @@ def estimate_window_constant(
         step,
         R,
         "window",
-        diagnostics={"sampler_method": sampler.method, "sampler_size": sampler.size, "blocks": len(parts)},
+        diagnostics={
+            "sampler_method": sampler.method,
+            "sampler_size": sampler.size,
+            "sampler_clamped": sampler.clamped,
+            "sampler_factor": sampler.factor,
+            "blocks": len(parts),
+        },
     )
 
 
@@ -428,10 +445,11 @@ def estimate_discrete_zero(
     unit-mean exponential tilts independent per coordinate; the final value
     linearly extrapolates the last two rungs to u = 0.  The horizon must
     push the drift to at least 40 for some coordinate so that truncation
-    error is far below Monte Carlo noise.  Each replication block draws
-    every coordinate's path from B(0) = 0 into one reused (R_b, K + 1)
-    plane, scales, drifts and tilts it in place, and folds its K lattice
-    nodes into the running minimum.
+    error is far below Monte Carlo noise.  Each replication block streams
+    its paths in chunks of rows: per chunk it draws every coordinate's path
+    from B(0) = 0 into one reused (rows, K + 1) plane, scales, drifts and
+    tilts it in place, and folds its K lattice nodes into the chunk's
+    running minimum.
     """
     require_stream(stream)
     C = _check_amplitudes(C)
@@ -456,16 +474,26 @@ def estimate_discrete_zero(
         trend = t[:, None] ** kappa * (C**2)[None, :]
         sampler = FgnSampler(kappa, u, K)
 
+        chunk = _chunk_rows(2 * K + 1)
+
         def run_block(Rb, block):
-            mins = np.full((Rb, K), np.inf)
-            path = np.empty((Rb, K + 1))
-            for i in range(C.size):
-                nodes = sampler.path(Rb, block("coord", i).generator(), out=path)[:, 1:]
-                nodes *= sqrt2C[i]
-                nodes -= trend[:, i]
-                nodes += block("tilt", i).generator().exponential(size=Rb)[:, None]
-                np.minimum(mins, nodes, out=mins)
-            return int((mins.max(axis=1) <= 0.0).sum())
+            takes = [sampler.path_chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
+            tilts = [block("tilt", i).generator() for i in range(C.size)]
+            hits = 0
+            low = np.empty((min(chunk, Rb), K))
+            plane = np.empty((min(chunk, Rb), K + 1))
+            for r0 in range(0, Rb, chunk):
+                rows = min(chunk, Rb - r0)
+                mins, path = low[:rows], plane[:rows]
+                mins.fill(np.inf)
+                for i in range(C.size):
+                    nodes = takes[i](out=path)[:, 1:]
+                    nodes *= sqrt2C[i]
+                    nodes -= trend[:, i]
+                    nodes += tilts[i].exponential(size=rows)[:, None]
+                    np.minimum(mins, nodes, out=mins)
+                hits += int((mins.max(axis=1) <= 0.0).sum())
+            return hits
 
         hits = sum(replicate(R, stream.child("rung", r), workers, run_block))
         p = hits / R

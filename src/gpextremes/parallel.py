@@ -21,6 +21,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -137,6 +138,10 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     list: :func:`mean_and_se` for per-replication values, a sum for counts.
     """
     require_stream(stream)
+    try:
+        R = operator.index(R)
+    except TypeError as exc:
+        raise DomainError(f"R must be an integer, got {R!r}") from exc
     if R < MIN_REPLICATIONS:
         raise DomainError(f"R must be >= {MIN_REPLICATIONS}")
     sizes = block_sizes(R)

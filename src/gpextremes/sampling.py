@@ -13,8 +13,8 @@ sampler is built and recorded as its ``method``:
   half spectrum of each row with complex normals scaled by the eigenvalues
   and transforms it back with one real inverse FFT.
 * ``"dense"``: the lower Cholesky factor L of the m x m Toeplitz
-  covariance (a clipped symmetric square root if Cholesky fails); a draw
-  is ``standard_normal((R, m)) @ L.T``.
+  covariance, factored in place (a clipped symmetric square root if
+  Cholesky fails); a draw is ``standard_normal((R, m)) @ L.T``.
 
 The embedding is always computed first, at the least power-of-two size
 that holds the sequence.  Eigenvalues slightly below zero (>= -1e-8 of the
@@ -34,41 +34,46 @@ spans goes dense, while fractional Gaussian noise, whose least embedding is
 nonnegative definite, stays circulant.
 
 Fractional Brownian motion is the prefix sum of fractional Gaussian noise,
-exact in distribution; :meth:`FgnSampler.path` is the one place that forms
-it, in place from B(0) = 0.  :func:`coordinate_samplers` builds the samplers
+exact in distribution; :meth:`FgnSampler.path_chunks` is the one place that
+forms it, in place from B(0) = 0.  :func:`coordinate_samplers` builds the samplers
 of every coordinate of a vector process once, so an estimator can draw every
 replication block with them.  A dense symmetric-square-root sampler serves
 as the independent oracle for cross-validation.
 
-Every draw takes an optional ``out``: the sampler methods, the circulant
-and dense kernels and the ``draw`` closures of :func:`coordinate_samplers`
-write their rows into it and return it.  ``out`` may be any writable
-strided view, such as one coordinate plane ``values[:, i, :]`` of a larger
-block.  A draw into ``out`` consumes the same normals in the same order as
-one without, so the two agree bit for bit and leave the generator in the
-same state.  Normals are drawn, and the AR(1) recursion runs, in row chunks
-of at most ``_CHUNK_ELEMENTS`` entries (8 MB) that continue one stream.  The
-circulant draw builds and transforms its spectrum in smaller row chunks, of
-at most ``_SPECTRUM_ELEMENTS`` embedding entries (64 rows at size 1024, a
-0.5 MB complex half spectrum).  So beside ``out`` a draw holds only
-chunk-sized temporaries, and a chunk is released before the next is drawn.
-Every row of a circulant draw is the same whatever its chunk, but a dense
-product of another row count may round differently, so the normal-row chunk
-stays at ``_CHUNK_ELEMENTS``.  Only an fBm coordinate on a grid that starts
-after the origin builds its longer path from B(0) = 0 whole and copies the
-tail into ``out``.
+Every draw streams its R rows as consecutive chunks.  Each draw method is
+one kernel, and every sampler and every draw of :func:`coordinate_samplers`
+has a ``chunks(R, gen, chunk)`` that returns its cursor: a function
+``take(pick=slice(None), out=None)`` whose k-th call draws the k-th chunk of
+at most ``chunk`` rows and returns the rows of it that ``pick`` names, every
+row (``slice(None)``), a sorted array of distinct row indices within the
+chunk, or none (an empty array).  The rows go into ``out`` when given,
+which may be any writable strided view, such as one coordinate plane
+``values[:, i, :]`` of a larger block.  Every chunk is drawn whatever it
+picks, so once all chunks are taken the generator is in the state the full
+draw leaves.  So a caller that decides per chunk which rows it needs, such
+as the lazy conjunction scan, gets exactly the rows of the full draw.
 
-Every draw also takes an optional ``rows``, a sorted array of distinct row
-indices of the R-row draw.  A restricted draw consumes the generator
-exactly as the full R-row draw does, so it ends in the same state, and it
-writes only the selected rows, in order, into ``out`` of shape
-``(len(rows), count)``.  The dense draw multiplies only the selected rows
-of each normal chunk and the circulant draw transforms only the selected
-spectrum rows; the direct draws select their rows before the row-wise
-scaling or recursion.  So every restricted row equals the full draw's row
-bit for bit, except that a dense product may round its last bits
-differently (BLAS blocks a different row count differently).  A ``rows``
-that selects all R rows is the full draw.
+The full draws (``FgnSampler.increments`` and ``path``,
+``StationarySampler.sample`` and every coordinate draw called as
+``draw(R, gen, out=None)``) are a loop over those chunks.  One rule sizes
+every chunk: its float working set is at most ``_CHUNK_ELEMENTS`` entries
+(4 MB), so a full draw takes ``_CHUNK_ELEMENTS // count`` rows per chunk and
+a replication block that holds n planes per row takes ``_CHUNK_ELEMENTS //
+(n * count)``, into buffers it allocates once and reuses for every chunk
+(allocated per chunk, a 4 MB array went back to the system and was
+faulted in again each time: 7x the page faults of whole-plane blocks on a
+two-coordinate window constant).  The circulant draw builds and
+transforms its spectrum in smaller sub-chunks of at most
+``_SPECTRUM_ELEMENTS`` embedding entries (64 rows at size 1024, a 0.5 MB
+complex half spectrum).  Every row of a
+direct or a circulant draw is the same bits whatever its chunk and pick.  A
+dense product of another row count may round its last bits differently
+(BLAS blocks a different row count differently), so a dense row is the
+same bits only at the same chunk rows and picks.
+
+Every planned sampler records its numerical fallbacks: ``clamped``, the
+count of embedding eigenvalues clamped to zero, and ``factor``, "cholesky"
+or "eigh" for a dense draw and None otherwise.
 """
 from __future__ import annotations
 
@@ -78,6 +83,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
 from .parallel import _one_blas_thread
@@ -150,56 +156,88 @@ class PathBatch:
             raise DomainError(f"values shape {self.values.shape} != {expected}")
 
 
+# -- row chunks ----------------------------------------------------------------
+
+# Float entries of the working set of one chunk of rows (4 MB).
+_CHUNK_ELEMENTS = 2**19
+# Embedding entries per sub-chunk of rows in _circulant_draw: 64 rows at size
+# 1024, whose half spectrum, normals and transform hold 0.5 MB each, so a
+# sub-chunk stays within a per-core L2 cache.
+_SPECTRUM_ELEMENTS = 2**16
+
+
+def _chunk_rows(width):
+    """Rows per chunk when each row holds ``width`` floats of the working set."""
+    return max(1, _CHUNK_ELEMENTS // max(width, 1))
+
+
+def _rows_out(out, k, pick, count):
+    """``out``, or a new ``(rows, count)`` array for the rows ``pick`` names among ``k``."""
+    if out is None:
+        out = np.empty((k if isinstance(pick, slice) else len(pick), count))
+    return out
+
+
+def _cursor(R, chunk, fill):
+    """The cursor ``take(pick=slice(None), out=None)`` over R rows in chunks of at most ``chunk``.
+
+    The k-th call draws the k-th chunk ``r0:r1`` as ``fill(r0, r1, pick, out)``.
+    """
+    starts = iter(range(0, R, chunk))
+
+    def take(pick=slice(None), out=None):
+        r0 = next(starts)
+        return fill(r0, min(R, r0 + chunk), pick, out)
+
+    return take
+
+
+def _normal_chunks(R, m, gen, chunk, write):
+    """The cursor whose chunk ``r0:r1`` is ``write(z, out)``, z the picked rows of its normals.
+
+    Chunk ``r0:r1`` draws ``standard_normal((r1 - r0, m))``.  The chunks
+    continue one stream, so they are the rows of a single (R, m) call
+    whatever the chunking.
+    """
+    return _cursor(R, chunk, lambda r0, r1, pick, out: write(gen.standard_normal((r1 - r0, m))[pick], out))
+
+
+def _scaling(c):
+    """``write(z, out)`` for :func:`_normal_chunks`: ``c * z``, in place in z unless ``out`` is given."""
+    return lambda z, out: np.multiply(c, z, out=z if out is None else out)
+
+
+def _full_draw(chunks, R, gen, count, out=None):
+    """All R rows of the draw whose cursor is ``chunks(R, gen, chunk)``, into ``out`` when given."""
+    out = np.empty((R, count)) if out is None else out
+    chunk = _chunk_rows(count)
+    take = chunks(R, gen, chunk)
+    for r0 in range(0, R, chunk):
+        take(out=out[r0 : r0 + chunk])
+    return out
+
+
 # -- circulant embedding and dense factor --------------------------------------
 
 _CLAMP_REL = 1e-8
 _MAX_DOUBLINGS = 3
-# Entries drawn per chunk of rows in _normal_rows (8 MB).
-_CHUNK_ELEMENTS = 2**20
-# Embedding entries per chunk of rows in _circulant_draw: 64 rows at size 1024,
-# whose half spectrum, normals and transform hold 0.5 MB each, so a chunk stays
-# within a per-core L2 cache.
-_SPECTRUM_ELEMENTS = 2**16
 # Largest node count drawn by a dense factor: 2049^2 doubles are 32 MB.
 _DENSE_MAX_NODES = 2049
-
-
-def _rows_out(out, R, rows, count):
-    """``out``, or a new array for the draw's rows: ``(R, count)``, or ``(len(rows), count)``."""
-    if out is None:
-        out = np.empty((R if rows is None else len(rows), count))
-    return out
-
-
-def _row_chunks(R, step, rows):
-    """``(r0, r1, dest, pick)`` for the consecutive chunks of at most ``step`` of R rows.
-
-    ``dest`` slices the output rows that chunk ``r0:r1`` fills and ``pick``
-    indexes them within the chunk: every row (``slice(None)``) when ``rows``
-    is None or selects all R, otherwise the chunk's entries of ``rows``.
-    """
-    if rows is not None and len(rows) == R:
-        rows = None
-    for r0 in range(0, R, step):
-        r1 = min(R, r0 + step)
-        if rows is None:
-            yield r0, r1, slice(r0, r1), slice(None)
-        else:
-            i0, i1 = np.searchsorted(rows, (r0, r1))
-            yield r0, r1, slice(i0, i1), rows[i0:i1] - r0
+# Width of the diagonal blocks of the in-place Cholesky factorization.
+_FACTOR_BLOCK = 128
 
 
 def _embedding_eigenvalues(cov_of_lag, m, doublings=_MAX_DOUBLINGS):
-    """``(eigenvalues, size)`` of the circulant extension of a length-m covariance sequence.
+    """``(eigenvalues, size, clamped)`` of the circulant extension of a length-m covariance sequence.
 
     ``cov_of_lag`` maps an integer lag array to covariances.  Starts at the
     least power of two >= 2 (m - 1) and doubles the padding, at most
     ``doublings`` times, until all eigenvalues clear -1e-8 of the maximum;
-    tiny negatives are clamped to zero.  Raises :class:`EmbeddingError` when
-    that does not suffice.
+    the ``clamped`` tiny negatives are set to zero.  Raises
+    :class:`EmbeddingError` when that does not suffice.
     """
     if m == 1:
-        return np.asarray([float(cov_of_lag(np.zeros(1, dtype=int))[0])]), 1
+        return np.asarray([float(cov_of_lag(np.zeros(1, dtype=int))[0])]), 1, 0
     size = 1
     while size < 2 * (m - 1):
         size *= 2
@@ -217,7 +255,7 @@ def _embedding_eigenvalues(cov_of_lag, m, doublings=_MAX_DOUBLINGS):
                     n_neg,
                     eigs.min(),
                 )
-            return np.clip(eigs, 0.0, None), size
+            return np.clip(eigs, 0.0, None), size, n_neg
         size *= 2
     raise EmbeddingError(
         f"circulant eigenvalues of {m} nodes below {-_CLAMP_REL:.0e} of max after "
@@ -238,116 +276,161 @@ def _mode_scale(eigs, size):
     return np.sqrt(eigs[: half + 1] * weight)
 
 
-def _circulant_draw(scale, size, count, R, gen, out=None, rows=None):
-    """R stationary Gaussian rows of length count with the embedded covariance.
+def _circulant_draw(scale, size, count, R, gen, chunk):
+    """The cursor of R stationary Gaussian rows of length count with the embedded covariance.
 
-    Fills the half spectrum ``(R, size/2 + 1)`` and transforms it with a
-    real inverse FFT, one chunk of at most ``_SPECTRUM_ELEMENTS`` embedding
-    entries at a time so the working set stays within about 2 MB.  Draw
-    order is fixed: the normals of mode 0 for all rows, then of mode size/2, then the
-    ``(R, 2, size/2 - 1)`` real and imaginary parts of the paired modes in
-    row order, so a given generator state always produces the same batch
+    Each row's half spectrum ``size/2 + 1`` is filled and transformed with a
+    real inverse FFT, in sub-chunks of at most ``_SPECTRUM_ELEMENTS``
+    embedding entries within each chunk, so the working set stays within
+    about 2 MB.  Draw order is fixed: the normals of mode 0 for all R rows,
+    then of mode size/2, both when the cursor is made, then the
+    ``(rows, 2, size/2 - 1)`` real and imaginary parts of the paired modes
+    in row order, so a given generator state always produces the same rows
     whatever the chunking.  The paired modes enter conjugated, because the
     real part of the forward FFT of a Hermitian spectrum w is
-    ``size * irfft(conj(w[:size/2 + 1]))``.  The rows go into ``out``, an
-    ``(R, count)`` array or view, when given.  With ``rows`` every normal is
-    still drawn, but only the selected spectrum rows are built and
-    transformed.
+    ``size * irfft(conj(w[:size/2 + 1]))``.  Every normal is drawn, but only
+    the picked spectrum rows are built and transformed.
     """
-    out = _rows_out(out, R, rows, count)
     if size == 1:
-        z = gen.standard_normal((R, 1))
-        np.multiply(scale[0], z if rows is None else z[rows], out=out)
-        return out
+        return _normal_chunks(R, 1, gen, chunk, _scaling(scale[0]))
     half = size // 2
     first = scale[0] * gen.standard_normal(R)
     last = scale[half] * gen.standard_normal(R)
     paired = scale[1:half]
-    for r0, r1, dest, pick in _row_chunks(R, max(1, _SPECTRUM_ELEMENTS // size), rows):
-        spectrum = np.empty((dest.stop - dest.start, half + 1), dtype=complex)
-        uv = gen.standard_normal((r1 - r0, 2, half - 1))[pick]
-        spectrum[:, 0] = first[r0:r1][pick]
-        spectrum[:, half] = last[r0:r1][pick]
-        np.multiply(uv[:, 0], paired, out=spectrum.real[:, 1:half])
-        np.multiply(uv[:, 1], -paired, out=spectrum.imag[:, 1:half])
-        del uv  # freed before the transform allocates its output
-        out[dest] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
-    return out
+    sub = max(1, _SPECTRUM_ELEMENTS // size)
+
+    def fill(r0, r1, pick, out):
+        picked = np.arange(r0, r1)[pick]
+        out = _rows_out(out, r1 - r0, pick, count)
+        for s0 in range(r0, r1, sub):
+            s1 = min(r1, s0 + sub)
+            uv = gen.standard_normal((s1 - s0, 2, half - 1))
+            i0, i1 = np.searchsorted(picked, (s0, s1))
+            if i0 == i1:
+                continue
+            rows = picked[i0:i1]
+            if i1 - i0 < s1 - s0:
+                uv = uv[rows - s0]
+            spectrum = np.empty((i1 - i0, half + 1), dtype=complex)
+            spectrum[:, 0] = first[rows]
+            spectrum[:, half] = last[rows]
+            np.multiply(uv[:, 0], paired, out=spectrum.real[:, 1:half])
+            np.multiply(uv[:, 1], -paired, out=spectrum.imag[:, 1:half])
+            del uv  # freed before the transform allocates its output
+            out[i0:i1] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
+        return out
+
+    return _cursor(R, chunk, fill)
+
+
+def _toeplitz(cov_of_lag, m):
+    """The m x m Toeplitz covariance ``row[|j - k|]``, in one m x m allocation."""
+    row = np.asarray(cov_of_lag(np.arange(m)), dtype=float)
+    return sliding_window_view(np.concatenate((row[:0:-1], row)), m)[::-1].copy()
+
+
+def _cholesky_in_place(a):
+    """Overwrite the symmetric matrix ``a`` with its lower Cholesky factor.
+
+    Left-looking and blocked: each block column of ``_FACTOR_BLOCK`` columns
+    is updated by one product with the finished columns to its left, its
+    diagonal block is factored by ``np.linalg.cholesky`` and the panel below
+    is solved against that block.  Beside ``a`` it holds one block column.
+    Raises ``LinAlgError`` where a diagonal block is not positive definite,
+    leaving ``a`` partly overwritten.
+    """
+    m = a.shape[0]
+    for j0 in range(0, m, _FACTOR_BLOCK):
+        j1 = min(m, j0 + _FACTOR_BLOCK)
+        if j0:
+            a[j0:, j0:j1] -= a[j0:, :j0] @ a[j0:j1, :j0].T
+            a[:j0, j0:j1] = 0.0
+        diag = np.linalg.cholesky(a[j0:j1, j0:j1])
+        a[j0:j1, j0:j1] = diag
+        if j1 < m:
+            a[j1:, j0:j1] = np.linalg.solve(diag, a[j1:, j0:j1].T).T
 
 
 def _dense_factor(cov_of_lag, m):
-    """A factor L with ``L @ L.T`` the m x m Toeplitz covariance ``row[|j - k|]``.
+    """``(L, kind)``: L with ``L @ L.T`` the m x m Toeplitz covariance ``row[|j - k|]``.
 
-    The lower Cholesky factor; where rounding leaves the matrix numerically
-    indefinite, the symmetric square root with its negative eigenvalues
-    clipped to zero, as :func:`sample_cholesky_oracle` factorizes.  Either
-    runs on one BLAS thread: the factor's last bits depend on the count.
+    ``kind`` = "cholesky": L is the lower Cholesky factor, computed in
+    place in the matrix.  Where rounding leaves the matrix numerically
+    indefinite, the matrix is built again and ``kind`` = "eigh": L is the
+    symmetric square root with its negative eigenvalues clipped to zero, as
+    :func:`sample_cholesky_oracle` factorizes.  Either runs on one BLAS
+    thread: the factor's last bits depend on the count.
     """
-    row = np.asarray(cov_of_lag(np.arange(m)), dtype=float)
-    nodes = np.arange(m)
-    cov = row[np.abs(nodes[:, None] - nodes[None, :])]
     with _one_blas_thread():
+        a = _toeplitz(cov_of_lag, m)
         try:
-            return np.linalg.cholesky(cov)
+            _cholesky_in_place(a)
+            return a, "cholesky"
         except np.linalg.LinAlgError:
-            eigval, eigvec = np.linalg.eigh(cov)
-            return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+            pass  # a is partly overwritten; once the traceback that holds it is gone, it is freed
+        del a
+        eigval, eigvec = np.linalg.eigh(_toeplitz(cov_of_lag, m))
+        eigvec *= np.sqrt(np.clip(eigval, 0.0, None))
+        return eigvec, "eigh"
 
 
-def _normal_rows(R, m, gen, rows, fill):
-    """Call ``fill(dest, z)`` per chunk: a slice of the output rows and their ``standard_normal`` draws.
-
-    Each chunk draws at most ``_CHUNK_ELEMENTS`` entries.  The chunks
-    continue one stream, so they are the rows of a single (R, m) call
-    whatever the chunking.  With ``rows``, z keeps the chunk's selected rows
-    and ``dest`` slices the ``len(rows)`` output rows; every chunk is still
-    drawn, and one without a selected row is not passed on.
-    """
-    for r0, r1, dest, pick in _row_chunks(R, max(1, _CHUNK_ELEMENTS // max(m, 1)), rows):
-        z = gen.standard_normal((r1 - r0, m))[pick]
-        if len(z):
-            fill(dest, z)
-        del z  # freed before the next chunk is drawn
-
-
-def _dense_draw(factor, R, gen, out=None, rows=None):
-    """R rows ``standard_normal((R, m)) @ factor.T``, into ``out`` when given.
-
-    With ``rows`` only the selected rows of each normal chunk are multiplied.
-    """
-    m = factor.shape[0]
-    out = _rows_out(out, R, rows, m)
-    _normal_rows(R, m, gen, rows, lambda dest, z: np.matmul(z, factor.T, out=out[dest]))
-    return out
+def _dense_draw(factor, R, gen, chunk):
+    """The cursor of R rows ``standard_normal((R, m)) @ factor.T``; only picked rows are multiplied."""
+    return _normal_chunks(R, factor.shape[0], gen, chunk, lambda z, out: np.matmul(z, factor.T, out=out))
 
 
 def _plan_draw(cov_of_lag, m):
-    """``(method, size, factor)`` of the draw of a length-m stationary sequence.
+    """``(method, size, kernel, clamped, factor)`` of the draw of a length-m stationary sequence.
 
-    Circulant (``factor`` the mode scale, ``size`` the embedding size) when
-    the embedding is feasible: at its least size up to ``_DENSE_MAX_NODES``
-    nodes, after at most three padding doublings beyond.  Otherwise dense
-    (``factor`` the Toeplitz factor, ``size`` = m) up to the cap, and
-    :class:`EmbeddingError` beyond it.
+    Circulant (``kernel`` the mode scale, ``size`` the embedding size and
+    ``clamped`` its clamped eigenvalues) when the embedding is feasible: at
+    its least size up to ``_DENSE_MAX_NODES`` nodes, after at most three
+    padding doublings beyond.  Otherwise dense (``kernel`` the Toeplitz
+    factor, ``size`` = m, ``factor`` its kind from :func:`_dense_factor`)
+    up to the cap, and :class:`EmbeddingError` beyond it.
     """
     dense_ok = m <= _DENSE_MAX_NODES
     try:
-        eigs, size = _embedding_eigenvalues(cov_of_lag, m, 0 if dense_ok else _MAX_DOUBLINGS)
+        eigs, size, clamped = _embedding_eigenvalues(cov_of_lag, m, 0 if dense_ok else _MAX_DOUBLINGS)
     except EmbeddingError:
         if not dense_ok:
             raise
-        return "dense", m, _dense_factor(cov_of_lag, m)
-    return "circulant", size, _mode_scale(eigs, size)
+        factor, kind = _dense_factor(cov_of_lag, m)
+        return "dense", m, factor, 0, kind
+    return "circulant", size, _mode_scale(eigs, size), clamped, None
 
 
-def _planned_draw(sampler, R, gen, out, rows):
-    """R rows, or the selected ``rows``, from a sampler whose ``method`` is circulant or dense."""
-    if sampler.method == "circulant":
-        return _circulant_draw(sampler._factor, sampler.size, sampler.count, R, gen, out, rows)
-    return _dense_draw(sampler._factor, R, gen, out, rows)
+def _check_grid(step, count):
+    """Reject a non-finite or non-positive ``step`` and a negative ``count`` with :class:`DomainError`."""
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"step must be finite and positive, got {step}")
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
 
 
-class FgnSampler:
+class _Planned:
+    """The draw plan that :class:`FgnSampler` and :class:`StationarySampler` share.
+
+    ``method`` and ``size`` name the draw; ``clamped`` counts the embedding
+    eigenvalues clamped to zero and ``factor`` is the dense factor's kind
+    ("cholesky" or "eigh"), None unless dense.  ``_factor`` is the circulant
+    mode scale or the dense factor.
+    """
+
+    def _plan(self, cov_of_lag):
+        """Plan a direct draw (``cov_of_lag`` None) or the one :func:`_plan_draw` picks."""
+        if cov_of_lag is None:
+            self.method, self.size, self._factor, self.clamped, self.factor = "direct", self.count, None, 0, None
+        else:
+            self.method, self.size, self._factor, self.clamped, self.factor = _plan_draw(cov_of_lag, self.count)
+
+    def _planned_chunks(self, R, gen, chunk):
+        if self.method == "circulant":
+            return _circulant_draw(self._factor, self.size, self.count, R, gen, chunk)
+        return _dense_draw(self._factor, R, gen, chunk)
+
+
+class FgnSampler(_Planned):
     """Batch sampler for fractional Gaussian noise increments on a fixed grid.
 
     kappa = 1 increments are independent and kappa = 2 increments are one
@@ -361,11 +444,12 @@ class FgnSampler:
     def __init__(self, kappa, step, count):
         if not 0 < kappa <= 2:
             raise DomainError(f"kappa={kappa} outside (0, 2]")
+        _check_grid(step, count)
         self.kappa = float(kappa)
         self.step = float(step)
         self.count = int(count)
         if self.kappa in (1.0, 2.0) or self.count == 0:
-            self.method, self.size, self._factor = "direct", self.count, None
+            self._plan(None)
             return
         scale = self.step**self.kappa
 
@@ -373,111 +457,137 @@ class FgnSampler:
             k = np.abs(lags).astype(float)
             return 0.5 * scale * ((k + 1) ** kappa - 2 * k**kappa + np.abs(k - 1) ** kappa)
 
-        self.method, self.size, self._factor = _plan_draw(cov, self.count)
+        self._plan(cov)
 
-    def increments(self, R, gen, out=None, rows=None) -> np.ndarray:
-        """``(R, count)`` increments, written into ``out`` and returned when given.
-
-        With ``rows`` only those rows of the R-row draw, ``(len(rows), count)``.
-        """
+    def increment_chunks(self, R, gen, chunk):
+        """The cursor of the ``(R, count)`` increments."""
         if self.method != "direct":
-            return _planned_draw(self, R, gen, out, rows)
-        out = _rows_out(out, R, rows, self.count)
-        if self.kappa == 1.0:
-            root = np.sqrt(self.step)
-            _normal_rows(R, self.count, gen, rows, lambda dest, z: np.multiply(root, z, out=out[dest]))
-        else:
-            xi = self.step * gen.standard_normal(R)
-            out[:] = (xi if rows is None else xi[rows])[:, None]
-        return out
+            return self._planned_chunks(R, gen, chunk)
+        if self.kappa == 2.0:
 
-    def path(self, R, gen, out=None, rows=None) -> np.ndarray:
-        """``(R, count + 1)`` fractional Brownian paths from B(0) = 0, into ``out`` when given.
+            def fill(r0, r1, pick, out):
+                xi = self.step * gen.standard_normal(r1 - r0)[pick]
+                out = _rows_out(out, r1 - r0, pick, self.count)
+                out[:] = xi[:, None]
+                return out
 
-        The :meth:`increments` are drawn into ``out[:, 1:]`` and prefix-summed
-        in place.  With ``count`` = 0 the path is the one node B(0) = 0.
-        With ``rows`` only those rows of the R-row draw.
+            return _cursor(R, chunk, fill)
+        return _normal_chunks(R, self.count, gen, chunk, _scaling(np.sqrt(self.step)))
+
+    def path_chunks(self, R, gen, chunk):
+        """The cursor of the ``(R, count + 1)`` fractional Brownian paths from B(0) = 0.
+
+        Each chunk's increments are drawn into ``out[:, 1:]`` and
+        prefix-summed in place.  With ``count`` = 0 the path is the one node
+        B(0) = 0.
         """
-        out = _rows_out(out, R, rows, self.count + 1)
-        out[:, 0] = 0.0
-        if self.count:
-            steps = self.increments(R, gen, out=out[:, 1:], rows=rows)
-            np.cumsum(steps, axis=1, out=steps)
-        return out
+        steps = self.increment_chunks(R, gen, chunk)
+
+        def fill(r0, r1, pick, out):
+            out = _rows_out(out, r1 - r0, pick, self.count + 1)
+            out[:, 0] = 0.0
+            increments = steps(pick, out[:, 1:])
+            np.cumsum(increments, axis=1, out=increments)
+            return out
+
+        return _cursor(R, chunk, fill)
+
+    def increments(self, R, gen, out=None) -> np.ndarray:
+        """``(R, count)`` increments, written into ``out`` and returned when given."""
+        return _full_draw(self.increment_chunks, R, gen, self.count, out)
+
+    def path(self, R, gen, out=None) -> np.ndarray:
+        """``(R, count + 1)`` fractional Brownian paths from B(0) = 0, into ``out`` when given."""
+        return _full_draw(self.path_chunks, R, gen, self.count + 1, out)
 
 
-class StationarySampler:
+class StationarySampler(_Planned):
     """Batch sampler for the unit-variance exponential-correlation family.
 
     kappa = 1 uses the exact AR(1) recursion (the correlation is Markov),
     which on a single node is one normal, whatever kappa; other exponents
     use the circulant or the dense draw that :func:`_plan_draw` picks,
-    recorded in ``method`` and ``size`` as for :class:`FgnSampler`.
+    recorded in ``method`` and ``size`` as for :class:`FgnSampler`.  The
+    sampler is itself the draw of a stationary coordinate.
     """
 
     def __init__(self, a, kappa, step, count):
-        if not a > 0:
-            raise DomainError(f"a={a} must be positive")
+        if not (math.isfinite(a) and a > 0):
+            raise DomainError(f"a={a} must be finite and positive")
         if not 0 < kappa <= 2:
             raise DomainError(f"kappa={kappa} outside (0, 2]")
+        _check_grid(step, count)
         self.a = float(a)
         self.kappa = float(kappa)
         self.step = float(step)
         self.count = int(count)
         if kappa == 1.0 or count == 1:
-            self.method, self.size, self._factor = "direct", self.count, None
+            self._plan(None)
         else:
 
             def cov(lags):
                 h = np.abs(lags).astype(float) * step
                 return np.exp(-a * h**kappa)
 
-            self.method, self.size, self._factor = _plan_draw(cov, self.count)
+            self._plan(cov)
 
-    def sample(self, R, gen, out=None, rows=None) -> np.ndarray:
-        """``(R, count)`` unit-variance rows, written into ``out`` and returned when given.
-
-        With ``rows`` only those rows of the R-row draw, ``(len(rows), count)``.
-        """
+    def chunks(self, R, gen, chunk):
+        """The cursor of the ``(R, count)`` unit-variance rows."""
         if self.method != "direct":
-            return _planned_draw(self, R, gen, out, rows)
-        out = _rows_out(out, R, rows, self.count)
+            return self._planned_chunks(R, gen, chunk)
         rho = np.exp(-self.a * self.step)
 
-        def recur(dest, xi):
+        def recur(xi, out):
             xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
             for j in range(1, self.count):
                 xi[:, j] += rho * xi[:, j - 1]
-            out[dest] = xi
+            if out is None:
+                return xi
+            out[:] = xi
+            return out
 
-        _normal_rows(R, self.count, gen, rows, recur)
-        return out
+        return _normal_chunks(R, self.count, gen, chunk, recur)
 
-    def __call__(self, R, gen, out=None, rows=None) -> np.ndarray:
+    def sample(self, R, gen, out=None) -> np.ndarray:
+        """``(R, count)`` unit-variance rows, written into ``out`` and returned when given."""
+        return _full_draw(self.chunks, R, gen, self.count, out)
+
+    def __call__(self, R, gen, out=None) -> np.ndarray:
         """:meth:`sample`: the sampler is itself the draw of a stationary coordinate."""
-        return self.sample(R, gen, out, rows)
+        return self.sample(R, gen, out)
 
 
 # -- public sampling operations ----------------------------------------------
 
 
-def _described(draw, samplers):
-    """``draw`` with the ``method`` and ``size`` of the samplers it runs.
+class _Draw:
+    """The draw of one coordinate: ``chunks(R, gen, chunk)`` streams it, and calling it draws all R rows.
 
-    The distinct methods are joined by "+" in order, and ``size`` is the sum
-    of the sizes: the length of each row's draw.
+    Records the samplers it runs: their distinct methods joined by "+" in
+    order, the sum of their sizes (the length of each row's draw), the sum
+    of their clamped eigenvalues and their distinct dense factor kinds
+    joined by "+" (None when there is none).
     """
-    draw.method = "+".join(dict.fromkeys(s.method for s in samplers))
-    draw.size = sum(s.size for s in samplers)
-    return draw
+
+    def __init__(self, chunks, count, samplers):
+        self.chunks = chunks
+        self.count = count
+        self.method = "+".join(dict.fromkeys(s.method for s in samplers))
+        self.size = sum(s.size for s in samplers)
+        self.clamped = sum(s.clamped for s in samplers)
+        self.factor = "+".join(dict.fromkeys(s.factor for s in samplers if s.factor)) or None
+
+    def __call__(self, R, gen, out=None) -> np.ndarray:
+        return _full_draw(self.chunks, R, gen, self.count, out)
 
 
 def _fbm_draw(kappa, grid):
-    """``draw(R, gen, out=None, rows=None)``: fractional Brownian paths with B(0) = 0 on ``grid``.
+    """The draw of fractional Brownian paths with B(0) = 0 on ``grid``.
 
-    The grid origin must be a non-negative multiple j0 of the step.  The
-    path is :meth:`FgnSampler.path` on j0 + count nodes from the origin,
-    written straight into ``out`` when j0 = 0 and sliced at j0 otherwise.
+    The grid origin must be a non-negative multiple j0 of the step.  Each
+    chunk is :meth:`FgnSampler.path_chunks` on j0 + count nodes from the
+    origin, written straight into ``out`` when j0 = 0 and sliced at j0
+    otherwise.
     """
     offset = grid.origin / grid.step
     j0 = int(round(offset))
@@ -488,16 +598,21 @@ def _fbm_draw(kappa, grid):
         )
     sampler = FgnSampler(kappa, grid.step, grid.count + j0 - 1)
 
-    def draw(R, gen, out=None, rows=None):
+    def chunks(R, gen, chunk):
+        take = sampler.path_chunks(R, gen, chunk)
         if j0 == 0:
-            return sampler.path(R, gen, out, rows)
-        path = sampler.path(R, gen, rows=rows)[:, j0:]
-        if out is None:
-            return path
-        out[:] = path
-        return out
+            return take
 
-    return _described(draw, [sampler])
+        def tail(pick=slice(None), out=None):
+            path = take(pick)[:, j0:]
+            if out is None:
+                return path
+            out[:] = path
+            return out
+
+        return tail
+
+    return _Draw(chunks, grid.count, [sampler])
 
 
 def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
@@ -515,7 +630,12 @@ def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
 
 
 def _locally_stationary_draw(coord, grid, horizon, stationary):
-    """``draw(R, gen, out=None, rows=None)`` of the piecewise-frozen scheme, one sampler per block."""
+    """The draw of the piecewise-frozen scheme, one sampler per block.
+
+    Frozen block b draws from its own generator: block 0 from the
+    coordinate's, block b > 0 from a copy of it jumped b times (PCG64
+    ``jumped``), so the blocks stream their chunks side by side.
+    """
     nodes = grid.nodes()
     block_len = horizon / coord.block_count
     idx = np.minimum((nodes / block_len).astype(int), coord.block_count - 1)
@@ -533,36 +653,49 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
             raise UnsupportedModelError(f"a_profile must stay positive, got {a_frozen} in block {b}")
         blocks.append((slice(sel[0], pos), stationary(a_frozen, coord.kappa, sel.size)))
 
-    def draw(R, gen, out=None, rows=None):
-        out = _rows_out(out, R, rows, grid.count)
-        for sel, sampler in blocks:
-            sampler.sample(R, gen, out=out[:, sel], rows=rows)
-        return out
+    def chunks(R, gen, chunk):
+        gens = [gen] + [np.random.Generator(gen.bit_generator.jumped(b)) for b in range(1, len(blocks))]
+        takes = [sampler.chunks(R, g, chunk) for (_, sampler), g in zip(blocks, gens)]
 
-    return _described(draw, [sampler for _, sampler in blocks])
+        def fill(r0, r1, pick, out):
+            out = _rows_out(out, r1 - r0, pick, grid.count)
+            for (sel, _), take in zip(blocks, takes):
+                take(pick, out[:, sel])
+            return out
+
+        return _cursor(R, chunk, fill)
+
+    return _Draw(chunks, grid.count, [sampler for _, sampler in blocks])
 
 
 def _profiled_draw(sampler, sigma):
-    """``draw(R, gen, out=None, rows=None)`` of the sigma profile times a unit-variance path."""
+    """The draw of the sigma profile times a unit-variance path."""
 
-    def draw(R, gen, out=None, rows=None):
-        out = sampler.sample(R, gen, out, rows)
-        out *= sigma
-        return out
+    def chunks(R, gen, chunk):
+        take = sampler.chunks(R, gen, chunk)
 
-    return _described(draw, [sampler])
+        def scaled(pick=slice(None), out=None):
+            out = take(pick, out)
+            out *= sigma
+            return out
+
+        return scaled
+
+    return _Draw(chunks, sampler.count, [sampler])
 
 
 def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
-    """One ``draw(R, gen, out=None, rows=None) -> (R, grid.count)`` per coordinate of ``spec`` on ``grid``.
+    """One draw per coordinate of ``spec`` on ``grid``.
 
+    Each draw streams its rows with ``chunks(R, gen, chunk)`` and, called
+    as ``draw(R, gen, out=None)``, returns all ``(R, grid.count)`` rows.
     Builds every embedding and dense factor once, so an estimator builds
-    these outside its replication blocks and passes them to
-    :func:`sample_vector` in each block.  Coordinates (and frozen blocks)
-    with equal parameters share one sampler; a stationary coordinate's draw
-    is its :class:`StationarySampler`.  Every draw records the ``method``
-    and ``size`` of the samplers it runs.  Requires the grid to lie inside
-    [0, T].
+    these outside its replication blocks and streams every block with them.
+    Coordinates (and frozen blocks) with equal parameters share one
+    sampler; a stationary coordinate's draw is its
+    :class:`StationarySampler`.  Every draw records the ``method``,
+    ``size``, ``clamped`` and ``factor`` of the samplers it runs.  Requires
+    the grid to lie inside [0, T].
     """
     nodes = grid.nodes()
     if nodes[0] < -1e-12 or nodes[-1] > spec.horizon_T * (1 + 1e-12) + 1e-12:

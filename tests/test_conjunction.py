@@ -102,7 +102,8 @@ class TestConjunctionProb:
         assert est.se == pytest.approx(3.0 / 2000)
         assert "rule-of-three" in est.notes
 
-    @pytest.mark.parametrize("R", [0, 999])
+    # a non-integer R used to draw int(R) rows and divide by R
+    @pytest.mark.parametrize("R", [0, 999, 2000.5, "2000"])
     @pytest.mark.parametrize("entry", list(R_ENTRY_POINTS))
     def test_r_precondition(self, entry, R):
         with pytest.raises(DomainError):
@@ -421,6 +422,31 @@ class TestLazyScan:
         rows = triple[0].diagnostics["rows_drawn"]
         assert rows[0] == 2048 and rows[0] > rows[1] > rows[2] > 0
         assert triple[0].diagnostics["sampler_methods"] == ["direct", "dense", "dense"]
+
+    def test_diagnostics_report_the_fallbacks(self):
+        # 33 nodes at step 1/32: a = 20 clamps its embedding, a = 5 goes dense by eigh
+        spec = VectorProcessSpec((Stationary(20.0, 2.0), Stationary(5.0, 2.0)), 1.0)
+        est = estimate_conjunction_prob(spec, [1.0, 1.0], unit_grid(33), 1000, STREAM.child("fallbacks"))
+        assert est.diagnostics["sampler_methods"] == ["circulant", "dense"]
+        assert est.diagnostics["sampler_clamped"] == [19, 0]
+        assert est.diagnostics["sampler_factors"] == [None, "eigh"]
+        (report,) = audit_borell(spec, (4.0,), unit_grid(33), 1000, STREAM.child("fallbacks"))
+        assert report.empirical_at_u.diagnostics["sampler_clamped"] == [19, 0]
+
+    def test_streamed_scan_holds_a_chunk(self, monkeypatch):
+        # the conj-n2 coordinates in chunks of 511 rows: the block's reused plane
+        # of rows, one chunk of normals, the picked copy of them and the masks,
+        # beside the factor L built before tracing
+        spec, grid = ou_spec(n=2, kappa=1.5), unit_grid(1025)
+        samplers = coordinate_samplers(spec, grid)
+        monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: samplers)
+        tracemalloc.start()
+        try:
+            estimate_conjunction_prob(spec, [1.5, 1.5], grid, 2048, STREAM.child("lazy-mem"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (511 * 1025 * 8)
 
     def test_block_peak_is_below_two_and_a_half_planes(self, monkeypatch):
         # one conj-n2-shaped block: two dense kappa = 1.5 coordinates, 2048 rows of 1025 nodes

@@ -289,12 +289,37 @@ class TestInPlaceBlocks:
             tracemalloc.stop()
         assert peak <= 6 * plane
 
+    def test_streamed_block_holds_a_chunk(self):
+        # the same block streams 511-row chunks: the two coordinate planes of a
+        # chunk, the circulant draw's sub-chunks and the staircase's row chunks
+        tracemalloc.start()
+        try:
+            estimate_window_constant(
+                [1.0, 1.0], 1.5, zero_drift(2, 1.5), (0.0, 4.0), grid_step=4.0 / 512, R=2048, stream=STREAM.child("mem")
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (511 * 2 * 513 * 8)
+
     def test_window_diagnostics_report_the_draw(self):
         common = dict(grid_step=1.0 / 128, R=4096, stream=STREAM.child("diag"))
         est = estimate_window_constant([1.0], 1.5, zero_drift(1, 1.5), (0.0, 1.0), **common)
-        assert est.diagnostics == {"sampler_method": "circulant", "sampler_size": 256, "blocks": 2}
+        assert est.diagnostics == {
+            "sampler_method": "circulant",
+            "sampler_size": 256,
+            "sampler_clamped": 0,
+            "sampler_factor": None,
+            "blocks": 2,
+        }
         est = estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 1.0), **common)
-        assert est.diagnostics == {"sampler_method": "direct", "sampler_size": 128, "blocks": 2}
+        assert est.diagnostics == {
+            "sampler_method": "direct",
+            "sampler_size": 128,
+            "sampler_clamped": 0,
+            "sampler_factor": None,
+            "blocks": 2,
+        }
 
 
 def cumsum_discrete_zero(C, kappa, u_ladder, horizon, R, stream):
@@ -393,7 +418,15 @@ class TestPickandsEstimator:
         est = estimate_pickands([1.0], 1.5, (0.5, 1.0, 2.0), R=2048, stream=STREAM.child("pd"))
         draws = est.diagnostics["rung_draws"]
         # default step S/512 puts 512 increments in every rung
-        assert draws == [{"sampler_method": "circulant", "sampler_size": 1024, "blocks": 1}] * 3
+        assert draws == [
+            {
+                "sampler_method": "circulant",
+                "sampler_size": 1024,
+                "sampler_clamped": 0,
+                "sampler_factor": None,
+                "blocks": 1,
+            }
+        ] * 3
 
     def test_ladder_preconditions(self):
         with pytest.raises(DomainError):

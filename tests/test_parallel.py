@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -40,10 +41,13 @@ class TestReplicate:
     def test_worker_count_invariance(self):
         assert replicate(5000, STREAM, 3, record) == replicate(5000, STREAM, 1, record)
 
-    @pytest.mark.parametrize("R", [MIN_REPLICATIONS - 1, 0])
+    @pytest.mark.parametrize("R", [MIN_REPLICATIONS - 1, 0, 2000.5, 2000.0, "2000", None])
     def test_r_precondition(self, R):
         with pytest.raises(DomainError):
             replicate(R, STREAM, 1, record)
+
+    def test_integer_types_are_counts(self):
+        assert replicate(np.int64(5000), STREAM, 1, record) == replicate(5000, STREAM, 1, record)
 
     def test_stream_required(self):
         with pytest.raises(DomainError):
@@ -54,10 +58,11 @@ class TestReplicate:
 def test_worker_pool_holds_blas_to_one_thread():
     get, set_ = parallel._openblas_threads()
     prior = get()
-    factor = sampling._dense_factor(lambda lags: np.exp(-np.abs(lags / 256.0) ** 1.5), 257)
+    factor, _ = sampling._dense_factor(lambda lags: np.exp(-np.abs(lags / 256.0) ** 1.5), 257)
+    dense = functools.partial(sampling._dense_draw, factor)
 
     def draw(b):
-        return get(), sampling._dense_draw(factor, 512, np.random.default_rng(b))
+        return get(), sampling._full_draw(dense, 512, np.random.default_rng(b), 257)
 
     set_(2)
     try:

@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import os
@@ -54,6 +55,16 @@ def full_fft_circulant_draw(eigs, size, count, R, gen):
         w[:, 1:half] = modes
         w[:, half + 1 :] = np.conj(modes[:, ::-1])
     return np.fft.fft(w, axis=1).real[:, :count]
+
+
+def circulant(scale, size, count, R, gen):
+    """The full circulant draw: every chunk of the circulant kernel's cursor."""
+    return sampling._full_draw(functools.partial(sampling._circulant_draw, scale, size, count), R, gen, count)
+
+
+def dense(factor, R, gen):
+    """The full dense draw: every chunk of the dense kernel's cursor."""
+    return sampling._full_draw(functools.partial(sampling._dense_draw, factor), R, gen, factor.shape[0])
 
 
 def cov_matrix(coord, nodes):
@@ -145,21 +156,21 @@ class TestCirculantDraw:
         raw = np.random.default_rng(size).random(size)
         eigs = 0.5 * (raw + raw[-np.arange(size) % size])  # symmetric like an embedding's
         gen_new, gen_old = np.random.default_rng(11), np.random.default_rng(11)
-        new = sampling._circulant_draw(sampling._mode_scale(eigs, size), size, size, 16, gen_new)
+        new = circulant(sampling._mode_scale(eigs, size), size, size, 16, gen_new)
         old = full_fft_circulant_draw(eigs, size, size, 16, gen_old)
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
         assert gen_new.bit_generator.state == gen_old.bit_generator.state
 
     def test_matches_full_fft_draw_on_wide_embedding(self):
         a, kappa, step, count = 1.0, 1.5, 1.0 / 1024, 1025
-        eigs, size = sampling._embedding_eigenvalues(
+        eigs, size, _ = sampling._embedding_eigenvalues(
             lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa), count
         )
         assert size == 8192
         R = 300  # 38 chunks of rows
         assert R > sampling._SPECTRUM_ELEMENTS // size * 2
         scale = sampling._mode_scale(eigs, size)
-        new = sampling._circulant_draw(scale, size, count, R, np.random.default_rng(5))
+        new = circulant(scale, size, count, R, np.random.default_rng(5))
         old = full_fft_circulant_draw(eigs, size, count, R, np.random.default_rng(5))
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
 
@@ -198,11 +209,11 @@ class TestDrawPlan:
 
     def draws(self, R):
         cov = exp_correlation(self.A, self.KAPPA, self.STEP)
-        eigs, size = sampling._embedding_eigenvalues(cov, self.COUNT)
+        eigs, size, _ = sampling._embedding_eigenvalues(cov, self.COUNT)
         scale = sampling._mode_scale(eigs, size)
-        circ = sampling._circulant_draw(scale, size, self.COUNT, R, STREAM.child("pc").generator())
-        dense = sampling._dense_draw(sampling._dense_factor(cov, self.COUNT), R, STREAM.child("pd").generator())
-        return circ, dense
+        circ = circulant(scale, size, self.COUNT, R, STREAM.child("pc").generator())
+        factor, _ = sampling._dense_factor(cov, self.COUNT)
+        return circ, dense(factor, R, STREAM.child("pd").generator())
 
     def target(self):
         grid = SampleGrid(0.0, self.STEP, self.COUNT)
@@ -226,10 +237,10 @@ class TestDrawPlan:
                 assert stats.ks_2samp(draw[:, j], orac[:, j]).pvalue > alpha
 
     def test_dense_chunks_continue_one_stream(self):
-        factor = sampling._dense_factor(exp_correlation(1.0, 1.5, 1.0 / 256), 257)
+        factor, _ = sampling._dense_factor(exp_correlation(1.0, 1.5, 1.0 / 256), 257)
         R = 3 * (sampling._CHUNK_ELEMENTS // 257) + 5  # four chunks of rows
         gen = np.random.default_rng(3)
-        new = sampling._dense_draw(factor, R, gen)
+        new = dense(factor, R, gen)
         ref_gen = np.random.default_rng(3)
         ref = ref_gen.standard_normal((R, 257)) @ factor.T
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
@@ -272,6 +283,69 @@ class TestDrawPlan:
         finally:
             set_(prior)
         np.testing.assert_array_equal(factors[0], factors[1])
+
+    def test_samplers_record_their_fallbacks(self, caplog):
+        # 33 nodes: the drawn embedding clamps 19 eigenvalues, as the log says
+        with caplog.at_level(logging.WARNING, logger="gpextremes.sampling"):
+            clamping = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 33)
+        assert (clamping.method, clamping.clamped, clamping.factor) == ("circulant", 19, None)
+        assert [record.args[0] for record in caplog.records] == [19]
+        # 17 nodes: dense, and the Toeplitz matrix is numerically indefinite, so eigh
+        indefinite = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17)
+        assert (indefinite.method, indefinite.clamped, indefinite.factor) == ("dense", 0, "eigh")
+        conj = sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025)
+        assert (conj.method, conj.clamped, conj.factor) == ("dense", 0, "cholesky")
+        direct = sampling.FgnSampler(1.0, 0.1, 9)
+        assert (direct.clamped, direct.factor) == (0, None)
+        # a coordinate draw joins its samplers' kinds: frozen blocks of 16 and 9 nodes
+        coord = LocallyStationary(ProfileTable.from_function(lambda t: 5.0, 1.0, count=5), 2.0, block_count=2)
+        draw = one_coordinate_draw(coord, SampleGrid(0.0, 1.0 / 32, 25))
+        assert (draw.method, draw.clamped, draw.factor) == ("dense", 0, "eigh+cholesky")
+
+    def test_in_place_factor(self):
+        cov = exp_correlation(1.0, 1.5, 1.0 / 1024)
+        L, kind = sampling._dense_factor(cov, 1025)
+        T = sampling._toeplitz(cov, 1025)
+        nodes = np.arange(1025)
+        np.testing.assert_array_equal(T, cov(np.abs(nodes[:, None] - nodes[None, :])))
+        assert kind == "cholesky"
+        assert not np.triu(L, 1).any()
+        assert np.abs(L @ L.T - T).max() <= 1e-13 * T.max()
+        # the eigh fallback fires where LAPACK's Cholesky fails too, and still factors the matrix
+        cov = exp_correlation(5.0, 2.0, 1.0 / 16)
+        T = sampling._toeplitz(cov, 17)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(T)
+        root, kind = sampling._dense_factor(cov, 17)
+        assert kind == "eigh"
+        assert np.abs(root @ root.T - T).max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sampling.FgnSampler(1.5, -0.1, 10),
+            lambda: sampling.FgnSampler(1.5, math.nan, 10),
+            lambda: sampling.FgnSampler(1.5, math.inf, 10),
+            lambda: sampling.FgnSampler(1.5, 0.1, -1),
+            lambda: sampling.StationarySampler(math.inf, 1.5, 0.1, 10),
+            lambda: sampling.StationarySampler(math.nan, 1.5, 0.1, 10),
+            lambda: sampling.StationarySampler(1.0, 1.5, 0.0, 10),
+            lambda: sampling.StationarySampler(1.0, 1.5, 0.1, -2),
+        ],
+        ids=[
+            "fgn-negative-step",
+            "fgn-nan-step",
+            "fgn-inf-step",
+            "fgn-negative-count",
+            "inf-a",
+            "nan-a",
+            "zero-step",
+            "negative-count",
+        ],
+    )
+    def test_impossible_grid_is_domain_error(self, build):
+        with pytest.raises(DomainError):
+            build()
 
     def test_short_span_covariance(self):
         spec = VectorProcessSpec((Stationary(1.0, 1.5),), 1.0)
@@ -345,6 +419,31 @@ OUT_DRAWS = {
 }
 
 
+def chunks_of(draw):
+    """The chunk cursor factory ``chunks(R, gen, chunk)`` behind the full draw ``draw``."""
+    owner = getattr(draw, "__self__", None)
+    if owner is None:
+        return draw.chunks
+    name = {"sample": "chunks", "increments": "increment_chunks", "path": "path_chunks"}[draw.__name__]
+    return getattr(owner, name)
+
+
+def is_dense(draw):
+    return "dense" in getattr(draw, "__self__", draw).method
+
+
+def streamed(draw, R, gen, chunk, pick):
+    """``(rows, indices)``: the rows ``pick(c, k)`` names in each chunk c of k rows, stacked, and their indices."""
+    take = chunks_of(draw)(R, gen, chunk)
+    parts, rows = [], []
+    for c, r0 in enumerate(range(0, R, chunk)):
+        k = min(chunk, R - r0)
+        p = pick(c, k)
+        parts.append(take(p))
+        rows.append(np.arange(r0, r0 + k)[p])
+    return np.concatenate(parts), np.concatenate(rows)
+
+
 class TestOutContract:
     @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
     def test_out_equals_a_fresh_draw(self, case):
@@ -366,12 +465,11 @@ class TestOutContract:
         draw = build()
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
         full = draw(R, ref_gen)
-        rows = np.flatnonzero(np.random.default_rng(1).random(R) < 0.2)
-        got = draw(R, gen, rows=rows)
+        coin = np.random.default_rng(1)
+        got, rows = streamed(draw, R, gen, 37, lambda c, k: np.flatnonzero(coin.random(k) < 0.2))
         assert got.shape == (rows.size, count)
-        # a restricted dense product may round its last bits differently; every other draw is exact
-        method = getattr(getattr(draw, "__self__", draw), "method")
-        atol = 1e-12 if "dense" in method else 0.0
+        # a picked dense product may round its last bits differently; every other draw is exact
+        atol = 1e-12 if is_dense(draw) else 0.0
         np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
@@ -380,15 +478,39 @@ class TestOutContract:
         build, count, R = case
         draw = build()
         full = draw(R, np.random.default_rng(8))
+        # every row of each chunk of the full draw's size, picked by index, into a strided destination
+        chunk = sampling._chunk_rows(count)
+        take = chunks_of(draw)(R, np.random.default_rng(8), chunk)
         block = np.full((R, 3, count), np.nan)
-        draw(R, np.random.default_rng(8), out=block[:, 1, :], rows=np.arange(R))
+        for r0 in range(0, R, chunk):
+            take(np.arange(min(chunk, R - r0)), out=block[r0 : r0 + chunk, 1, :])
         np.testing.assert_array_equal(block[:, 1, :], full)
 
     def test_rows_selecting_none_consume_the_draw(self):
         draw = sampling.StationarySampler(1.0, 1.5, 0.1, 64)
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
         draw(300, ref_gen)
-        assert draw(300, gen, rows=np.arange(0)).shape == (0, 64)
+        got, _ = streamed(draw, 300, gen, 64, lambda c, k: np.arange(0))
+        assert got.shape == (0, 64)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
+    def test_streamed_chunks_equal_the_full_draw(self, case, chunk):
+        build, count, R = case
+        draw = build()
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        full = draw(R, ref_gen)
+        if chunk is None:
+            # the full draw's own chunks, every row: the same bits for every method, dense too
+            got, rows = streamed(draw, R, gen, sampling._chunk_rows(count), lambda c, k: slice(None))
+            np.testing.assert_array_equal(got, full)
+        else:
+            # chunk by chunk in turn: every row, every other row, none
+            picks = (lambda k: slice(None), lambda k: np.arange(0, k, 2), lambda k: np.arange(0))
+            got, rows = streamed(draw, R, gen, chunk, lambda c, k: picks[c % 3](k))
+            atol = 1e-12 if is_dense(draw) else 0.0
+            np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize(
