@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import mean_and_se, replicate, require_ladder, require_stream
+from .parallel import mean_and_se, replicate, require_count, require_ladder, require_stream
 from .rng import RngStream
 from .sampling import FgnSampler, _chunk_rows
 
@@ -190,7 +190,9 @@ def estimate_window_constant(
     where that matters -- except for a single Brownian coordinate (kappa = 1)
     with segmentwise-linear drift, where exact bridge maxima remove the
     discretization bias entirely.  The degenerate window [0, 0] is exactly 1.
-    Each replication block streams its paths in chunks of rows: a chunk
+    kappa = 2 with n <= 2 is exact quadrature over the linear-path normals;
+    it draws nothing, but ``R``, reported as its replications, must still be
+    a non-negative integer.  Each replication block streams its paths in chunks of rows: a chunk
     fills one (rows, m) plane per coordinate in place and hands the orthant
     volume (or the bridge maxima) a view of them, and the block joins the
     chunks' values in row order, so the estimate is that of whole blocks.
@@ -218,6 +220,7 @@ def estimate_window_constant(
     drift_vals = drift.evaluate(t)  # (m, n)
     trend = np.abs(t)[:, None] ** kappa * (C**2)[None, :] + drift_vals
     if kappa == 2.0 and C.size <= 2:
+        R = require_count(R, 0)
         value, err = _linear_path_window_value(C, t, trend)
         return ConstantEstimate(
             value,

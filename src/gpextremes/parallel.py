@@ -11,9 +11,17 @@ arrays in block order into every replication-mean estimate.  While the
 blocks run, numpy's bundled OpenBLAS is held to one thread, whatever the
 worker count: the workers, not the threads of each matrix product, share
 the cores, and a product rounds its last bits by the BLAS thread count, so
-one count for every worker count keeps the output the same.  The argument
-checks that every estimator shares live here too: :func:`require_stream`
-for the stream and :func:`require_ladder` for the S, u and offset ladders.
+one count for every worker count keeps the output the same.
+
+From that library (``libscipy_openblas*`` in ``numpy.libs``), opened once
+with ctypes, the package takes three functions: the thread-count getter
+and setter behind that hold, and ``cblas_dtrmm``, with which
+:func:`_openblas_trmm` multiplies a dense draw's normals by its triangular
+factor in place.  Where numpy bundles no OpenBLAS the hold does nothing
+and the dense draw is a plain matrix product.  The argument
+checks that every estimator shares live here too: :func:`require_count`
+for the replication count, :func:`require_stream` for the stream and
+:func:`require_ladder` for the S, u and offset ladders.
 """
 from __future__ import annotations
 
@@ -45,24 +53,81 @@ def block_sizes(total: int):
     return out
 
 
-@functools.cache
-def _openblas_threads():
-    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or None.
+# The cblas_dtrmm arguments of a row-major z := z @ L.T with L lower-triangular:
+# CblasRowMajor, CblasRight, CblasLower, CblasTrans, CblasNonUnit.
+_TRMM_ROWS_TIMES_LOWER_T = (101, 142, 122, 112, 131)
 
-    The functions are resolved with ctypes from the library in the
-    ``numpy.libs`` folder of a numpy wheel; None when there is no such
-    library or it lacks them (numpy built against another BLAS).
+
+@functools.cache
+def _openblas():
+    """``(get, set, trmm)`` of numpy's bundled OpenBLAS, or None when numpy bundles none.
+
+    The library is the ``libscipy_openblas*`` in the ``numpy.libs`` folder of
+    a numpy wheel, opened with ctypes once per process.  ``get`` and ``set``
+    are its thread-count getter and setter, ``trmm`` its ``cblas_dtrmm``
+    with 64-bit integer arguments; each is None when the library lacks it.
     """
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+        except OSError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        i32, i64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+        signatures = {
+            "scipy_openblas_get_num_threads64_": ([], i32),
+            "scipy_openblas_set_num_threads64_": ([i32], None),
+            "scipy_cblas_dtrmm64_": ([i32] * 5 + [i64, i64, ctypes.c_double, ptr, i64, ptr, i64], None),
+        }
+        calls = []
+        for name, (argtypes, restype) in signatures.items():
+            call = getattr(lib, name, None)
+            if call is not None:
+                call.argtypes, call.restype = argtypes, restype
+            calls.append(call)
+        return tuple(calls)
     return None
+
+
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or None.
+
+    None when there is no such library or it lacks them (numpy built
+    against another BLAS).
+    """
+    calls = _openblas()
+    if calls is None or calls[0] is None or calls[1] is None:
+        return None
+    return calls[:2]
+
+
+def _openblas_trmm():
+    """``product(L, z)``: ``z @ L.T`` in place in z by numpy's bundled OpenBLAS, or None.
+
+    L is a C-contiguous float (m, m) array read as lower-triangular (its
+    upper triangle is never read) and z a C-contiguous float (rows, m)
+    array; the product returns z.  One ``cblas_dtrmm`` call does half the
+    multiplications of ``z @ L.T`` and needs no second array.  None when
+    numpy bundles no OpenBLAS or it lacks ``cblas_dtrmm``.
+    """
+    calls = _openblas()
+    if calls is None or calls[2] is None:
+        return None
+    trmm = calls[2]
+
+    def product(L, z):
+        rows, m = z.shape
+        if not (
+            L.shape == (m, m)
+            and L.dtype == z.dtype == np.float64
+            and L.flags.c_contiguous
+            and z.flags.c_contiguous
+        ):
+            raise ValueError("the triangular product needs C-contiguous float64 arrays L (m, m) and z (rows, m)")
+        if rows:
+            trmm(*_TRMM_ROWS_TIMES_LOWER_T, rows, m, 1.0, L.ctypes.data, m, z.ctypes.data, m)
+        return z
+
+    return product
 
 
 @contextlib.contextmanager
@@ -104,6 +169,21 @@ def require_stream(stream) -> None:
         raise DomainError("an RngStream is required")
 
 
+def require_count(R, minimum: int) -> int:
+    """The replication count ``R`` as an int.
+
+    Raises :class:`DomainError` unless ``R`` is an integer (a Python or numpy
+    integer, not a float or a string) of at least ``minimum``.
+    """
+    try:
+        R = operator.index(R)
+    except TypeError as exc:
+        raise DomainError(f"R must be an integer, got {R!r}") from exc
+    if R < minimum:
+        raise DomainError(f"R must be >= {minimum}")
+    return R
+
+
 def require_ladder(values, name, min_rungs=1, decreasing=False) -> list:
     """The rungs of the ladder ``values`` as floats.
 
@@ -134,17 +214,12 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     ``Rb`` is the block's replication count and ``block(*salt)`` is the
     block's stream ``stream.child("block", b, *salt)``: ``block()`` for one
     stream per block, ``block("coord", i)`` and the like for several.  Rejects
-    a missing stream and ``R < MIN_REPLICATIONS``.  The caller reduces the
+    a missing stream and, by :func:`require_count`, an ``R`` that is not an
+    integer of at least ``MIN_REPLICATIONS``.  The caller reduces the
     list: :func:`mean_and_se` for per-replication values, a sum for counts.
     """
     require_stream(stream)
-    try:
-        R = operator.index(R)
-    except TypeError as exc:
-        raise DomainError(f"R must be an integer, got {R!r}") from exc
-    if R < MIN_REPLICATIONS:
-        raise DomainError(f"R must be >= {MIN_REPLICATIONS}")
-    sizes = block_sizes(R)
+    sizes = block_sizes(require_count(R, MIN_REPLICATIONS))
 
     def run(b):
         return fn(sizes[b], functools.partial(stream.child, "block", b))

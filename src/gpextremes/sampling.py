@@ -13,8 +13,11 @@ sampler is built and recorded as its ``method``:
   half spectrum of each row with complex normals scaled by the eigenvalues
   and transforms it back with one real inverse FFT.
 * ``"dense"``: the lower Cholesky factor L of the m x m Toeplitz
-  covariance, factored in place (a clipped symmetric square root if
-  Cholesky fails); a draw is ``standard_normal((R, m)) @ L.T``.
+  covariance, factored in place (if Cholesky fails, a clipped square root
+  from its eigendecomposition, made lower-triangular by QR); a draw is
+  ``standard_normal((R, m)) @ L.T``, each chunk's normals multiplied by L.T
+  in place by one triangular product (``cblas_dtrmm`` of numpy's bundled
+  OpenBLAS, a plain matrix product where numpy bundles none).
 
 The embedding is always computed first, at the least power-of-two size
 that holds the sequence.  Eigenvalues slightly below zero (>= -1e-8 of the
@@ -23,11 +26,11 @@ embedding infeasible at that size.  The rule in :func:`_plan_draw` picks
 the method from that outcome.  A feasible embedding of least size stays
 circulant.  A padded one would draw at least four normals per node, and
 the dense draw measured cheaper on every padded spec up to
-``_DENSE_MAX_NODES`` = 2049 nodes (with one BLAS thread, 2048 rows: 142
-against 582 ms at 1025 nodes padded 4x, 484 against 578 ms at 2049 nodes
-padded 2x), so up to that cap an infeasible least embedding goes dense and
-no padded one is computed; the clamps logged are those of the embedding
-that is drawn.  Above that cap, where the factor would pass 32 MB, the
+``_DENSE_MAX_NODES`` = 2049 nodes (with one BLAS thread, 2048 rows, on a
+2-core x86_64 VM with numpy 2.4.6: 89 against 516 ms at 1025 nodes padded
+4x, 307 against 501 ms at 2049 nodes padded 2x), so up to that cap an
+infeasible least embedding goes dense and no padded one is computed; the
+clamps logged are those of the embedding that is drawn.  Above that cap, where the factor would pass 32 MB, the
 padding doubles up to three times: a padded embedding stays circulant and
 one still infeasible raises :class:`EmbeddingError`.  So kappa > 1 on short
 spans goes dense, while fractional Gaussian noise, whose least embedding is
@@ -86,7 +89,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
-from .parallel import _one_blas_thread
+from .parallel import _one_blas_thread, _openblas_trmm, require_count
 from .processes import (
     LocallyStationary,
     NonStationary,
@@ -352,14 +355,18 @@ def _cholesky_in_place(a):
 
 
 def _dense_factor(cov_of_lag, m):
-    """``(L, kind)``: L with ``L @ L.T`` the m x m Toeplitz covariance ``row[|j - k|]``.
+    """``(L, kind)``: lower-triangular L with ``L @ L.T`` the m x m Toeplitz covariance ``row[|j - k|]``.
 
-    ``kind`` = "cholesky": L is the lower Cholesky factor, computed in
+    L is C-contiguous, as :func:`_dense_draw` needs it.  ``kind`` =
+    "cholesky": L is the lower Cholesky factor, computed in
     place in the matrix.  Where rounding leaves the matrix numerically
-    indefinite, the matrix is built again and ``kind`` = "eigh": L is the
-    symmetric square root with its negative eigenvalues clipped to zero, as
-    :func:`sample_cholesky_oracle` factorizes.  Either runs on one BLAS
-    thread: the factor's last bits depend on the count.
+    indefinite, the matrix is built again and ``kind`` = "eigh": the
+    square root ``A = V sqrt(max(w, 0))`` of its eigendecomposition, with
+    the negative eigenvalues clipped to zero, as
+    :func:`sample_cholesky_oracle` factorizes, is triangularized by QR:
+    with ``A.T = QR``, L = R.T has ``L @ L.T = A @ A.T``.  So every dense
+    factor is triangular.  Either runs on one BLAS thread: the factor's
+    last bits depend on the count.
     """
     with _one_blas_thread():
         a = _toeplitz(cov_of_lag, m)
@@ -371,12 +378,30 @@ def _dense_factor(cov_of_lag, m):
         del a
         eigval, eigvec = np.linalg.eigh(_toeplitz(cov_of_lag, m))
         eigvec *= np.sqrt(np.clip(eigval, 0.0, None))
-        return eigvec, "eigh"
+        return np.ascontiguousarray(np.linalg.qr(eigvec.T, mode="r").T), "eigh"
 
 
 def _dense_draw(factor, R, gen, chunk):
-    """The cursor of R rows ``standard_normal((R, m)) @ factor.T``; only picked rows are multiplied."""
-    return _normal_chunks(R, factor.shape[0], gen, chunk, lambda z, out: np.matmul(z, factor.T, out=out))
+    """The cursor of R rows ``standard_normal((R, m)) @ factor.T``, factor lower-triangular.
+
+    Each chunk's picked normals z, a C-contiguous (rows, m) array, become
+    ``z @ factor.T`` in place through :func:`_openblas_trmm`, a triangular
+    product that skips the zero upper triangle; the rows then go to
+    ``out``, or z is returned.  Where numpy bundles no OpenBLAS the product
+    is ``np.matmul``.  Only picked rows are multiplied.
+    """
+    product = _openblas_trmm()
+    if product is None:
+        return _normal_chunks(R, factor.shape[0], gen, chunk, lambda z, out: np.matmul(z, factor.T, out=out))
+
+    def write(z, out):
+        product(factor, z)
+        if out is None:
+            return z
+        out[:] = z
+        return out
+
+    return _normal_chunks(R, factor.shape[0], gen, chunk, write)
 
 
 def _plan_draw(cov_of_lag, m):
@@ -623,8 +648,7 @@ def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
     """
     if grid.origin != 0.0:
         raise DomainError("sample_fbm requires grid.origin == 0")
-    if R < 1:
-        raise DomainError("R must be >= 1")
+    R = require_count(R, 1)
     values = _fbm_draw(kappa, grid)(R, stream.generator())
     return PathBatch(grid, 1, R, values[:, None, :])
 
@@ -734,10 +758,9 @@ def sample_vector(
     ``samplers`` is :func:`coordinate_samplers` of ``(spec, grid)``, for a
     caller that draws many batches; it is built here when omitted.
     """
+    R = require_count(R, 1)
     if samplers is None:
         samplers = coordinate_samplers(spec, grid)
-    if R < 1:
-        raise DomainError("R must be >= 1")
     values = np.empty((R, spec.n, grid.count))
     for i, draw in enumerate(samplers):
         draw(R, stream.child("coord", i).generator(), out=values[:, i, :])

@@ -156,6 +156,12 @@ class TestWindowConstant:
         est = estimate_window_constant(C, 2.0, drift, window, R=0, stream=None)
         assert (est.value, est.se) == (float.fromhex(value), float.fromhex(se))
 
+    # the quadrature path used to return before the count was checked
+    @pytest.mark.parametrize("R", [-1, 2000.5, "2000", None])
+    def test_kappa2_quadrature_checks_r(self, R):
+        with pytest.raises(DomainError, match="R must be"):
+            estimate_window_constant([1.0], 2.0, zero_drift(1, 2.0), (0.0, 1.0), R=R, stream=STREAM)
+
     def test_kappa1_window_matches_closed_form(self):
         est = estimate_window_constant(
             [1.0], 1.0, zero_drift(1), (0.0, 1.0), R=20_000, stream=STREAM.child("k1")

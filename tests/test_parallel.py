@@ -1,5 +1,6 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,37 @@ def test_worker_pool_holds_blas_to_one_thread():
     # a product rounds by the BLAS thread count, so one count for every worker count
     for (_, a), (_, b) in zip(pooled, serial):
         np.testing.assert_array_equal(a, b)
+
+
+def test_bundled_openblas_exports_what_the_package_calls():
+    # a numpy upgrade that renames a symbol must fail here, not silently fall back
+    bundled = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if not bundled:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    assert parallel._openblas_threads() is not None
+    product = parallel._openblas_trmm()
+    assert product is not None
+    L = np.tril(np.arange(1.0, 10.0).reshape(3, 3))
+    z = np.arange(8.0).reshape(2, 4)[:, 1:].copy()
+    expected = z @ L.T
+    assert product(L, z) is z
+    np.testing.assert_array_equal(z, expected)
+
+
+@pytest.mark.skipif(parallel._openblas_trmm() is None, reason="numpy has no bundled OpenBLAS")
+@pytest.mark.parametrize(
+    "L, z",
+    [
+        (np.eye(3), np.ones((2, 4))),
+        (np.eye(3), np.ones((2, 6))[:, ::2]),
+        (np.tril(np.ones((3, 3))).T, np.ones((2, 3))),
+        (np.eye(3, dtype=np.float32), np.ones((2, 3), dtype=np.float32)),
+    ],
+    ids=["shape", "strided-rows", "transposed-factor", "float32"],
+)
+def test_triangular_product_rejects_arrays_it_cannot_pass(L, z):
+    with pytest.raises(ValueError):
+        parallel._openblas_trmm()(L, z)
 
 
 def ou_spec():

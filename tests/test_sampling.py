@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -141,6 +142,22 @@ class TestSampleFbm:
     def test_requires_zero_origin(self):
         with pytest.raises(DomainError):
             sample_fbm(1.0, SampleGrid(0.5, 0.1, 4), 10, STREAM)
+
+    # R = 2.5 and R = "3" used to raise a bare TypeError
+    @pytest.mark.parametrize("R", [0, 2.5, "3", None])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda R: sample_fbm(1.5, SampleGrid(0.0, 0.1, 4), R, STREAM),
+            lambda R: sample_vector(
+                VectorProcessSpec((Stationary(1.0, 1.5),), 1.0), SampleGrid(0.0, 0.1, 4), R, STREAM
+            ),
+        ],
+        ids=["fbm", "vector"],
+    )
+    def test_r_must_be_a_positive_integer(self, entry, R):
+        with pytest.raises(DomainError, match="R must be"):
+            entry(R)
 
     def test_covariance_against_model(self):
         R = 60_000
@@ -318,6 +335,7 @@ class TestDrawPlan:
             np.linalg.cholesky(T)
         root, kind = sampling._dense_factor(cov, 17)
         assert kind == "eigh"
+        assert not np.triu(root, 1).any() and root.flags.c_contiguous
         assert np.abs(root @ root.T - T).max() <= 1e-8
 
     @pytest.mark.parametrize(
@@ -375,6 +393,7 @@ def one_coordinate_draw(coord, grid):
 OUT_DRAWS = {
     "circulant": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 64).sample, 64, 300),
     "dense": (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 257).sample, 257, 300),
+    "dense-eigh": (lambda: sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).sample, 17, 300),
     # three chunks of rows of the direct normals
     "fgn-kappa1": (
         lambda: sampling.FgnSampler(1.0, 1.0 / 256, 257).increments,
@@ -511,6 +530,33 @@ class TestOutContract:
             got, rows = streamed(draw, R, gen, chunk, lambda c, k: picks[c % 3](k))
             atol = 1e-12 if is_dense(draw) else 0.0
             np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("blas", ["openblas", "matmul"])
+    @pytest.mark.parametrize("pick", ["all", "some", "none"])
+    @pytest.mark.parametrize(
+        "cov, m, kind",
+        [(exp_correlation(1.0, 1.5, 1.0 / 1024), 257, "cholesky"), (exp_correlation(5.0, 2.0, 1.0 / 16), 17, "eigh")],
+        ids=["cholesky", "eigh"],
+    )
+    def test_dense_rows_are_the_normals_times_the_factor(self, monkeypatch, cov, m, kind, pick, blas):
+        # the triangular product, and the matrix product where numpy bundles no OpenBLAS
+        if blas == "matmul":
+            monkeypatch.setattr(sampling, "_openblas_trmm", lambda: None)
+        factor, got_kind = sampling._dense_factor(cov, m)
+        assert got_kind == kind
+        R, chunk = 300, 64
+        picks = {
+            "all": lambda c, k: slice(None),
+            "some": lambda c, k: np.arange(1, k, 3),
+            "none": lambda c, k: np.arange(0),
+        }
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        draw = types.SimpleNamespace(chunks=functools.partial(sampling._dense_draw, factor))
+        got, rows = streamed(draw, R, gen, chunk, picks[pick])
+        ref = ref_gen.standard_normal((R, m))[rows] @ factor.T
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize(
