@@ -196,7 +196,7 @@ def estimate_window_constant(
     fills one (rows, m) plane per coordinate in place and hands the orthant
     volume (or the bridge maxima) a view of them, and the block joins the
     chunks' values in row order, so the estimate is that of whole blocks.
-    ``diagnostics`` records the increment sampler's ``method``, ``size``,
+    ``diagnostics`` records the path draw's ``method``, ``size``,
     ``clamped`` and ``factor`` and the block count.
     """
     C = _check_amplitudes(C)
@@ -231,7 +231,7 @@ def estimate_window_constant(
             "window",
             diagnostics={"evaluation": "exact quadrature over the linear-path normals"},
         )
-    sampler = FgnSampler(kappa, step, m - 1)
+    fbm = FgnSampler(kappa, step, m - 1).path
     sqrt2C = math.sqrt(2.0) * C
     # Single Brownian coordinate with a segmentwise-linear drift: conditional
     # on the node values, segment maxima follow the exact bridge-maximum law,
@@ -242,7 +242,7 @@ def estimate_window_constant(
     chunk = _chunk_rows(C.size * m)
 
     def run_block(Rb, block):
-        takes = [sampler.path_chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
+        takes = [fbm.chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
         gen_u = block("bridge").generator() if exact_bridge else None
         values = []
         planes = np.empty((C.size, min(chunk, Rb), m))
@@ -276,10 +276,10 @@ def estimate_window_constant(
         R,
         "window",
         diagnostics={
-            "sampler_method": sampler.method,
-            "sampler_size": sampler.size,
-            "sampler_clamped": sampler.clamped,
-            "sampler_factor": sampler.factor,
+            "sampler_method": fbm.method,
+            "sampler_size": fbm.size,
+            "sampler_clamped": fbm.clamped,
+            "sampler_factor": fbm.factor,
             "blocks": len(parts),
         },
     )
@@ -475,12 +475,12 @@ def estimate_discrete_zero(
             raise TruncationError(f"rung u={u} has no lattice nodes below the horizon")
         t = u * np.arange(1, K + 1)
         trend = t[:, None] ** kappa * (C**2)[None, :]
-        sampler = FgnSampler(kappa, u, K)
+        fbm = FgnSampler(kappa, u, K).path
 
         chunk = _chunk_rows(2 * K + 1)
 
         def run_block(Rb, block):
-            takes = [sampler.path_chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
+            takes = [fbm.chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
             tilts = [block("tilt", i).generator() for i in range(C.size)]
             hits = 0
             low = np.empty((min(chunk, Rb), K))

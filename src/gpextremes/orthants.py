@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .parallel import require_count
 from .rng import RngStream
 
 __all__ = ["PointCloud", "pareto_prune", "ewv_exact", "ewv_mc", "ewv_batch"]
@@ -233,8 +234,7 @@ def ewv_mc(cloud: PointCloud, budget: int, stream: RngStream):
     exponentials): the coverage fraction times exp(sum M) is unbiased for
     EWV because the weighted region is contained in the orthant below M.
     """
-    if budget < 100:
-        raise DomainError(f"budget must be >= 100, got {budget}")
+    budget = require_count(budget, 100, "budget")
     gen = stream.generator()
     pts = cloud.points
     M = pts.max(axis=0)

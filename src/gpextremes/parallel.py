@@ -20,8 +20,8 @@ and setter behind that hold, and ``cblas_dtrmm``, with which
 factor in place.  Where numpy bundles no OpenBLAS the hold does nothing
 and the dense draw is a plain matrix product.  The argument
 checks that every estimator shares live here too: :func:`require_count`
-for the replication count, :func:`require_stream` for the stream and
-:func:`require_ladder` for the S, u and offset ladders.
+for the replication count and every other count, :func:`require_stream`
+for the stream and :func:`require_ladder` for the S, u and offset ladders.
 """
 from __future__ import annotations
 
@@ -135,14 +135,16 @@ def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS to one thread in the body, then restore its count.
 
     The count is process-wide.  Does nothing when :func:`_openblas_threads`
-    finds no such library.
+    finds no such library, or when the count is one already: so a hold
+    inside another, such as a full draw in a replication block, never calls
+    the setter from a worker thread while another worker's product runs.
     """
     calls = _openblas_threads()
-    if calls is None:
+    prior = 1 if calls is None else calls[0]()
+    if prior == 1:
         yield
         return
-    get, set_ = calls
-    prior = get()
+    set_ = calls[1]
     set_(1)
     try:
         yield
@@ -169,18 +171,19 @@ def require_stream(stream) -> None:
         raise DomainError("an RngStream is required")
 
 
-def require_count(R, minimum: int) -> int:
-    """The replication count ``R`` as an int.
+def require_count(R, minimum: int, name: str = "R") -> int:
+    """The count ``R`` as an int: replications, grid nodes or a sample budget.
 
-    Raises :class:`DomainError` unless ``R`` is an integer (a Python or numpy
-    integer, not a float or a string) of at least ``minimum``.
+    Raises :class:`DomainError`, naming the count ``name``, unless ``R`` is
+    an integer (a Python or numpy integer, not a float or a string) of at
+    least ``minimum``.
     """
     try:
         R = operator.index(R)
     except TypeError as exc:
-        raise DomainError(f"R must be an integer, got {R!r}") from exc
+        raise DomainError(f"{name} must be an integer, got {R!r}") from exc
     if R < minimum:
-        raise DomainError(f"R must be >= {minimum}")
+        raise DomainError(f"{name} must be >= {minimum}, got {R}")
     return R
 
 

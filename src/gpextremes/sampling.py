@@ -1,8 +1,11 @@
 """Exact Gaussian path simulation on uniform grids.
 
-Stationary sequences (fractional Gaussian noise and the exponential-
-correlation family) are drawn by one of three methods, chosen once when a
-sampler is built and recorded as its ``method``:
+Every draw is one record, a ``_Draw`` of R rows of ``count`` nodes:
+``chunks(R, gen, chunk)`` streams the rows, calling it as ``draw(R, gen,
+out=None)`` draws them all, and ``method``, ``size``, ``clamped`` and
+``factor`` say how.  Stationary sequences (fractional Gaussian noise and the
+exponential-correlation family) are drawn by one of three methods, chosen
+once when the draw is built:
 
 * ``"direct"``: independent normals where the law allows it (Brownian
   increments, the kappa = 1 AR(1) recursion, the a.s. linear kappa = 2
@@ -22,8 +25,8 @@ sampler is built and recorded as its ``method``:
 The embedding is always computed first, at the least power-of-two size
 that holds the sequence.  Eigenvalues slightly below zero (>= -1e-8 of the
 maximum) are clamped with a logged warning; deeper negativity makes the
-embedding infeasible at that size.  The rule in :func:`_plan_draw` picks
-the method from that outcome.  A feasible embedding of least size stays
+embedding infeasible at that size.  :func:`_stationary` picks the method
+from that outcome.  A feasible embedding of least size stays
 circulant.  A padded one would draw at least four normals per node, and
 the dense draw measured cheaper on every padded spec up to
 ``_DENSE_MAX_NODES`` = 2049 nodes (with one BLAS thread, 2048 rows, on a
@@ -36,16 +39,19 @@ one still infeasible raises :class:`EmbeddingError`.  So kappa > 1 on short
 spans goes dense, while fractional Gaussian noise, whose least embedding is
 nonnegative definite, stays circulant.
 
+:class:`FgnSampler` holds two draws, its ``increments`` and its ``path``.
 Fractional Brownian motion is the prefix sum of fractional Gaussian noise,
-exact in distribution; :meth:`FgnSampler.path_chunks` is the one place that
-forms it, in place from B(0) = 0.  :func:`coordinate_samplers` builds the samplers
-of every coordinate of a vector process once, so an estimator can draw every
-replication block with them.  A dense symmetric-square-root sampler serves
-as the independent oracle for cross-validation.
+exact in distribution; :func:`_prefix_sum` is the one place that forms it,
+in place from B(0) = 0.  :func:`StationarySampler` is the draw of a
+unit-variance exponential-correlation sequence.
+:func:`coordinate_samplers` builds the draw of every coordinate of a vector
+process once, so an estimator can draw every replication block with them.
+A dense symmetric-square-root sampler serves as the independent oracle for
+cross-validation.
 
 Every draw streams its R rows as consecutive chunks.  Each draw method is
-one kernel, and every sampler and every draw of :func:`coordinate_samplers`
-has a ``chunks(R, gen, chunk)`` that returns its cursor: a function
+one cursor kernel, and a draw's ``chunks(R, gen, chunk)`` returns its
+cursor: a function
 ``take(pick=slice(None), out=None)`` whose k-th call draws the k-th chunk of
 at most ``chunk`` rows and returns the rows of it that ``pick`` names, every
 row (``slice(None)``), a sorted array of distinct row indices within the
@@ -56,9 +62,9 @@ picks, so once all chunks are taken the generator is in the state the full
 draw leaves.  So a caller that decides per chunk which rows it needs, such
 as the lazy conjunction scan, gets exactly the rows of the full draw.
 
-The full draws (``FgnSampler.increments`` and ``path``,
-``StationarySampler.sample`` and every coordinate draw called as
-``draw(R, gen, out=None)``) are a loop over those chunks.  One rule sizes
+The full draw ``draw(R, gen, out=None)`` is a loop over those chunks, on
+one BLAS thread as the replication blocks run, so its bits do not depend on
+the process's thread count.  One rule sizes
 every chunk: its float working set is at most ``_CHUNK_ELEMENTS`` entries
 (4 MB), so a full draw takes ``_CHUNK_ELEMENTS // count`` rows per chunk and
 a replication block that holds n planes per row takes ``_CHUNK_ELEMENTS //
@@ -74,12 +80,13 @@ dense product of another row count may round its last bits differently
 (BLAS blocks a different row count differently), so a dense row is the
 same bits only at the same chunk rows and picks.
 
-Every planned sampler records its numerical fallbacks: ``clamped``, the
-count of embedding eigenvalues clamped to zero, and ``factor``, "cholesky"
-or "eigh" for a dense draw and None otherwise.
+Every draw records its numerical fallbacks: ``clamped``, the count of
+embedding eigenvalues clamped to zero, and ``factor``, "cholesky" or "eigh"
+for a dense draw and None otherwise.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import struct
@@ -129,8 +136,7 @@ class SampleGrid:
             raise DomainError(f"grid origin must be finite, got {self.origin}")
         if not (math.isfinite(self.step) and self.step > 0):
             raise DomainError(f"grid step must be finite and positive, got {self.step}")
-        if self.count < 1:
-            raise DomainError(f"grid count must be >= 1, got {self.count}")
+        object.__setattr__(self, "count", require_count(self.count, 1, "grid count"))
 
     def nodes(self) -> np.ndarray:
         return self.origin + self.step * np.arange(self.count)
@@ -181,6 +187,14 @@ def _rows_out(out, k, pick, count):
     return out
 
 
+def _written(rows, out):
+    """``rows``, or ``out`` holding a copy of them when given."""
+    if out is None:
+        return rows
+    out[:] = rows
+    return out
+
+
 def _cursor(R, chunk, fill):
     """The cursor ``take(pick=slice(None), out=None)`` over R rows in chunks of at most ``chunk``.
 
@@ -205,19 +219,54 @@ def _normal_chunks(R, m, gen, chunk, write):
     return _cursor(R, chunk, lambda r0, r1, pick, out: write(gen.standard_normal((r1 - r0, m))[pick], out))
 
 
-def _scaling(c):
-    """``write(z, out)`` for :func:`_normal_chunks`: ``c * z``, in place in z unless ``out`` is given."""
-    return lambda z, out: np.multiply(c, z, out=z if out is None else out)
+class _Draw:
+    """R rows of ``count`` nodes: ``chunks(R, gen, chunk)`` streams them, and calling the draw draws them all.
 
+    ``method`` names how the rows are drawn ("direct", "circulant" or
+    "dense"), ``size`` is the length of each row's draw (the embedding size
+    for circulant, the node count otherwise), ``clamped`` counts the
+    embedding eigenvalues clamped to zero and ``factor`` is the dense
+    factor's kind ("cholesky" or "eigh"), None unless dense.
+    """
 
-def _full_draw(chunks, R, gen, count, out=None):
-    """All R rows of the draw whose cursor is ``chunks(R, gen, chunk)``, into ``out`` when given."""
-    out = np.empty((R, count)) if out is None else out
-    chunk = _chunk_rows(count)
-    take = chunks(R, gen, chunk)
-    for r0 in range(0, R, chunk):
-        take(out=out[r0 : r0 + chunk])
-    return out
+    def __init__(self, chunks, count, method="direct", size=None, clamped=0, factor=None):
+        self.chunks = chunks
+        self.count = count
+        self.method = method
+        self.size = count if size is None else size
+        self.clamped = clamped
+        self.factor = factor
+
+    @classmethod
+    def joined(cls, chunks, count, draws):
+        """The draw streamed by ``chunks``, which runs the draws ``draws``.
+
+        Records their distinct methods joined by "+" in order, the sum of
+        their sizes, the sum of their clamped eigenvalues and their distinct
+        dense factor kinds joined by "+" (None when there is none).
+        """
+        return cls(
+            chunks,
+            count,
+            "+".join(dict.fromkeys(d.method for d in draws)),
+            sum(d.size for d in draws),
+            sum(d.clamped for d in draws),
+            "+".join(dict.fromkeys(d.factor for d in draws if d.factor)) or None,
+        )
+
+    def __call__(self, R, gen, out=None) -> np.ndarray:
+        """All R rows, written into ``out`` and returned when given.
+
+        Runs on one BLAS thread, as the replication blocks do: a dense
+        product rounds its last bits by the thread count.
+        """
+        out = np.empty((R, self.count)) if out is None else out
+        chunk = _chunk_rows(self.count)
+        with _one_blas_thread():
+            take = self.chunks(R, gen, chunk)
+            for r0 in range(0, R, chunk):
+                take(out=out[r0 : r0 + chunk])
+        return out
 
 
 # -- circulant embedding and dense factor --------------------------------------
@@ -295,7 +344,7 @@ def _circulant_draw(scale, size, count, R, gen, chunk):
     the picked spectrum rows are built and transformed.
     """
     if size == 1:
-        return _normal_chunks(R, 1, gen, chunk, _scaling(scale[0]))
+        return _scaled_draw(scale[0], 1, R, gen, chunk)
     half = size // 2
     first = scale[0] * gen.standard_normal(R)
     last = scale[half] * gen.standard_normal(R)
@@ -393,226 +442,164 @@ def _dense_draw(factor, R, gen, chunk):
     product = _openblas_trmm()
     if product is None:
         return _normal_chunks(R, factor.shape[0], gen, chunk, lambda z, out: np.matmul(z, factor.T, out=out))
+    return _normal_chunks(R, factor.shape[0], gen, chunk, lambda z, out: _written(product(factor, z), out))
 
-    def write(z, out):
-        product(factor, z)
-        if out is None:
-            return z
-        out[:] = z
+
+# -- direct draw kernels -------------------------------------------------------
+#
+# Each kernel, like _circulant_draw and _dense_draw, takes its parameters and
+# then (R, gen, chunk), and returns the cursor of R rows; a draw binds the
+# parameters with functools.partial.
+
+
+def _scaled_draw(scale, count, R, gen, chunk):
+    """The cursor of R rows of ``count`` independent normals times ``scale``, scaled in place."""
+    return _normal_chunks(R, count, gen, chunk, lambda z, out: np.multiply(scale, z, out=z if out is None else out))
+
+
+def _shared_normal_draw(scale, count, R, gen, chunk):
+    """The cursor of R rows that each repeat one normal times ``scale`` on all ``count`` nodes."""
+
+    def fill(r0, r1, pick, out):
+        xi = scale * gen.standard_normal(r1 - r0)[pick]
+        out = _rows_out(out, r1 - r0, pick, count)
+        out[:] = xi[:, None]
         return out
 
-    return _normal_chunks(R, factor.shape[0], gen, chunk, write)
+    return _cursor(R, chunk, fill)
 
 
-def _plan_draw(cov_of_lag, m):
-    """``(method, size, kernel, clamped, factor)`` of the draw of a length-m stationary sequence.
+def _ar1_draw(rho, count, R, gen, chunk):
+    """The cursor of R unit-variance AR(1) rows of ``count`` nodes with lag-one correlation ``rho``.
 
-    Circulant (``kernel`` the mode scale, ``size`` the embedding size and
-    ``clamped`` its clamped eigenvalues) when the embedding is feasible: at
-    its least size up to ``_DENSE_MAX_NODES`` nodes, after at most three
-    padding doublings beyond.  Otherwise dense (``kernel`` the Toeplitz
-    factor, ``size`` = m, ``factor`` its kind from :func:`_dense_factor`)
-    up to the cap, and :class:`EmbeddingError` beyond it.
+    A row is ``x_0 = xi_0`` and ``x_j = rho x_(j-1) + sqrt(1 - rho^2) xi_j``,
+    recursed in place in its normals xi.
     """
-    dense_ok = m <= _DENSE_MAX_NODES
+
+    def recur(xi, out):
+        xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
+        for j in range(1, count):
+            xi[:, j] += rho * xi[:, j - 1]
+        return _written(xi, out)
+
+    return _normal_chunks(R, count, gen, chunk, recur)
+
+
+# -- the draws of stationary sequences -----------------------------------------
+
+
+def _stationary(cov_of_lag, count):
+    """The draw of a length-``count`` stationary sequence whose covariance at lag k is ``cov_of_lag(k)``.
+
+    Circulant (``size`` the embedding size, ``clamped`` its clamped
+    eigenvalues) when the embedding is feasible: at its least size up to
+    ``_DENSE_MAX_NODES`` nodes, after at most three padding doublings
+    beyond.  Otherwise dense (``size`` = count, ``factor`` the kind from
+    :func:`_dense_factor`) up to the cap, and :class:`EmbeddingError` beyond
+    it.
+    """
+    dense_ok = count <= _DENSE_MAX_NODES
     try:
-        eigs, size, clamped = _embedding_eigenvalues(cov_of_lag, m, 0 if dense_ok else _MAX_DOUBLINGS)
+        eigs, size, clamped = _embedding_eigenvalues(cov_of_lag, count, 0 if dense_ok else _MAX_DOUBLINGS)
     except EmbeddingError:
         if not dense_ok:
             raise
-        factor, kind = _dense_factor(cov_of_lag, m)
-        return "dense", m, factor, 0, kind
-    return "circulant", size, _mode_scale(eigs, size), clamped, None
+        factor, kind = _dense_factor(cov_of_lag, count)
+        return _Draw(functools.partial(_dense_draw, factor), count, "dense", factor=kind)
+    scale = _mode_scale(eigs, size)
+    return _Draw(functools.partial(_circulant_draw, scale, size, count), count, "circulant", size, clamped)
 
 
-def _check_grid(step, count):
-    """Reject a non-finite or non-positive ``step`` and a negative ``count`` with :class:`DomainError`."""
+def _check_grid(kappa, step, count):
+    """``count`` as an int.
+
+    Raises :class:`DomainError` for a kappa outside (0, 2], a non-finite or
+    non-positive ``step`` and a ``count`` that is not an integer >= 0.
+    """
+    if not 0 < kappa <= 2:
+        raise DomainError(f"kappa={kappa} outside (0, 2]")
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"step must be finite and positive, got {step}")
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    return require_count(count, 0, "count")
 
 
-class _Planned:
-    """The draw plan that :class:`FgnSampler` and :class:`StationarySampler` share.
+def _prefix_sum(increments):
+    """The draw of the ``(R, count + 1)`` paths from B(0) = 0 whose steps are the draw ``increments``.
 
-    ``method`` and ``size`` name the draw; ``clamped`` counts the embedding
-    eigenvalues clamped to zero and ``factor`` is the dense factor's kind
-    ("cholesky" or "eigh"), None unless dense.  ``_factor`` is the circulant
-    mode scale or the dense factor.
+    Each chunk's increments are drawn into ``out[:, 1:]`` and prefix-summed
+    in place.  With no increments the path is the one node B(0) = 0.
     """
+    count = increments.count + 1
 
-    def _plan(self, cov_of_lag):
-        """Plan a direct draw (``cov_of_lag`` None) or the one :func:`_plan_draw` picks."""
-        if cov_of_lag is None:
-            self.method, self.size, self._factor, self.clamped, self.factor = "direct", self.count, None, 0, None
-        else:
-            self.method, self.size, self._factor, self.clamped, self.factor = _plan_draw(cov_of_lag, self.count)
-
-    def _planned_chunks(self, R, gen, chunk):
-        if self.method == "circulant":
-            return _circulant_draw(self._factor, self.size, self.count, R, gen, chunk)
-        return _dense_draw(self._factor, R, gen, chunk)
-
-
-class FgnSampler(_Planned):
-    """Batch sampler for fractional Gaussian noise increments on a fixed grid.
-
-    kappa = 1 increments are independent and kappa = 2 increments are one
-    shared normal (the path is a.s. linear); both are drawn directly, as is
-    the empty draw of ``count`` = 0.  All other exponents use the circulant
-    or the dense draw that :func:`_plan_draw` picks.  ``method`` records the
-    choice and ``size`` the length of each row's draw (the embedding size
-    for circulant, the node count otherwise).
-    """
-
-    def __init__(self, kappa, step, count):
-        if not 0 < kappa <= 2:
-            raise DomainError(f"kappa={kappa} outside (0, 2]")
-        _check_grid(step, count)
-        self.kappa = float(kappa)
-        self.step = float(step)
-        self.count = int(count)
-        if self.kappa in (1.0, 2.0) or self.count == 0:
-            self._plan(None)
-            return
-        scale = self.step**self.kappa
-
-        def cov(lags):
-            k = np.abs(lags).astype(float)
-            return 0.5 * scale * ((k + 1) ** kappa - 2 * k**kappa + np.abs(k - 1) ** kappa)
-
-        self._plan(cov)
-
-    def increment_chunks(self, R, gen, chunk):
-        """The cursor of the ``(R, count)`` increments."""
-        if self.method != "direct":
-            return self._planned_chunks(R, gen, chunk)
-        if self.kappa == 2.0:
-
-            def fill(r0, r1, pick, out):
-                xi = self.step * gen.standard_normal(r1 - r0)[pick]
-                out = _rows_out(out, r1 - r0, pick, self.count)
-                out[:] = xi[:, None]
-                return out
-
-            return _cursor(R, chunk, fill)
-        return _normal_chunks(R, self.count, gen, chunk, _scaling(np.sqrt(self.step)))
-
-    def path_chunks(self, R, gen, chunk):
-        """The cursor of the ``(R, count + 1)`` fractional Brownian paths from B(0) = 0.
-
-        Each chunk's increments are drawn into ``out[:, 1:]`` and
-        prefix-summed in place.  With ``count`` = 0 the path is the one node
-        B(0) = 0.
-        """
-        steps = self.increment_chunks(R, gen, chunk)
+    def chunks(R, gen, chunk):
+        steps = increments.chunks(R, gen, chunk)
 
         def fill(r0, r1, pick, out):
-            out = _rows_out(out, r1 - r0, pick, self.count + 1)
+            out = _rows_out(out, r1 - r0, pick, count)
             out[:, 0] = 0.0
-            increments = steps(pick, out[:, 1:])
-            np.cumsum(increments, axis=1, out=increments)
+            rows = steps(pick, out[:, 1:])
+            np.cumsum(rows, axis=1, out=rows)
             return out
 
         return _cursor(R, chunk, fill)
 
-    def increments(self, R, gen, out=None) -> np.ndarray:
-        """``(R, count)`` increments, written into ``out`` and returned when given."""
-        return _full_draw(self.increment_chunks, R, gen, self.count, out)
-
-    def path(self, R, gen, out=None) -> np.ndarray:
-        """``(R, count + 1)`` fractional Brownian paths from B(0) = 0, into ``out`` when given."""
-        return _full_draw(self.path_chunks, R, gen, self.count + 1, out)
+    return _Draw.joined(chunks, count, [increments])
 
 
-class StationarySampler(_Planned):
-    """Batch sampler for the unit-variance exponential-correlation family.
+class FgnSampler:
+    """Fractional Gaussian noise on a fixed grid, as two draws.
+
+    ``increments`` draws the ``(R, count)`` increments and ``path`` the
+    ``(R, count + 1)`` fractional Brownian paths from B(0) = 0, their prefix
+    sums.  kappa = 1 increments are independent and kappa = 2 increments
+    are one shared normal (the path is a.s. linear); both are drawn
+    directly, as is the empty draw of ``count`` = 0.  All other exponents
+    use the circulant or the dense draw that :func:`_stationary` picks.
+    """
+
+    def __init__(self, kappa, step, count):
+        count = _check_grid(kappa, step, count)
+        kappa, step = float(kappa), float(step)
+        if kappa == 2.0:
+            self.increments = _Draw(functools.partial(_shared_normal_draw, step, count), count)
+        elif kappa == 1.0 or count == 0:
+            self.increments = _Draw(functools.partial(_scaled_draw, np.sqrt(step), count), count)
+        else:
+            scale = step**kappa
+
+            def cov(lags):
+                k = np.abs(lags).astype(float)
+                return 0.5 * scale * ((k + 1) ** kappa - 2 * k**kappa + np.abs(k - 1) ** kappa)
+
+            self.increments = _stationary(cov, count)
+        self.path = _prefix_sum(self.increments)
+
+
+def StationarySampler(a, kappa, step, count) -> _Draw:
+    """The draw of ``(R, count)`` rows with correlation ``exp(-a |t|^kappa)`` on a grid of ``step``.
 
     kappa = 1 uses the exact AR(1) recursion (the correlation is Markov),
     which on a single node is one normal, whatever kappa; other exponents
-    use the circulant or the dense draw that :func:`_plan_draw` picks,
-    recorded in ``method`` and ``size`` as for :class:`FgnSampler`.  The
-    sampler is itself the draw of a stationary coordinate.
+    use the circulant or the dense draw that :func:`_stationary` picks.
+    The draw of a stationary coordinate.
     """
-
-    def __init__(self, a, kappa, step, count):
-        if not (math.isfinite(a) and a > 0):
-            raise DomainError(f"a={a} must be finite and positive")
-        if not 0 < kappa <= 2:
-            raise DomainError(f"kappa={kappa} outside (0, 2]")
-        _check_grid(step, count)
-        self.a = float(a)
-        self.kappa = float(kappa)
-        self.step = float(step)
-        self.count = int(count)
-        if kappa == 1.0 or count == 1:
-            self._plan(None)
-        else:
-
-            def cov(lags):
-                h = np.abs(lags).astype(float) * step
-                return np.exp(-a * h**kappa)
-
-            self._plan(cov)
-
-    def chunks(self, R, gen, chunk):
-        """The cursor of the ``(R, count)`` unit-variance rows."""
-        if self.method != "direct":
-            return self._planned_chunks(R, gen, chunk)
-        rho = np.exp(-self.a * self.step)
-
-        def recur(xi, out):
-            xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
-            for j in range(1, self.count):
-                xi[:, j] += rho * xi[:, j - 1]
-            if out is None:
-                return xi
-            out[:] = xi
-            return out
-
-        return _normal_chunks(R, self.count, gen, chunk, recur)
-
-    def sample(self, R, gen, out=None) -> np.ndarray:
-        """``(R, count)`` unit-variance rows, written into ``out`` and returned when given."""
-        return _full_draw(self.chunks, R, gen, self.count, out)
-
-    def __call__(self, R, gen, out=None) -> np.ndarray:
-        """:meth:`sample`: the sampler is itself the draw of a stationary coordinate."""
-        return self.sample(R, gen, out)
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"a={a} must be finite and positive")
+    count = _check_grid(kappa, step, count)
+    if kappa == 1.0 or count == 1:
+        return _Draw(functools.partial(_ar1_draw, np.exp(-a * step), count), count)
+    return _stationary(lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa), count)
 
 
 # -- public sampling operations ----------------------------------------------
 
 
-class _Draw:
-    """The draw of one coordinate: ``chunks(R, gen, chunk)`` streams it, and calling it draws all R rows.
-
-    Records the samplers it runs: their distinct methods joined by "+" in
-    order, the sum of their sizes (the length of each row's draw), the sum
-    of their clamped eigenvalues and their distinct dense factor kinds
-    joined by "+" (None when there is none).
-    """
-
-    def __init__(self, chunks, count, samplers):
-        self.chunks = chunks
-        self.count = count
-        self.method = "+".join(dict.fromkeys(s.method for s in samplers))
-        self.size = sum(s.size for s in samplers)
-        self.clamped = sum(s.clamped for s in samplers)
-        self.factor = "+".join(dict.fromkeys(s.factor for s in samplers if s.factor)) or None
-
-    def __call__(self, R, gen, out=None) -> np.ndarray:
-        return _full_draw(self.chunks, R, gen, self.count, out)
-
-
 def _fbm_draw(kappa, grid):
     """The draw of fractional Brownian paths with B(0) = 0 on ``grid``.
 
-    The grid origin must be a non-negative multiple j0 of the step.  Each
-    chunk is :meth:`FgnSampler.path_chunks` on j0 + count nodes from the
-    origin, written straight into ``out`` when j0 = 0 and sliced at j0
-    otherwise.
+    The grid origin must be a non-negative multiple j0 of the step.  The
+    draw is the :class:`FgnSampler` path on j0 + count nodes from the
+    origin, sliced at j0 when j0 > 0.
     """
     offset = grid.origin / grid.step
     j0 = int(round(offset))
@@ -621,23 +608,19 @@ def _fbm_draw(kappa, grid):
             "fractional Brownian coordinates need the grid origin to be a "
             "non-negative multiple of the step"
         )
-    sampler = FgnSampler(kappa, grid.step, grid.count + j0 - 1)
+    path = FgnSampler(kappa, grid.step, grid.count + j0 - 1).path
+    if j0 == 0:
+        return path
 
     def chunks(R, gen, chunk):
-        take = sampler.path_chunks(R, gen, chunk)
-        if j0 == 0:
-            return take
+        take = path.chunks(R, gen, chunk)
 
         def tail(pick=slice(None), out=None):
-            path = take(pick)[:, j0:]
-            if out is None:
-                return path
-            out[:] = path
-            return out
+            return _written(take(pick)[:, j0:], out)
 
         return tail
 
-    return _Draw(chunks, grid.count, [sampler])
+    return _Draw.joined(chunks, grid.count, [path])
 
 
 def sample_fbm(kappa, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
@@ -689,7 +672,7 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
 
         return _cursor(R, chunk, fill)
 
-    return _Draw(chunks, grid.count, [sampler for _, sampler in blocks])
+    return _Draw.joined(chunks, grid.count, [sampler for _, sampler in blocks])
 
 
 def _profiled_draw(sampler, sigma):
@@ -705,7 +688,7 @@ def _profiled_draw(sampler, sigma):
 
         return scaled
 
-    return _Draw(chunks, sampler.count, [sampler])
+    return _Draw.joined(chunks, sampler.count, [sampler])
 
 
 def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
@@ -716,9 +699,9 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
     Builds every embedding and dense factor once, so an estimator builds
     these outside its replication blocks and streams every block with them.
     Coordinates (and frozen blocks) with equal parameters share one
-    sampler; a stationary coordinate's draw is its
-    :class:`StationarySampler`.  Every draw records the ``method``,
-    ``size``, ``clamped`` and ``factor`` of the samplers it runs.  Requires
+    stationary draw; a stationary coordinate's draw is its
+    :func:`StationarySampler`.  Every draw records the ``method``,
+    ``size``, ``clamped`` and ``factor`` of the draws it runs.  Requires
     the grid to lie inside [0, T].
     """
     nodes = grid.nodes()
@@ -774,6 +757,7 @@ def sample_cholesky_oracle(cov, R: int, stream: RngStream, grid: SampleGrid | No
     (eigenvalues below -1e-10 * trace are an error).  Independent of the FFT
     path, so it cross-validates the circulant samplers.
     """
+    R = require_count(R, 1)
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DomainError("cov must be a square matrix")

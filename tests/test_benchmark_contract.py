@@ -1,0 +1,46 @@
+"""The package names that the benchmark under ``perfbench/`` calls.
+
+The benchmark is kept fixed, so that its timings compare across versions of
+the package.  A package change that drops or renames a name it calls would
+crash the benchmark's traced run; this test fails first.  Its tracer and
+probes import only numpy and the package, so they load here by file path.
+"""
+import importlib.util
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+import gpextremes.experiments as experiments
+import gpextremes.orthants as orthants
+import gpextremes.sampling as sampling
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_calls_resolve(tmp_path, monkeypatch):
+    # the tracer's hook table names the sampling classes when it is imported
+    tracer, probes = load("tracer", monkeypatch), load("probes", monkeypatch)
+    gen = np.random.default_rng(3)
+    with tracer.Tracer():
+        # the FGN probes' call
+        assert sampling.FgnSampler(1.5, 1 / 512, 512).increments(8, gen).shape == (8, 512)
+    clouds = probes._clouds(gen, 4, 3)
+    assert orthants.ewv_batch(clouds, gen=gen).shape == (4,)
+    assert orthants._pareto_mask(clouds[0]).shape == (probes.M,)
+    # the set-up probe: load a workload's config and parse its processes
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workloads["conj-n2"]["config"]), encoding="utf-8")
+    tree = experiments.load_config(config)
+    for name in tree["processes"]:
+        assert experiments._resolve_process(tree, name, f"processes.{name}").n == 2

@@ -189,8 +189,10 @@ class TestEwvMc:
         assert abs(np.mean(vals) - exact) < 4 * pooled_se
 
     def test_budget_precondition(self):
-        with pytest.raises(DomainError):
-            ewv_mc(PointCloud(1, [[0.0]]), 50, STREAM)
+        # a non-integer budget used to raise numpy's TypeError
+        for budget in (50, 100.5, "200"):
+            with pytest.raises(DomainError, match="budget"):
+                ewv_mc(PointCloud(1, [[0.0]]), budget, STREAM)
 
     def test_pruning_invariance(self):
         gen = np.random.default_rng(12)

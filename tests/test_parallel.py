@@ -63,7 +63,7 @@ def test_worker_pool_holds_blas_to_one_thread():
     dense = functools.partial(sampling._dense_draw, factor)
 
     def draw(b):
-        return get(), sampling._full_draw(dense, 512, np.random.default_rng(b), 257)
+        return get(), sampling._Draw(dense, 257)(512, np.random.default_rng(b))
 
     set_(2)
     try:
@@ -77,6 +77,22 @@ def test_worker_pool_holds_blas_to_one_thread():
     # a product rounds by the BLAS thread count, so one count for every worker count
     for (_, a), (_, b) in zip(pooled, serial):
         np.testing.assert_array_equal(a, b)
+
+
+def test_nested_hold_leaves_the_thread_count_alone(monkeypatch):
+    # a full draw inside a worker's block must not call the setter while
+    # another worker's product runs
+    count, calls = [2], []
+
+    def set_(n):
+        calls.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: (lambda: count[0], set_))
+    with parallel._one_blas_thread():
+        with parallel._one_blas_thread():
+            assert count[0] == 1
+    assert calls == [1, 2]
 
 
 def test_bundled_openblas_exports_what_the_package_calls():

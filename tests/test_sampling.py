@@ -60,12 +60,12 @@ def full_fft_circulant_draw(eigs, size, count, R, gen):
 
 def circulant(scale, size, count, R, gen):
     """The full circulant draw: every chunk of the circulant kernel's cursor."""
-    return sampling._full_draw(functools.partial(sampling._circulant_draw, scale, size, count), R, gen, count)
+    return sampling._Draw(functools.partial(sampling._circulant_draw, scale, size, count), count)(R, gen)
 
 
 def dense(factor, R, gen):
     """The full dense draw: every chunk of the dense kernel's cursor."""
-    return sampling._full_draw(functools.partial(sampling._dense_draw, factor), R, gen, factor.shape[0])
+    return sampling._Draw(functools.partial(sampling._dense_draw, factor), factor.shape[0])(R, gen)
 
 
 def cov_matrix(coord, nodes):
@@ -92,6 +92,16 @@ class TestSampleGrid:
     def test_origin_and_step_must_be_finite(self, origin, step):
         with pytest.raises(DomainError, match="grid"):
             SampleGrid(origin, step, 5)
+
+    # 2.5 used to pass and give 3 nodes, and "3" raised a bare TypeError
+    @pytest.mark.parametrize("count", [0, 2.5, "3", None])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(DomainError, match="grid count must be"):
+            SampleGrid(0.0, 0.1, count)
+
+    def test_count_is_stored_as_an_int(self):
+        count = SampleGrid(0.0, 0.1, np.int64(3)).count
+        assert type(count) is int and count == 3
 
 
 class TestSampleFbm:
@@ -270,13 +280,13 @@ class TestDrawPlan:
         # FGN never pads its embedding: circulant at every node count
         for count, size in [(2049, 4096), (1025, 2048), (512, 1024), (9, 16)]:
             fgn = sampling.FgnSampler(1.5, 1.0 / count, count)
-            assert (fgn.method, fgn.size) == ("circulant", size)
+            assert (fgn.increments.method, fgn.increments.size) == ("circulant", size)
         # the unpadded spec of this class (and of the circulant oracle test) stays circulant
         plain = sampling.StationarySampler(self.A, self.KAPPA, self.STEP, self.COUNT)
         assert (plain.method, plain.size) == ("circulant", 128)
         # the 17-node sampler's least embedding (32) is infeasible: dense
         assert sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).method == "dense"
-        assert sampling.FgnSampler(1.0, 0.1, 9).method == "direct"
+        assert sampling.FgnSampler(1.0, 0.1, 9).increments.method == "direct"
         assert sampling.StationarySampler(1.0, 1.0, 0.1, 9).method == "direct"
 
     def test_infeasible_embedding_goes_dense_up_to_the_cap(self):
@@ -295,7 +305,8 @@ class TestDrawPlan:
         try:
             for threads in (1, 2):
                 set_(threads)
-                factors.append(sampling.StationarySampler(2.0, 1.5, 1.0 / 1024, 1025)._factor)
+                # the factor that the dense draw's cursor kernel multiplies by
+                factors.append(sampling.StationarySampler(2.0, 1.5, 1.0 / 1024, 1025).chunks.args[0])
                 assert get() == threads
         finally:
             set_(prior)
@@ -312,7 +323,7 @@ class TestDrawPlan:
         assert (indefinite.method, indefinite.clamped, indefinite.factor) == ("dense", 0, "eigh")
         conj = sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025)
         assert (conj.method, conj.clamped, conj.factor) == ("dense", 0, "cholesky")
-        direct = sampling.FgnSampler(1.0, 0.1, 9)
+        direct = sampling.FgnSampler(1.0, 0.1, 9).increments
         assert (direct.clamped, direct.factor) == (0, None)
         # a coordinate draw joins its samplers' kinds: frozen blocks of 16 and 9 nodes
         coord = LocallyStationary(ProfileTable.from_function(lambda t: 5.0, 1.0, count=5), 2.0, block_count=2)
@@ -349,6 +360,9 @@ class TestDrawPlan:
             lambda: sampling.StationarySampler(math.nan, 1.5, 0.1, 10),
             lambda: sampling.StationarySampler(1.0, 1.5, 0.0, 10),
             lambda: sampling.StationarySampler(1.0, 1.5, 0.1, -2),
+            # a fractional count used to draw its integer part of nodes
+            lambda: sampling.FgnSampler(1.5, 0.1, 2.5),
+            lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 2.5),
         ],
         ids=[
             "fgn-negative-step",
@@ -359,6 +373,8 @@ class TestDrawPlan:
             "nan-a",
             "zero-step",
             "negative-count",
+            "fgn-fractional-count",
+            "fractional-count",
         ],
     )
     def test_impossible_grid_is_domain_error(self, build):
@@ -391,9 +407,9 @@ def one_coordinate_draw(coord, grid):
 
 # name -> (draw builder, node count, R); every draw takes ``out=``
 OUT_DRAWS = {
-    "circulant": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 64).sample, 64, 300),
-    "dense": (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 257).sample, 257, 300),
-    "dense-eigh": (lambda: sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).sample, 17, 300),
+    "circulant": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 64), 64, 300),
+    "dense": (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 257), 257, 300),
+    "dense-eigh": (lambda: sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17), 17, 300),
     # three chunks of rows of the direct normals
     "fgn-kappa1": (
         lambda: sampling.FgnSampler(1.0, 1.0 / 256, 257).increments,
@@ -403,8 +419,8 @@ OUT_DRAWS = {
     "fgn-kappa2": (lambda: sampling.FgnSampler(2.0, 0.1, 16).increments, 16, 300),
     "fgn-kappa15": (lambda: sampling.FgnSampler(1.5, 1.0 / 512, 512).increments, 512, 300),
     "fgn-single-increment": (lambda: sampling.FgnSampler(1.5, 0.1, 1).increments, 1, 300),
-    "ar1": (lambda: sampling.StationarySampler(1.0, 1.0, 0.01, 50).sample, 50, 300),
-    "single-node": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 1).sample, 1, 300),
+    "ar1": (lambda: sampling.StationarySampler(1.0, 1.0, 0.01, 50), 50, 300),
+    "single-node": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 1), 1, 300),
     "fbm": (lambda: sampling._fbm_draw(1.2, SampleGrid(0.0, 1.0 / 64, 33)), 33, 300),
     "fbm-origin-offset": (lambda: sampling._fbm_draw(1.5, SampleGrid(0.25, 1.0 / 64, 33)), 33, 300),
     "fbm-one-node": (lambda: sampling._fbm_draw(1.5, SampleGrid(0.0, 1.0 / 64, 1)), 1, 300),
@@ -438,28 +454,17 @@ OUT_DRAWS = {
 }
 
 
-def chunks_of(draw):
-    """The chunk cursor factory ``chunks(R, gen, chunk)`` behind the full draw ``draw``."""
-    owner = getattr(draw, "__self__", None)
-    if owner is None:
-        return draw.chunks
-    name = {"sample": "chunks", "increments": "increment_chunks", "path": "path_chunks"}[draw.__name__]
-    return getattr(owner, name)
-
-
-def is_dense(draw):
-    return "dense" in getattr(draw, "__self__", draw).method
-
-
 def streamed(draw, R, gen, chunk, pick):
     """``(rows, indices)``: the rows ``pick(c, k)`` names in each chunk c of k rows, stacked, and their indices."""
-    take = chunks_of(draw)(R, gen, chunk)
+    take = draw.chunks(R, gen, chunk)
     parts, rows = [], []
-    for c, r0 in enumerate(range(0, R, chunk)):
-        k = min(chunk, R - r0)
-        p = pick(c, k)
-        parts.append(take(p))
-        rows.append(np.arange(r0, r0 + k)[p])
+    # on one BLAS thread, as the replication blocks and the full draw run
+    with parallel._one_blas_thread():
+        for c, r0 in enumerate(range(0, R, chunk)):
+            k = min(chunk, R - r0)
+            p = pick(c, k)
+            parts.append(take(p))
+            rows.append(np.arange(r0, r0 + k)[p])
     return np.concatenate(parts), np.concatenate(rows)
 
 
@@ -488,7 +493,7 @@ class TestOutContract:
         got, rows = streamed(draw, R, gen, 37, lambda c, k: np.flatnonzero(coin.random(k) < 0.2))
         assert got.shape == (rows.size, count)
         # a picked dense product may round its last bits differently; every other draw is exact
-        atol = 1e-12 if is_dense(draw) else 0.0
+        atol = 1e-12 if "dense" in draw.method else 0.0
         np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
@@ -499,10 +504,11 @@ class TestOutContract:
         full = draw(R, np.random.default_rng(8))
         # every row of each chunk of the full draw's size, picked by index, into a strided destination
         chunk = sampling._chunk_rows(count)
-        take = chunks_of(draw)(R, np.random.default_rng(8), chunk)
+        take = draw.chunks(R, np.random.default_rng(8), chunk)
         block = np.full((R, 3, count), np.nan)
-        for r0 in range(0, R, chunk):
-            take(np.arange(min(chunk, R - r0)), out=block[r0 : r0 + chunk, 1, :])
+        with parallel._one_blas_thread():
+            for r0 in range(0, R, chunk):
+                take(np.arange(min(chunk, R - r0)), out=block[r0 : r0 + chunk, 1, :])
         np.testing.assert_array_equal(block[:, 1, :], full)
 
     def test_rows_selecting_none_consume_the_draw(self):
@@ -528,7 +534,7 @@ class TestOutContract:
             # chunk by chunk in turn: every row, every other row, none
             picks = (lambda k: slice(None), lambda k: np.arange(0, k, 2), lambda k: np.arange(0))
             got, rows = streamed(draw, R, gen, chunk, lambda c, k: picks[c % 3](k))
-            atol = 1e-12 if is_dense(draw) else 0.0
+            atol = 1e-12 if "dense" in draw.method else 0.0
             np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
@@ -562,7 +568,7 @@ class TestOutContract:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda m: sampling.StationarySampler(1.0, 1.0, 1.0 / 512, m).sample,
+            lambda m: sampling.StationarySampler(1.0, 1.0, 1.0 / 512, m),
             lambda m: sampling._fbm_draw(1.0, SampleGrid(0.0, 1.0 / 512, m)),
             lambda m: sampling._fbm_draw(1.5, SampleGrid(0.0, 1.0 / 512, m)),
         ],
@@ -583,8 +589,8 @@ class TestOutContract:
     @pytest.mark.parametrize(
         "build, R, m",
         [
-            (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025).sample, 2048, 1025),
-            (lambda: sampling.StationarySampler(1.0, 1.0, 1.0 / 512, 513).sample, 8192, 513),
+            (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025), 2048, 1025),
+            (lambda: sampling.StationarySampler(1.0, 1.0, 1.0 / 512, 513), 8192, 513),
             (lambda: sampling.FgnSampler(1.0, 1.0 / 512, 513).increments, 8192, 513),
         ],
         ids=["dense", "ar1", "fgn-kappa1"],
@@ -604,7 +610,7 @@ class TestOutContract:
         # the spectrum, its normals and its transform are built 64 rows at a time
         R, m = 2048, 513
         sampler = sampling.FgnSampler(1.5, 1.0 / 512, m - 1)
-        assert (sampler.method, sampler.size) == ("circulant", 1024)
+        assert (sampler.increments.method, sampler.increments.size) == ("circulant", 1024)
         out = np.empty((R, m))
         tracemalloc.start()
         try:
@@ -637,7 +643,7 @@ class TestSampleVector:
     def test_ar1_recursion_matches_lfilter(self):
         # the kappa = 1 recursion against the IIR filter that computed it before
         R, count, a, step = 300, 257, 1.3, 1.0 / 64
-        new = sampling.StationarySampler(a, 1.0, step, count).sample(R, np.random.default_rng(4))
+        new = sampling.StationarySampler(a, 1.0, step, count)(R, np.random.default_rng(4))
         rho = np.exp(-a * step)
         xi = np.random.default_rng(4).standard_normal((R, count))
         xi[:, 1:] *= np.sqrt(1.0 - rho * rho)
@@ -694,6 +700,26 @@ class TestSampleVector:
         v = batch.values[:, 0, :].var(axis=0)
         np.testing.assert_allclose(v, grid.nodes(), rtol=0.05)
 
+    @pytest.mark.skipif(parallel._openblas_threads() is None, reason="numpy has no bundled OpenBLAS")
+    def test_full_draw_is_independent_of_blas_threads(self):
+        # a dense draw outside the replication blocks used to round its
+        # product by the process's BLAS thread count
+        get, set_ = parallel._openblas_threads()
+        prior = get()
+        spec = VectorProcessSpec((Stationary(1.0, 1.5),), 1.0)
+        grid = SampleGrid(0.0, 1.0 / 1024, 1025)
+        samplers = sampling.coordinate_samplers(spec, grid)
+        assert samplers[0].method == "dense"
+        draws = []
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                draws.append(sample_vector(spec, grid, 64, STREAM.child("threads"), samplers).values)
+                assert get() == threads
+        finally:
+            set_(prior)
+        np.testing.assert_array_equal(draws[0], draws[1])
+
     def test_determinism_full_vector(self):
         spec = VectorProcessSpec((Stationary(1.0, 1.0), FractionalBrownian(1.5)), 1.0)
         grid = SampleGrid(0.0, 0.125, 9)
@@ -719,6 +745,12 @@ class TestCholeskyOracle:
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(FactorizationError):
             sample_cholesky_oracle(cov, 100, STREAM)
+
+    # 2.5 and "3" used to raise a bare TypeError, and -1 numpy's ValueError
+    @pytest.mark.parametrize("R", [0, -1, 2.5, "3"])
+    def test_r_must_be_a_positive_integer(self, R):
+        with pytest.raises(DomainError, match="R must be"):
+            sample_cholesky_oracle(np.eye(2), R, STREAM)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
