@@ -32,6 +32,7 @@ from .constants import (
     estimate_window_constant,
 )
 from .errors import DomainError, PreconditionError, ProviderError
+from .parallel import require_count, require_real
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -72,12 +73,11 @@ class AsymptoticApproximation:
 
     @classmethod
     def assemble(cls, regime, leading_constant, u_power, tail_args, u, diagnostics=None):
-        if not leading_constant > 0:
-            raise DomainError(f"leading constant must be positive, got {leading_constant}")
+        leading_constant = require_real(leading_constant, "leading constant", above=0)
         tail_args = tuple(float(x) for x in tail_args)
         tails = float(np.prod([gaussian_tail(x) for x in tail_args]))
         value = leading_constant * float(u) ** u_power * tails
-        return cls(regime, float(leading_constant), float(u_power), tail_args, value, diagnostics or {})
+        return cls(regime, leading_constant, float(u_power), tail_args, value, diagnostics or {})
 
 
 # -- constant providers --------------------------------------------------------
@@ -144,12 +144,12 @@ class MonteCarloProvider(ConstantProvider):
         grid_step=None,
         workers: int = 1,
     ):
-        self.kappa = float(kappa)
+        self.kappa = require_real(kappa, "kappa", above=0, at_most=2)
         self.stream = stream
-        self.R = int(R)
+        self.R = require_count(R, 0)
         self.S_ladder = tuple(S_ladder)
         self.grid_step = grid_step
-        self.workers = int(workers)
+        self.workers = require_count(workers, 1, "workers")
         self._cache: dict = {}
 
     @staticmethod
@@ -204,7 +204,7 @@ class ScalingProvider(ConstantProvider):
     def __init__(self, base_C, base_estimate: ConstantEstimate, kappa):
         self.base_C = np.asarray(base_C, dtype=float)
         self.base = base_estimate
-        self.kappa = float(kappa)
+        self.kappa = require_real(kappa, "kappa", above=0, at_most=2)
 
     def pickands(self, C) -> ConstantEstimate:
         C = np.asarray(C, dtype=float)
@@ -323,9 +323,7 @@ def approx_locally_stationary(
     value = (integral over [0,T] of the frozen-model limit constant)
             * u^(2/kappa) * prod_i Psi(f_i(u)).
     """
-    u = float(u)
-    if u <= 0:
-        raise DomainError("u must be positive")
+    u = require_real(u, "u", above=0)
     if len(thresholds.limits_c) != spec.n:
         raise DomainError("threshold family dimension must match the process")
     kappa, a_of_t = _active_curvature(spec)
@@ -351,7 +349,7 @@ def theta_combination(profile: VarianceProfileReport, beta) -> float:
     t0 at the left end uses only theta_upper, at the right end only
     theta_lower, and interior minimizers add both reciprocal beta-powers.
     """
-    beta = float(beta)
+    beta = require_real(beta, "beta", above=0)
     if profile.boundary_tag == "left":
         return profile.theta_upper ** (-1.0 / beta)
     if profile.boundary_tag == "right":
@@ -384,9 +382,7 @@ def approx_nonstationary(
     alpha > beta: exactly the product of coordinate tails.  Stationary
     coordinates may be mixed in (unit variance, zero curvature coefficients).
     """
-    u = float(u)
-    if u <= 0:
-        raise DomainError("u must be positive")
+    u = require_real(u, "u", above=0)
     alphas = []
     curvatures = []
     betas = []
@@ -473,10 +469,9 @@ def local_window_approx(
     constant_provider: ConstantProvider,
 ) -> AsymptoticApproximation:
     """Short-window tail formula: window constant times the tail product."""
-    u = float(u)
-    if u <= 0:
-        raise DomainError("u must be positive")
-    S1, S2 = float(window[0]), float(window[1])
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
+    u = require_real(u, "u", above=0)
+    S1, S2 = (require_real(window[k], "window") for k in (0, 1))
     if max(S1, S2) <= 0:
         raise DomainError("window must have positive extent")
     est = constant_provider.window(np.asarray(C_effective, dtype=float), drift, (S1, S2))
@@ -486,7 +481,7 @@ def local_window_approx(
         0.0,
         np.asarray(thresholds_at_u, dtype=float),
         u,
-        diagnostics={"kappa": float(kappa), "window": (S1, S2), "constant_se": est.se},
+        diagnostics={"kappa": kappa, "window": (S1, S2), "constant_se": est.se},
     )
 
 
@@ -496,11 +491,5 @@ def order_stats_approx(n: int, r: int, base_prob_min_r: float) -> float:
     The multiplier is n! / ((n-r)! r!) -- the number of ways to choose which
     r exchangeable coordinates exceed.
     """
-    n = int(n)
-    r = int(r)
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} outside 1..{n}")
-    base = float(base_prob_min_r)
-    if base < 0:
-        raise DomainError("base probability must be non-negative")
-    return math.comb(n, r) * base
+    r = require_count(r, 1, "r")
+    return math.comb(require_count(n, r, "n"), r) * require_real(base_prob_min_r, "base_prob_min_r", at_least=0)

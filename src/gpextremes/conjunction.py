@@ -37,7 +37,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
-from .parallel import mean_and_se, replicate, require_ladder, require_stream
+from .parallel import mean_and_se, replicate, require_count, require_ladder, require_real, require_stream
 from .processes import (
     NonStationary,
     Stationary,
@@ -95,19 +95,18 @@ def _prob_from_hits(hits, R, grid_step, diagnostics) -> ProbEstimate:
 
 def default_grid_step(horizon_T, u, kappa_min) -> float:
     """min(T/1024, 0.1 u^(-2/kappa_min)): resolves the local-window mesoscale."""
-    if not float(u) > 0:
-        raise DomainError(f"u must be positive, got {u}")
-    return min(float(horizon_T) / 1024.0, 0.1 * float(u) ** (-2.0 / float(kappa_min)))
+    u = require_real(u, "u", above=0)
+    kappa_min = require_real(kappa_min, "kappa_min", above=0, at_most=2)
+    return min(require_real(horizon_T, "horizon_T", above=0) / 1024.0, 0.1 * u ** (-2.0 / kappa_min))
 
 
 def _threshold_matrix(thresholds, n):
-    thr = np.asarray(thresholds, dtype=float)
+    """``thresholds``, a vector of n numbers or a stack of such vectors, as a (rows, n) float array."""
+    thr = np.reshape([require_real(v, "thresholds") for v in np.ravel(thresholds)], np.shape(thresholds))
     if thr.ndim == 1:
         thr = thr[None, :]
     if thr.ndim != 2 or thr.shape[1] != n:
         raise DomainError(f"thresholds shape {thr.shape} incompatible with n={n}")
-    if not np.isfinite(thr).all():
-        raise DomainError(f"thresholds must be finite, got {thr.tolist()}")
     return thr
 
 
@@ -252,11 +251,9 @@ def conjunction_prob_nested(
     sets nest and paths are shared, the hit indicator is monotone under
     refinement, exactly.
     """
-    strides = tuple(int(s) for s in strides)
+    strides = tuple(require_count(s, 1, "strides") for s in strides)
     if not strides:
         raise DomainError("strides must name at least one stride")
-    if any(s < 1 for s in strides):
-        raise DomainError("strides must be positive")
     if any(a <= b or a % b for a, b in zip(strides, strides[1:])):
         raise DomainError(f"strides must strictly decrease, each a multiple of the next, got {strides}")
     thr = _threshold_matrix(thresholds, spec.n)
@@ -294,12 +291,8 @@ def estimate_double_event(
     """
     if not all(isinstance(c, Stationary) for c in spec.coords):
         raise DomainError("double-event windows are defined for stationary coordinates")
-    u = float(u)
-    S = float(S)
-    if not u > 0:
-        raise DomainError(f"u must be positive, got {u}")
-    if not S > 1:
-        raise DomainError("S must exceed 1")
+    u = require_real(u, "u", above=0)
+    S = require_real(S, "S", above=1)
     offsets = require_ladder(t0_offsets, "t0_offsets")
     if offsets[0] <= S:
         raise DomainError("every offset in t0_offsets must exceed S")
@@ -360,9 +353,9 @@ def audit_slepian(
     require_stream(stream)
     if specA.n != specB.n:
         raise PreconditionError("specs must have the same number of coordinates")
-    thr = np.asarray(thresholds, dtype=float)
-    if thr.ndim != 1:
-        raise DomainError(f"the Slepian audit takes a single threshold vector, got shape {thr.shape}")
+    if np.ndim(thresholds) != 1:
+        raise DomainError(f"the Slepian audit takes a single threshold vector, got shape {np.shape(thresholds)}")
+    thr = _threshold_matrix(thresholds, specA.n)[0]
     nodes = grid.nodes()
     for i, (ca, cb) in enumerate(zip(specA.coords, specB.coords)):
         va = np.asarray(coord_variance(ca, nodes))
@@ -544,9 +537,7 @@ class RatioReport:
 
 
 def compare_with_asymptotic(empirical: ProbEstimate, approx: AsymptoticApproximation) -> RatioReport:
-    if not approx.value_at_u > 0:
-        raise DomainError("asymptotic value must be positive")
-    a = approx.value_at_u
+    a = require_real(approx.value_at_u, "asymptotic value", above=0)
     if empirical.hits == 0:
         bound = empirical.se / a
         return RatioReport(None, (0.0, bound), empirical.grid_step, bound, "zero hits: ratio undefined")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import mean_and_se, replicate, require_count, require_ladder, require_stream
+from .parallel import mean_and_se, replicate, require_count, require_ladder, require_real, require_stream
 from .rng import RngStream
 from .sampling import FgnSampler, _chunk_rows
 
@@ -52,14 +52,11 @@ class DriftSpec:
     d_upper: tuple
 
     def __post_init__(self):
-        if not (math.isfinite(self.exponent) and self.exponent > 0):
-            raise DomainError(f"drift exponent must be finite and positive, got {self.exponent}")
-        lo = tuple(float(v) for v in self.d_lower)
-        hi = tuple(float(v) for v in self.d_upper)
+        object.__setattr__(self, "exponent", require_real(self.exponent, "drift exponent", above=0))
+        lo = tuple(require_real(v, "d_lower") for v in self.d_lower)
+        hi = tuple(require_real(v, "d_upper") for v in self.d_upper)
         if len(lo) != len(hi) or not lo:
             raise DomainError("d_lower and d_upper must be non-empty and equally long")
-        if not all(math.isfinite(v) for v in lo + hi):
-            raise DomainError(f"drift coefficients must be finite, got {lo} and {hi}")
         object.__setattr__(self, "d_lower", lo)
         object.__setattr__(self, "d_upper", hi)
 
@@ -101,18 +98,18 @@ class ConstantEstimate:
 
 def default_window_step(kappa, S) -> float:
     """Window grid step: rougher paths (small kappa) need finer grids."""
-    S = float(S)
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
+    S = require_real(S, "S", above=0)
     return S / 1024.0 if kappa <= 1.0 else S / 512.0
 
 
 def _check_amplitudes(C):
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 1 or C.size < 1:
+    """The amplitudes ``C``, a vector of non-negative numbers not all zero, as an array."""
+    if np.ndim(C) != 1:
         raise DomainError("C must be a non-empty vector")
-    if np.any(C < 0) or not np.any(C > 0):
-        raise DomainError("C must be componentwise non-negative with at least one positive entry")
-    if not np.all(np.isfinite(C)):
-        raise DomainError("C must be finite")
+    C = np.array([require_real(c, "C", at_least=0) for c in C])
+    if not np.any(C > 0):
+        raise DomainError("C must be a non-empty vector with at least one positive entry")
     return C
 
 
@@ -200,19 +197,15 @@ def estimate_window_constant(
     ``clamped`` and ``factor`` and the block count.
     """
     C = _check_amplitudes(C)
-    if not 0 < kappa <= 2:
-        raise DomainError(f"kappa={kappa} outside (0, 2]")
-    S1, S2 = float(window[0]), float(window[1])
-    if not (math.isfinite(S1) and math.isfinite(S2) and S1 >= 0 and S2 >= 0):
-        raise DomainError("window bounds must be finite and non-negative (S1 is the left extent)")
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
+    S1, S2 = (require_real(window[k], "window bounds", at_least=0) for k in (0, 1))
     if drift.n != C.size:
         raise DomainError("drift dimension must match C")
     if S1 == 0.0 and S2 == 0.0:
         return ConstantEstimate(1.0, 0.0, (0.0, 0.0), 0.0, 0, "window")
 
-    step = float(grid_step) if grid_step is not None else default_window_step(kappa, max(S1, S2))
-    if not (math.isfinite(step) and step > 0):
-        raise DomainError(f"grid_step must be finite and positive, got {step}")
+    step = default_window_step(kappa, max(S1, S2)) if grid_step is None else grid_step
+    step = require_real(step, "grid_step", above=0)
     j1 = _window_node_count(S1, step, "S1")
     j2 = _window_node_count(S2, step, "S2")
     m = j1 + j2 + 1
@@ -305,6 +298,7 @@ def estimate_pickands(
     """
     require_stream(stream)
     C = _check_amplitudes(C)
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
     ladder = require_ladder(S_ladder, "S_ladder", min_rungs=3)
     drift = DriftSpec.zero(C.size, exponent=kappa)
     rungs, rung_draws = [], []
@@ -456,11 +450,8 @@ def estimate_discrete_zero(
     """
     require_stream(stream)
     C = _check_amplitudes(C)
-    if not 0 < kappa <= 2:
-        raise DomainError(f"kappa={kappa} outside (0, 2]")
-    horizon = float(horizon)
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise DomainError(f"horizon must be finite and positive, got {horizon}")
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
+    horizon = require_real(horizon, "horizon", above=0)
     if max(c * c * horizon**kappa for c in C) < 40.0:
         raise TruncationError(
             "horizon too short: need max_i C_i^2 * horizon^kappa >= 40"
@@ -525,18 +516,14 @@ def closed_forms_n1(C1, kappa, window_T=None) -> float:
     kappa=1 -> (2+T) Phi(sqrt(T/2)) + sqrt(T/pi) exp(-T/4);
     kappa=2 -> 1 + T/sqrt(pi).
     """
-    C1 = float(C1)
-    if C1 <= 0:
-        raise DomainError("C1 must be positive")
-    if kappa not in (1, 2, 1.0, 2.0):
+    C1 = require_real(C1, "C1", above=0)
+    kappa = require_real(kappa, "kappa")
+    if kappa not in (1.0, 2.0):
         raise UnsupportedModelError(f"closed forms exist only for kappa in {{1, 2}}, got {kappa}")
-    kappa = float(kappa)
     if window_T is None:
         base = 1.0 if kappa == 1.0 else 1.0 / math.sqrt(math.pi)
         return C1 ** (2.0 / kappa) * base
-    T = float(window_T)
-    if T < 0:
-        raise DomainError("window_T must be non-negative")
+    T = require_real(window_T, "window_T", at_least=0)
     if C1 != 1.0:
         raise DomainError(
             "window closed forms are stated for C1 = 1; rescale the window by "
@@ -556,11 +543,10 @@ def pickands_bounds(n, C, kappa):
     kappa=2 -> n (n/(n-1))^(n-1) / sqrt(pi), with n/(n-1) read as 1 at n=1.
     """
     C = _check_amplitudes(C)
-    n = int(n)
+    n = require_count(n, 1, "n")
     if n != C.size:
         raise DomainError("n must equal len(C)")
-    if not 0 < kappa <= 2:
-        raise DomainError(f"kappa={kappa} outside (0, 2]")
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
     csum = float((C**2).sum())
     lower = csum ** (1.0 / kappa) / (4.0 ** (1.0 + 1.0 / kappa) * math.gamma(1.0 / kappa + 1.0))
     upper = None
@@ -583,8 +569,8 @@ def piterbarg_lower_bound(C, kappa, drift: DriftSpec, variant: str, pickands_val
     C = _check_amplitudes(C)
     if drift.n != C.size:
         raise DomainError("drift dimension must match C")
-    if not 0 < kappa <= 2:
-        raise DomainError(f"kappa={kappa} outside (0, 2]")
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
+    pickands_value = require_real(pickands_value, "pickands_value")
     if variant == "right":
         s = drift.positive_sum_upper()
         if s <= 0:

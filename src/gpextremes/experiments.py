@@ -44,7 +44,8 @@ from .constants import (
     pickands_bounds,
     piterbarg_lower_bound,
 )
-from .errors import ConfigError, GpxError, SpecValidationError
+from .errors import ConfigError, DomainError, GpxError, SpecValidationError
+from .parallel import require_real
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -169,12 +170,9 @@ def _number(node, at, key, required=True, default=None):
     if val is None:
         return None
     try:
-        num = float(val)
-    except OverflowError:
-        num = math.inf
-    if not math.isfinite(num):
-        raise ConfigError(_join(at, key), f"expected a finite number, got {val!r}")
-    return num
+        return require_real(val, key)
+    except DomainError as exc:
+        raise ConfigError(_join(at, key), f"expected a finite number, got {val!r}") from exc
 
 
 def _integer(node, at, key, required=True, default=None):
@@ -398,6 +396,11 @@ def _run_constant(tree, exp_id, seed, workers, out_dir, records, plots):
     plots[exp_id] = list(rungs)
 
 
+def _horizon_grid(T, step) -> SampleGrid:
+    """The grid from 0 at ``step`` whose last node is the last one inside the horizon [0, T]."""
+    return SampleGrid(0.0, step, math.floor(T / step + 1e-9) + 1)
+
+
 def _probability_pieces(tree, section_path, seed, workers):
     section = _get(tree, "", section_path, dict)
     spec = _resolve_process(tree, _get(section, section_path, "process", str), f"{section_path}.process")
@@ -415,8 +418,7 @@ def _probability_pieces(tree, section_path, seed, workers):
     step = _number(section, section_path, "grid_step", required=False)
     if step is None:
         step = default_grid_step(spec.horizon_T, u, kappa_min)
-    count = int(round(spec.horizon_T / step)) + 1
-    grid = SampleGrid(0.0, step, count)
+    grid = _horizon_grid(spec.horizon_T, step)
     R = _integer(section, section_path, "replications")
     stream = derive_stream(seed, "prob", 0)
     est = estimate_conjunction_prob(spec, family.realize(u), grid, R, stream, workers)
@@ -476,7 +478,7 @@ def _run_audit(tree, exp_id, seed, workers, out_dir, records, plots):
         spec_b = _resolve_process(tree, _get(section, "audit", "process_b", str), "audit.process_b")
         u = _number(section, "audit", "u")
         step = _number(section, "audit", "grid_step", required=False, default=spec_a.horizon_T / 256.0)
-        grid = SampleGrid(0.0, step, int(round(spec_a.horizon_T / step)) + 1)
+        grid = _horizon_grid(spec_a.horizon_T, step)
         rep = audit_slepian(spec_a, spec_b, [u] * spec_a.n, grid, R, stream, workers)
         records.append(
             _row(exp_id, "audit", "slepian", rep.p_dominating.value, rep.p_dominating.se, step, R,
@@ -486,7 +488,7 @@ def _run_audit(tree, exp_id, seed, workers, out_dir, records, plots):
     spec = _resolve_process(tree, _get(section, "audit", "process", str), "audit.process")
     us = _vector(section, "audit", "u_ladder")
     step = _number(section, "audit", "grid_step", required=False, default=spec.horizon_T / 1024.0)
-    grid = SampleGrid(0.0, step, int(round(spec.horizon_T / step)) + 1)
+    grid = _horizon_grid(spec.horizon_T, step)
     if which == "borell":
         reports = audit_borell(spec, us, grid, R, stream, workers)
         series = []

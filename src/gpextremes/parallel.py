@@ -20,8 +20,11 @@ and setter behind that hold, and ``cblas_dtrmm``, with which
 factor in place.  Where numpy bundles no OpenBLAS the hold does nothing
 and the dense draw is a plain matrix product.  The argument
 checks that every estimator shares live here too: :func:`require_count`
-for the replication count and every other count, :func:`require_stream`
-for the stream and :func:`require_ladder` for the S, u and offset ladders.
+for the replication count and every other count, :func:`require_real` for
+every other number (an exponent, step, horizon, threshold or entry),
+:func:`require_stream` for the stream and :func:`require_ladder` for the S,
+u and offset ladders.  Each raises :class:`DomainError` with a message that
+opens with the argument's name.
 """
 from __future__ import annotations
 
@@ -187,23 +190,47 @@ def require_count(R, minimum: int, name: str = "R") -> int:
     return R
 
 
+def require_real(value, name: str, above=None, at_least=None, at_most=None) -> float:
+    """``value`` as a float: an exponent, a step, a horizon, a threshold or an entry.
+
+    Raises :class:`DomainError`, naming the argument ``name``, unless
+    ``value`` is a finite real number (a Python or numpy integer or float,
+    not a bool, a string or None) that is ``> above``, ``>= at_least`` and
+    ``<= at_most``, each where given.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x}")
+    if (
+        (above is not None and x <= above)
+        or (at_least is not None and x < at_least)
+        or (at_most is not None and x > at_most)
+    ):
+        rules = ((above, ">", "positive"), (at_least, ">=", "non-negative"), (at_most, "<=", ""))
+        domain = " and ".join(word if word and b == 0 else f"{op} {b}" for b, op, word in rules if b is not None)
+        raise DomainError(f"{name} must be {domain}, got {x}")
+    return x
+
+
 def require_ladder(values, name, min_rungs=1, decreasing=False) -> list:
     """The rungs of the ladder ``values`` as floats.
 
     Raises :class:`DomainError`, naming the ladder ``name``, unless there are
-    at least ``min_rungs`` rungs, each finite and positive, and strictly
-    increasing (strictly decreasing with ``decreasing``).
+    at least ``min_rungs`` rungs, each a positive number by
+    :func:`require_real`, and strictly increasing (strictly decreasing with
+    ``decreasing``).
     """
     try:
-        rungs = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+        rungs = [require_real(v, f"{name} rungs", above=0) for v in values]
+    except TypeError as exc:
         raise DomainError(f"{name} must be a sequence of numbers") from exc
     pairs = zip(rungs[1:], rungs) if decreasing else zip(rungs, rungs[1:])
-    if (
-        len(rungs) < min_rungs
-        or not all(math.isfinite(v) and v > 0 for v in rungs)
-        or any(b <= a for a, b in pairs)
-    ):
+    if len(rungs) < min_rungs or any(b <= a for a, b in pairs):
         order = "decreasing" if decreasing else "increasing"
         raise DomainError(
             f"{name} must be >= {min_rungs} finite, positive, strictly {order} rungs, got {rungs}"
@@ -218,11 +245,13 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     block's stream ``stream.child("block", b, *salt)``: ``block()`` for one
     stream per block, ``block("coord", i)`` and the like for several.  Rejects
     a missing stream and, by :func:`require_count`, an ``R`` that is not an
-    integer of at least ``MIN_REPLICATIONS``.  The caller reduces the
-    list: :func:`mean_and_se` for per-replication values, a sum for counts.
+    integer of at least ``MIN_REPLICATIONS`` and ``workers`` that is not a
+    positive integer.  The caller reduces the list: :func:`mean_and_se` for
+    per-replication values, a sum for counts.
     """
     require_stream(stream)
     sizes = block_sizes(require_count(R, MIN_REPLICATIONS))
+    workers = require_count(workers, 1, "workers")
 
     def run(b):
         return fn(sizes[b], functools.partial(stream.child, "block", b))

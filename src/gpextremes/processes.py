@@ -25,6 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AmbiguousMinimumError, DomainError, SpecValidationError, UnsupportedModelError
+from .parallel import require_count, require_real
 
 __all__ = [
     "ProfileTable",
@@ -78,12 +79,10 @@ class ProfileTable:
     values: tuple
 
     def __post_init__(self):
-        nodes = tuple(float(t) for t in self.nodes)
-        values = tuple(float(v) for v in self.values)
+        nodes = tuple(require_real(t, "ProfileTable nodes") for t in self.nodes)
+        values = tuple(require_real(v, "ProfileTable values") for v in self.values)
         if len(nodes) != len(values) or not nodes:
             raise DomainError("ProfileTable needs matching, non-empty nodes and values")
-        if not all(math.isfinite(x) for x in nodes + values):
-            raise DomainError("ProfileTable nodes and values must be finite")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise DomainError("ProfileTable nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -91,7 +90,7 @@ class ProfileTable:
 
     @classmethod
     def constant(cls, value, horizon):
-        return cls((0.0, float(horizon)), (value, value))
+        return cls((0.0, horizon), (value, value))
 
     @classmethod
     def from_function(cls, fn, horizon, count=33):
@@ -185,10 +184,10 @@ class VectorProcessSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "horizon_T", float(self.horizon_T))
         failures = validate_spec(self).failures
         if failures:
             raise SpecValidationError(failures)
+        object.__setattr__(self, "horizon_T", float(self.horizon_T))
 
     @property
     def n(self) -> int:
@@ -203,14 +202,10 @@ class ThresholdFamily:
     offsets: tuple = ()
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.limits_c)
-        offs = tuple(float(v) for v in self.offsets) if self.offsets else (0.0,) * len(c)
-        if not all(math.isfinite(v) and v > 0 for v in c):
-            raise DomainError(f"limits_c must be finite and positive componentwise, got {c}")
+        c = tuple(require_real(v, "limits_c", above=0) for v in self.limits_c)
+        offs = tuple(require_real(v, "offsets") for v in self.offsets) if self.offsets else (0.0,) * len(c)
         if len(offs) != len(c):
             raise DomainError("offsets must match limits_c in length")
-        if not all(math.isfinite(v) for v in offs):
-            raise DomainError(f"offsets must be finite, got {offs}")
         object.__setattr__(self, "limits_c", c)
         object.__setattr__(self, "offsets", offs)
 
@@ -262,11 +257,8 @@ def eval_correlation(coord, s, t, horizon_T):
     Equals 1 exactly iff s == t (a fractional Brownian coordinate at the
     origin is degenerate and correlates 0 with every other time).
     """
-    s = float(s)
-    t = float(t)
-    T = float(horizon_T)
-    if not (0.0 <= s <= T and 0.0 <= t <= T):
-        raise DomainError(f"arguments ({s}, {t}) outside horizon [0, {T}]")
+    T = require_real(horizon_T, "horizon_T")
+    s, t = require_real(s, "s", at_least=0.0, at_most=T), require_real(t, "t", at_least=0.0, at_most=T)
     if s == t:
         return 1.0
     vs = coord_variance(coord, s)
@@ -291,6 +283,25 @@ class ValidationReport:
 
 def _in_unit_interval(x):
     return 0.0 < x <= 2.0
+
+
+# The fields of each coordinate type that must be finite real numbers.
+_REAL_FIELDS = {
+    Stationary: ("a", "kappa"),
+    LocallyStationary: ("kappa",),
+    NonStationary: ("alpha", "a", "beta", "b_lower", "b_upper", "holder_G", "holder_gamma", "holder_rho"),
+    FractionalBrownian: ("kappa",),
+}
+
+
+def _passes(failures, check, *args):
+    """True when ``check(*args)`` passes; otherwise its :class:`DomainError` message joins ``failures``."""
+    try:
+        check(*args)
+    except DomainError as exc:
+        failures.append(str(exc))
+        return False
+    return True
 
 
 def _check_profile_positive(profile, lo, hi, label, failures):
@@ -318,13 +329,19 @@ def validate_spec(spec: VectorProcessSpec) -> ValidationReport:
         rep.failures.append("spec needs at least one coordinate")
         return rep
     T = spec.horizon_T
-    if not (math.isfinite(T) and T > 0):
+    if not _passes(rep.failures, require_real, T, "horizon_T"):
+        return rep
+    if not T > 0:
         rep.failures.append(f"horizon_T must be positive and finite, got {T}")
         return rep
 
     betas = []
     for i, coord in enumerate(spec.coords):
         tag = f"coord[{i}]"
+        fields = next((names for kind, names in _REAL_FIELDS.items() if isinstance(coord, kind)), ())
+        # a list, not a generator: each field that is not a number is a failure
+        if not all([_passes(rep.failures, require_real, getattr(coord, f), f"{tag}: {f}") for f in fields]):
+            continue
         if isinstance(coord, Stationary):
             if not _in_unit_interval(coord.kappa):
                 rep.failures.append(f"{tag}: kappa={coord.kappa} outside (0, 2]")
@@ -333,8 +350,7 @@ def validate_spec(spec: VectorProcessSpec) -> ValidationReport:
         elif isinstance(coord, LocallyStationary):
             if not _in_unit_interval(coord.kappa):
                 rep.failures.append(f"{tag}: kappa={coord.kappa} outside (0, 2]")
-            if coord.block_count < 1:
-                rep.failures.append(f"{tag}: block_count must be >= 1")
+            _passes(rep.failures, require_count, coord.block_count, 1, f"{tag}: block_count")
             _check_profile_positive(coord.a_profile, 0.0, T, f"{tag}.a_profile", rep.failures)
         elif isinstance(coord, NonStationary):
             if not _in_unit_interval(coord.alpha):
@@ -419,8 +435,7 @@ def variance_profile(spec: VectorProcessSpec, scan_step: float) -> VarianceProfi
     one means the minimizer is not unique and the profile is rejected.
     """
     T = spec.horizon_T
-    if not 0 < scan_step <= T / 10.0:
-        raise DomainError(f"scan_step must lie in (0, T/10], got {scan_step}")
+    scan_step = require_real(scan_step, "scan_step", above=0, at_most=T / 10.0)
     if not any(isinstance(c, NonStationary) for c in spec.coords):
         raise DomainError("variance_profile needs at least one non-stationary coordinate")
     if any(isinstance(c, FractionalBrownian) for c in spec.coords):

@@ -10,6 +10,7 @@ call-order from ever touching the numbers another consumer sees.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,14 @@ _MASK63 = (1 << 63) - 1
 MAX_TAG_BYTES = 32
 
 
-def _as_seed(value) -> int:
-    seed = int(value)
-    if not 0 <= seed < 1 << 64:
-        raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {value}")
+def _as_seed(value, name="master_seed", bits=64) -> int:
+    """``value``, a Python or numpy integer in [0, 2**bits), as an int: a float is not truncated."""
+    try:
+        seed = operator.index(value)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+    if not 0 <= seed < 1 << bits:
+        raise DomainError(f"{name} must be a {bits}-bit unsigned integer, got {value}")
     return seed
 
 
@@ -40,10 +45,7 @@ class RngStream:
 
     def __post_init__(self):
         object.__setattr__(self, "master_seed", _as_seed(self.master_seed))
-        sid = int(self.stream_id)
-        if sid < 0:
-            raise DomainError("stream_id must be non-negative")
-        object.__setattr__(self, "stream_id", sid)
+        object.__setattr__(self, "stream_id", _as_seed(self.stream_id, "stream_id"))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
@@ -79,7 +81,4 @@ def derive_stream(master_seed, purpose_tag: str, index: int) -> RngStream:
         raise DomainError("purpose_tag must be a non-empty string")
     if len(purpose_tag.encode("utf-8")) > MAX_TAG_BYTES:
         raise DomainError(f"purpose_tag exceeds {MAX_TAG_BYTES} bytes")
-    index = int(index)
-    if index < 0:
-        raise DomainError("index must be non-negative")
-    return RngStream(_as_seed(master_seed), 0).child(purpose_tag, index)
+    return RngStream(_as_seed(master_seed), 0).child(purpose_tag, _as_seed(index, "index", 63))

@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 import struct
 from dataclasses import dataclass
 
@@ -96,7 +95,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
-from .parallel import _one_blas_thread, _openblas_trmm, require_count
+from .parallel import _one_blas_thread, _openblas_trmm, require_count, require_real
 from .processes import (
     LocallyStationary,
     NonStationary,
@@ -125,17 +124,15 @@ DUMP_MAGIC = b"GPB1"
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Uniform grid origin + j*step for 0 <= j < count."""
+    """Uniform grid origin + j*step for 0 <= j < count; origin and step are stored as floats."""
 
     origin: float
     step: float
     count: int
 
     def __post_init__(self):
-        if not math.isfinite(self.origin):
-            raise DomainError(f"grid origin must be finite, got {self.origin}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise DomainError(f"grid step must be finite and positive, got {self.step}")
+        object.__setattr__(self, "origin", require_real(self.origin, "grid origin"))
+        object.__setattr__(self, "step", require_real(self.step, "grid step", above=0))
         object.__setattr__(self, "count", require_count(self.count, 1, "grid count"))
 
     def nodes(self) -> np.ndarray:
@@ -511,16 +508,9 @@ def _stationary(cov_of_lag, count):
 
 
 def _check_grid(kappa, step, count):
-    """``count`` as an int.
-
-    Raises :class:`DomainError` for a kappa outside (0, 2], a non-finite or
-    non-positive ``step`` and a ``count`` that is not an integer >= 0.
-    """
-    if not 0 < kappa <= 2:
-        raise DomainError(f"kappa={kappa} outside (0, 2]")
-    if not (math.isfinite(step) and step > 0):
-        raise DomainError(f"step must be finite and positive, got {step}")
-    return require_count(count, 0, "count")
+    """``(kappa, step, count)`` as floats and an int: kappa in (0, 2], a positive step, a count >= 0."""
+    kappa = require_real(kappa, "kappa", above=0, at_most=2)
+    return kappa, require_real(step, "step", above=0), require_count(count, 0, "count")
 
 
 def _prefix_sum(increments):
@@ -558,8 +548,7 @@ class FgnSampler:
     """
 
     def __init__(self, kappa, step, count):
-        count = _check_grid(kappa, step, count)
-        kappa, step = float(kappa), float(step)
+        kappa, step, count = _check_grid(kappa, step, count)
         if kappa == 2.0:
             self.increments = _Draw(functools.partial(_shared_normal_draw, step, count), count)
         elif kappa == 1.0 or count == 0:
@@ -583,9 +572,8 @@ def StationarySampler(a, kappa, step, count) -> _Draw:
     use the circulant or the dense draw that :func:`_stationary` picks.
     The draw of a stationary coordinate.
     """
-    if not (math.isfinite(a) and a > 0):
-        raise DomainError(f"a={a} must be finite and positive")
-    count = _check_grid(kappa, step, count)
+    a = require_real(a, "a", above=0)
+    kappa, step, count = _check_grid(kappa, step, count)
     if kappa == 1.0 or count == 1:
         return _Draw(functools.partial(_ar1_draw, np.exp(-a * step), count), count)
     return _stationary(lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa), count)

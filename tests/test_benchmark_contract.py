@@ -7,16 +7,20 @@ probes import only numpy and the package, so they load here by file path.
 """
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import gpextremes.experiments as experiments
 import gpextremes.orthants as orthants
 import gpextremes.sampling as sampling
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
 
 
 def load(name, monkeypatch):
@@ -38,9 +42,21 @@ def test_benchmark_calls_resolve(tmp_path, monkeypatch):
     assert orthants.ewv_batch(clouds, gen=gen).shape == (4,)
     assert orthants._pareto_mask(clouds[0]).shape == (probes.M,)
     # the set-up probe: load a workload's config and parse its processes
-    workloads = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(workloads["conj-n2"]["config"]), encoding="utf-8")
+    config.write_text(json.dumps(WORKLOADS["conj-n2"]["config"]), encoding="utf-8")
     tree = experiments.load_config(config)
     for name in tree["processes"]:
         assert experiments._resolve_process(tree, name, f"processes.{name}").n == 2
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_setup_probe_accepts_each_workload_config(name, tmp_path):
+    # the set-up the benchmark times runs the program's own spec validation
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WORKLOADS[name]["config"]), encoding="utf-8")
+    src = str(PERFBENCH.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), str(config)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gpextremes import ConfigError, DriftSpec, config_hash, emit_bounds_table, run_experiment
+from gpextremes import ConfigError, DriftSpec, config_hash, emit_bounds_table, experiments, run_experiment
 from gpextremes.cli import main as cli_main
 from gpextremes.experiments import (
     RESULT_COLUMNS,
@@ -317,6 +317,29 @@ class TestRunExperiment:
         m1 = run_experiment(probability_config(R=5000), workers=1)
         m8 = run_experiment(probability_config(R=5000), workers=8)
         assert results_csv_bytes(m1) == results_csv_bytes(m8)
+
+    @pytest.mark.parametrize("check", ["probability", "borell", "piterbarg_decay", "slepian"])
+    def test_horizon_grid_ends_inside_the_horizon(self, check):
+        # horizon 1 at step 0.35: a rounded node count put the last node at 1.05
+        if check == "probability":
+            tree = probability_config()
+            tree["probability"]["grid_step"] = 0.35
+        else:
+            tree = audit_config()
+            tree["audit"].update(check=check, grid_step=0.35, u_ladder=[1.0, 1.5, 2.0])
+            if check == "slepian":
+                tree["audit"].update(process_a="ou", process_b="ou", u=1.5)
+        manifest = run_experiment(tree)
+        assert [r["verdict"] for r in manifest.records if r["verdict"] == "error"] == []
+        assert {r["grid_step"] for r in manifest.records} == {0.35}
+
+    @pytest.mark.parametrize(
+        "T, step, count", [(1.0, 0.35, 3), (1.0, 1 / 128, 129), (1.0, 0.0009765625, 1025), (0.25, 0.25 / 1024, 1025)]
+    )
+    def test_horizon_grid_takes_every_node_inside_the_horizon(self, T, step, count):
+        grid = experiments._horizon_grid(T, step)
+        assert (grid.origin, grid.step, grid.count) == (0.0, step, count)
+        assert grid.nodes()[-1] <= T
 
     def test_nan_literal_in_config_file_is_config_error(self, tmp_path):
         path = tmp_path / "nan.json"

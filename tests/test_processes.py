@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gpextremes import (
     DomainError,
     FractionalBrownian,
+    LocallyStationary,
     NonStationary,
     ProfileTable,
     SpecValidationError,
@@ -161,6 +162,13 @@ INVALID_SPECS = {
         lambda: (make_nonstat(lambda t: 1.0), make_nonstat(lambda t: 1.0)),
         "generalized variance has no unique minimizer: second local minimum at t=0.00390625 within tolerance of t=0",
     ),
+    # a field that is not a number used to raise a bare TypeError
+    "non-numeric-a": (lambda: (Stationary("1", 1.5),), "coord[0]: a must be a real number, got '1'"),
+    # a fractional block count used to pass and then crash the sampler
+    "fractional-block_count": (
+        lambda: (LocallyStationary(ProfileTable.constant(1.0, 1.0), 1.0, 2.5),),
+        "coord[0]: block_count must be an integer, got 2.5",
+    ),
 }
 
 
@@ -171,6 +179,17 @@ def test_constructor_raises_the_rule_failures(name):
         VectorProcessSpec(coords(), 1.0)
     assert exc.value.failures == [failure]
     assert str(exc.value) == failure
+
+
+@pytest.mark.parametrize("horizon", ["1", None])
+def test_non_numeric_horizon_is_a_rule_failure(horizon):
+    with pytest.raises(SpecValidationError) as exc:
+        VectorProcessSpec((Stationary(1.0, 1.0),), horizon)
+    assert exc.value.failures == [f"horizon_T must be a real number, got {horizon!r}"]
+
+
+def test_horizon_is_stored_as_a_float():
+    assert type(VectorProcessSpec((Stationary(1.0, 1.0),), 2).horizon_T) is float
 
 
 class TestVarianceProfile:

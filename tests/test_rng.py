@@ -51,3 +51,28 @@ def test_child_streams_are_reproducible_and_distinct():
 def test_generator_replays():
     s = RngStream(7, 3)
     assert np.array_equal(s.generator().standard_normal(50), s.generator().standard_normal(50))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RngStream(1.5),
+        lambda: RngStream("12"),
+        lambda: RngStream(2, 3.7),
+        lambda: RngStream(2, "3"),
+        lambda: RngStream(2, 1 << 64),
+        lambda: derive_stream(5, "x", 2.5),
+        lambda: derive_stream(5.0, "x", 2),
+        lambda: derive_stream(5, "x", "2"),
+    ],
+    ids=["float-seed", "str-seed", "float-id", "str-id", "wide-id", "float-index", "float-seed-derived", "str-index"],
+)
+def test_seeds_ids_and_indexes_are_integers(build):
+    # int() used to truncate or parse them: RngStream(1.5) == RngStream(1)
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_numpy_integers_are_seeds():
+    assert RngStream(np.uint64(7), np.int32(3)) == RngStream(7, 3)
+    assert derive_stream(np.int64(5), "x", np.int8(2)) == derive_stream(5, "x", 2)
