@@ -23,8 +23,7 @@ checks that every estimator shares live here too: :func:`require_count`
 for the replication count and every other count, :func:`require_real` for
 every other number (an exponent, step, horizon, threshold or entry),
 :func:`require_stream` for the stream and :func:`require_ladder` for the S,
-u and offset ladders.  Each raises :class:`DomainError` with a message that
-opens with the argument's name.
+u and offset ladders.
 """
 from __future__ import annotations
 
