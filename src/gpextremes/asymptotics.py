@@ -12,27 +12,31 @@ with the Gamma/Theta factor, a drifted-window constant, or the bare product
 of tails); short windows multiply a window constant by the tail product.
 
 Extremal constants are looked up through a provider so formula evaluation
-is decoupled from estimation cost; providers may be closed-form, Monte
-Carlo with caching, or scalar-scaled from a single base estimate.
+is decoupled from estimation cost.  Every provider serves a limit constant
+through ``ConstantProvider.pickands``, which applies self-similarity,
+H(lambda C) = lambda^(2/kappa) H(C), to the provider's constant of the unit
+direction C / max(C): closed-form, Monte Carlo cached per direction, or
+one base estimate's direction.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import (
     ConstantEstimate,
     DriftSpec,
+    _check_amplitudes,
     closed_forms_n1,
     estimate_pickands,
     estimate_piterbarg,
     estimate_window_constant,
 )
 from .errors import DomainError, PreconditionError, ProviderError
-from .parallel import require_count, require_real
+from .parallel import require_count, require_real, require_stream
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -74,9 +78,9 @@ class AsymptoticApproximation:
     @classmethod
     def assemble(cls, regime, leading_constant, u_power, tail_args, u, diagnostics=None):
         leading_constant = require_real(leading_constant, "leading constant", above=0)
-        tail_args = tuple(float(x) for x in tail_args)
+        tail_args = tuple(require_real(x, "tail argument") for x in tail_args)
         tails = float(np.prod([gaussian_tail(x) for x in tail_args]))
-        value = leading_constant * float(u) ** u_power * tails
+        value = leading_constant * require_real(u, "u") ** u_power * tails
         return cls(regime, leading_constant, float(u_power), tail_args, value, diagnostics or {})
 
 
@@ -84,9 +88,26 @@ class AsymptoticApproximation:
 
 
 class ConstantProvider:
-    """Lookup interface for extremal constants; unavailable values raise ProviderError."""
+    """Lookup interface for extremal constants; unavailable values raise ProviderError.
+
+    :meth:`pickands` is the one home of self-similarity: with lambda = max(C)
+    it asks the subclass for ``_unit_pickands(C / lambda)``, the constant of
+    the unit direction, and returns it scaled by H(lambda C) =
+    lambda^(2/kappa) H(C), with the factor as ``scaled_by`` in the
+    diagnostics; the window and grid step stay those of the unit direction's
+    estimate.  A subclass supplies ``_unit_pickands`` and its ``kappa``.
+    """
 
     def pickands(self, C) -> ConstantEstimate:
+        C = _check_amplitudes(C)
+        lam = float(C.max())
+        est = self._unit_pickands(C / lam)
+        factor = lam ** (2.0 / self.kappa)
+        return replace(
+            est, value=est.value * factor, se=est.se * factor, diagnostics=dict(est.diagnostics, scaled_by=factor)
+        )
+
+    def _unit_pickands(self, direction) -> ConstantEstimate:
         raise ProviderError("this provider has no limit-constant path")
 
     def window(self, C, drift: DriftSpec, window) -> ConstantEstimate:
@@ -100,20 +121,20 @@ class ClosedFormProvider(ConstantProvider):
     """Single-coordinate closed forms for kappa in {1, 2}; exact, se = 0."""
 
     def __init__(self, kappa):
-        if kappa not in (1, 2, 1.0, 2.0):
+        kappa = require_real(kappa, "kappa")
+        if kappa not in (1.0, 2.0):
             raise ProviderError("closed forms exist only for kappa in {1, 2}")
-        self.kappa = float(kappa)
+        self.kappa = kappa
 
-    def pickands(self, C) -> ConstantEstimate:
-        C = np.asarray(C, dtype=float)
-        if C.size != 1:
+    def _unit_pickands(self, direction) -> ConstantEstimate:
+        if direction.size != 1:
             raise ProviderError("closed forms cover a single coordinate only")
-        value = closed_forms_n1(float(C[0]), self.kappa)
+        value = closed_forms_n1(1.0, self.kappa)
         return ConstantEstimate(value, 0.0, (0.0, math.inf), 0.0, 0, "closed_form")
 
     def window(self, C, drift: DriftSpec, window) -> ConstantEstimate:
-        C = np.asarray(C, dtype=float)
-        S1, S2 = float(window[0]), float(window[1])
+        C = _check_amplitudes(C)
+        S1, S2 = (require_real(window[k], "window") for k in (0, 1))
         if C.size != 1 or S1 != 0.0:
             raise ProviderError("window closed forms cover [0, S] with one coordinate")
         if any(v != 0.0 for v in drift.d_lower + drift.d_upper):
@@ -124,7 +145,8 @@ class ClosedFormProvider(ConstantProvider):
         return ConstantEstimate(value, 0.0, (S1, S2), 0.0, 0, "closed_form")
 
 
-# S ladder of the Piterbarg constants a MonteCarloProvider estimates.
+# S ladders of the Pickands and Piterbarg constants a MonteCarloProvider estimates.
+_PICKANDS_LADDER = (1.0, 2.0, 4.0, 8.0)
 _PITERBARG_LADDER = (2.0, 4.0, 8.0, 16.0)
 
 
@@ -132,23 +154,18 @@ class MonteCarloProvider(ConstantProvider):
     """Estimating provider with per-key caching and key-derived streams.
 
     Streams are derived from a hash of the request, so cache misses hit the
-    same numbers regardless of lookup order; repeated lookups are free.
+    same numbers regardless of lookup order; repeated lookups are free.  A
+    limit constant is estimated once per unit direction, so C and 2 C share
+    one estimate; window and drifted-limit constants are keyed by their
+    full request, since a drift does not scale with the amplitude alone.
+    Every estimate uses its estimator's default grid step.
     """
 
-    def __init__(
-        self,
-        kappa,
-        stream: RngStream,
-        R: int = 20_000,
-        S_ladder=(1.0, 2.0, 4.0, 8.0),
-        grid_step=None,
-        workers: int = 1,
-    ):
+    def __init__(self, kappa, stream: RngStream, R: int = 20_000, workers: int = 1):
         self.kappa = require_real(kappa, "kappa", above=0, at_most=2)
+        require_stream(stream)
         self.stream = stream
         self.R = require_count(R, 0)
-        self.S_ladder = tuple(S_ladder)
-        self.grid_step = grid_step
         self.workers = require_count(workers, 1, "workers")
         self._cache: dict = {}
 
@@ -175,15 +192,15 @@ class MonteCarloProvider(ConstantProvider):
         if key not in self._cache:
             self._cache[key] = estimate(
                 *args,
-                grid_step=self.grid_step,
                 R=self.R,
                 stream=self.stream.child("provider", repr(key)),
                 workers=self.workers,
             )
         return self._cache[key]
 
-    def pickands(self, C) -> ConstantEstimate:
-        return self._cached(self._key("pickands", C), estimate_pickands, C, self.kappa, self.S_ladder)
+    def _unit_pickands(self, direction) -> ConstantEstimate:
+        key = self._key("pickands", direction)
+        return self._cached(key, estimate_pickands, direction, self.kappa, _PICKANDS_LADDER)
 
     def window(self, C, drift: DriftSpec, window) -> ConstantEstimate:
         key = self._key("window", C, drift.exponent, drift.d_lower, drift.d_upper, window[0], window[1])
@@ -195,39 +212,26 @@ class MonteCarloProvider(ConstantProvider):
 
 
 class ScalingProvider(ConstantProvider):
-    """Serves limit constants proportional to one base estimate.
+    """Serves the limit constants of one base estimate's direction.
 
-    Self-similarity gives H(lambda C) = lambda^(2/kappa) H(C); any request
-    not a positive multiple of the base amplitude raises ProviderError.
+    The base estimate of amplitude ``base_C`` is stored rescaled to the unit
+    direction base_C / max(base_C); :meth:`ConstantProvider.pickands` then
+    serves every positive multiple of ``base_C``.  Any other direction
+    raises ProviderError.
     """
 
     def __init__(self, base_C, base_estimate: ConstantEstimate, kappa):
-        self.base_C = np.asarray(base_C, dtype=float)
-        self.base = base_estimate
         self.kappa = require_real(kappa, "kappa", above=0, at_most=2)
-
-    def pickands(self, C) -> ConstantEstimate:
-        C = np.asarray(C, dtype=float)
-        if C.shape != self.base_C.shape:
-            raise ProviderError("amplitude dimension mismatch")
-        active = self.base_C > 0
-        if not np.array_equal(active, C > 0):
-            raise ProviderError("zero pattern differs from the base amplitude")
-        ratios = C[active] / self.base_C[active]
-        lam = float(ratios[0])
-        if lam <= 0 or np.any(np.abs(ratios - lam) > 1e-9 * lam):
-            raise ProviderError("amplitude is not a positive scalar multiple of the base")
+        base_C = _check_amplitudes(base_C)
+        lam = float(base_C.max())
+        self.direction = base_C / lam
         factor = lam ** (2.0 / self.kappa)
-        est = self.base
-        return ConstantEstimate(
-            est.value * factor,
-            est.se * factor,
-            est.window_S,
-            est.grid_step,
-            est.replications,
-            est.estimator_tag,
-            dict(est.diagnostics, scaled_by=factor),
-        )
+        self.base = replace(base_estimate, value=base_estimate.value / factor, se=base_estimate.se / factor)
+
+    def _unit_pickands(self, direction) -> ConstantEstimate:
+        if direction.shape != self.direction.shape or np.any(np.abs(direction - self.direction) > 1e-9):
+            raise ProviderError("amplitude is not a positive scalar multiple of the base")
+        return self.base
 
 
 # -- locally stationary horizons ----------------------------------------------
@@ -264,37 +268,15 @@ _INTEGRAL_REFINEMENTS = 3
 _INTEGRAL_REL_TOL = 1e-3
 
 
-def _integrate_limit_constant(provider, c, kappa, a_of_t, T):
-    """Simpson integral of t -> H(c sqrt(a(t))) over [0, T].
-
-    When the curvature vectors at the quadrature nodes are proportional the
-    constant is looked up once and scaled by rho(t)^(1/kappa); otherwise the
-    provider is queried per node.
-    """
+def _integrate_limit_constant(provider, c, a_of_t, T):
+    """Simpson integral of t -> H(c sqrt(a(t))) over [0, T], the provider queried at every node."""
     from scipy.integrate import simpson  # heavy import (pulls in scipy.optimize), kept off package load
 
     c = np.asarray(c, dtype=float)
 
     def node_values(ts):
-        a_nodes = np.stack([a_of_t(t) for t in ts])  # (len, n)
-        active = a_nodes[0] > 0
-        proportional = np.all((a_nodes > 0) == active[None, :])
-        if proportional and active.any():
-            base = a_nodes[0]
-            ratios = a_nodes[:, active] / base[None, active]
-            rho = ratios[:, 0]
-            if np.all(np.abs(ratios - rho[:, None]) <= 1e-9 * np.abs(rho[:, None])):
-                ref = provider.pickands(c * np.sqrt(base))
-                return ref.value * rho ** (1.0 / kappa), ref.se * float(
-                    np.abs(rho ** (1.0 / kappa)).max()
-                )
-        vals = []
-        ses = []
-        for t, a_vec in zip(ts, a_nodes):
-            est = provider.pickands(c * np.sqrt(a_vec))
-            vals.append(est.value)
-            ses.append(est.se)
-        return np.asarray(vals), float(max(ses))
+        estimates = [provider.pickands(c * np.sqrt(a_of_t(t))) for t in ts]
+        return np.asarray([est.value for est in estimates]), max(est.se for est in estimates)
 
     n = _INTEGRAL_NODES
     ts = np.linspace(0.0, T, n)
@@ -328,7 +310,7 @@ def approx_locally_stationary(
         raise DomainError("threshold family dimension must match the process")
     kappa, a_of_t = _active_curvature(spec)
     c = np.asarray(thresholds.limits_c)
-    integral, int_se = _integrate_limit_constant(constant_provider, c, kappa, a_of_t, spec.horizon_T)
+    integral, int_se = _integrate_limit_constant(constant_provider, c, a_of_t, spec.horizon_T)
     f_u = thresholds.realize(u)
     return AsymptoticApproximation.assemble(
         "locally_stationary",
@@ -479,7 +461,7 @@ def local_window_approx(
         "local_window",
         est.value,
         0.0,
-        np.asarray(thresholds_at_u, dtype=float),
+        thresholds_at_u,
         u,
         diagnostics={"kappa": kappa, "window": (S1, S2), "constant_se": est.se},
     )

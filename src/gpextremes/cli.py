@@ -3,8 +3,9 @@
 Verbs map one-to-one onto experiment kinds; every verb takes the same
 flags.  A run writes its results table, manifest, plot series and path
 dump to the output directory; ``--format json`` adds the table as JSON
-beside the CSV.  Exit codes: 0 success, 1 config error, 2 runtime failure
-(an estimator error, or results that cannot be written), 3 audit-verdict
+beside the CSV.  Exit codes: 0 success, 1 config error (or an argument
+such as ``--workers 0`` rejected before the run), 2 runtime failure (an
+estimator error, or results that cannot be written), 3 audit-verdict
 failure.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, GpxError
 from .experiments import load_config, run_experiment, write_results
 
 _VERB_TO_KIND = {
@@ -63,6 +64,9 @@ def main(argv=None) -> int:
             results = write_results(manifest, out_dir, exp_id, fmt="json")["results"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except GpxError as exc:  # an argument rejected before the run; run-time failures are result rows
+        print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

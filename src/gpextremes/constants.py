@@ -113,6 +113,17 @@ def _check_amplitudes(C):
     return C
 
 
+def _draw_record(draw, parts) -> dict:
+    """What an estimate reports of its path draw and of the blocks ``parts`` it ran."""
+    return {
+        "sampler_method": draw.method,
+        "sampler_size": draw.size,
+        "sampler_clamped": draw.clamped,
+        "sampler_factor": draw.factor,
+        "blocks": len(parts),
+    }
+
+
 def _window_node_count(S, step, label):
     j = S / step
     j_round = int(round(j))
@@ -261,21 +272,7 @@ def estimate_window_constant(
 
     parts = replicate(R, stream, workers, run_block)
     value, se = mean_and_se(parts)
-    return ConstantEstimate(
-        value,
-        se,
-        (S1, S2),
-        step,
-        R,
-        "window",
-        diagnostics={
-            "sampler_method": fbm.method,
-            "sampler_size": fbm.size,
-            "sampler_clamped": fbm.clamped,
-            "sampler_factor": fbm.factor,
-            "blocks": len(parts),
-        },
-    )
+    return ConstantEstimate(value, se, (S1, S2), step, R, "window", diagnostics=_draw_record(fbm, parts))
 
 
 def estimate_pickands(
@@ -446,7 +443,8 @@ def estimate_discrete_zero(
     its paths in chunks of rows: per chunk it draws every coordinate's path
     from B(0) = 0 into one reused (rows, K + 1) plane, scales, drifts and
     tilts it in place, and folds its K lattice nodes into the chunk's
-    running minimum.
+    running minimum.  ``rung_draws`` holds each rung's path draw and block
+    count, as :func:`estimate_window_constant` reports them.
     """
     require_stream(stream)
     C = _check_amplitudes(C)
@@ -459,7 +457,7 @@ def estimate_discrete_zero(
     ladder = require_ladder(u_ladder, "u_ladder", min_rungs=2, decreasing=True)
 
     sqrt2C = math.sqrt(2.0) * C
-    rungs = []
+    rungs, rung_draws = [], []
     for r, u in enumerate(ladder):
         K = int(math.floor(horizon / u + 1e-9))
         if K < 1:
@@ -489,9 +487,10 @@ def estimate_discrete_zero(
                 hits += int((mins.max(axis=1) <= 0.0).sum())
             return hits
 
-        hits = sum(replicate(R, stream.child("rung", r), workers, run_block))
-        p = hits / R
+        parts = replicate(R, stream.child("rung", r), workers, run_block)
+        p = sum(parts) / R
         rungs.append((u, p / u, math.sqrt(p * (1.0 - p) / R) / u))
+        rung_draws.append(_draw_record(fbm, parts))
 
     (u1, h1, se1), (u2, h2, se2) = rungs[-2], rungs[-1]
     slope_w = u2 / (u1 - u2)
@@ -504,7 +503,7 @@ def estimate_discrete_zero(
         ladder[-1],
         R,
         "discrete_zero",
-        diagnostics={"rungs": rungs},
+        diagnostics={"rungs": rungs, "rung_draws": rung_draws},
     )
 
 

@@ -45,7 +45,7 @@ from .constants import (
     piterbarg_lower_bound,
 )
 from .errors import ConfigError, DomainError, GpxError, SpecValidationError
-from .parallel import require_real
+from .parallel import require_count, require_real
 from .processes import (
     FractionalBrownian,
     LocallyStationary,
@@ -56,7 +56,7 @@ from .processes import (
     VectorProcessSpec,
     variance_profile,
 )
-from .rng import derive_stream
+from .rng import _as_seed, derive_stream
 from .sampling import SampleGrid, sample_vector, write_path_dump
 
 __all__ = [
@@ -563,16 +563,20 @@ def run_experiment(tree: dict, out_dir=None, seed_override=None, workers: int = 
     """Validate and execute one experiment config.
 
     Estimator failures become per-record 'error' rows instead of aborting;
-    config errors raise :class:`ConfigError` before anything runs.
+    config errors raise :class:`ConfigError`, and a ``workers`` that is not
+    a positive integer or a ``seed_override`` that is not a 64-bit unsigned
+    integer raises :class:`DomainError`, before anything runs.
     """
     from pathlib import Path
 
+    workers = require_count(workers, 1, "workers")
+    if seed_override is not None:
+        seed_override = _as_seed(seed_override, "seed")
     kind = _get(tree, "", "kind", str)
     if kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {kind!r}; expected one of {KINDS}")
     exp_id = _get(tree, "", "experiment_id", str, required=False, default=kind)
     seed = seed_override if seed_override is not None else _integer(tree, "", "seed")
-    workers = max(1, int(workers))
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .parallel import require_count
+from .parallel import require_count, require_real_array
 from .rng import RngStream
 
 __all__ = ["PointCloud", "pareto_prune", "ewv_exact", "ewv_mc", "ewv_batch"]
@@ -66,7 +66,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(require_real_array(self.points, "points"))
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] != self.dim:

@@ -22,8 +22,8 @@ and the dense draw is a plain matrix product.  The argument
 checks that every estimator shares live here too: :func:`require_count`
 for the replication count and every other count, :func:`require_real` for
 every other number (an exponent, step, horizon, threshold or entry),
-:func:`require_stream` for the stream and :func:`require_ladder` for the S,
-u and offset ladders.
+:func:`require_real_array` for arrays of them, :func:`require_stream` for
+the stream and :func:`require_ladder` for the S, u and offset ladders.
 """
 from __future__ import annotations
 
@@ -177,16 +177,18 @@ def require_count(R, minimum: int, name: str = "R") -> int:
     """The count ``R`` as an int: replications, grid nodes or a sample budget.
 
     Raises :class:`DomainError`, naming the count ``name``, unless ``R`` is
-    an integer (a Python or numpy integer, not a float or a string) of at
-    least ``minimum``.
+    an integer (a Python or numpy integer, not a bool, a float or a string)
+    of at least ``minimum``.
     """
     try:
-        R = operator.index(R)
-    except TypeError as exc:
-        raise DomainError(f"{name} must be an integer, got {R!r}") from exc
-    if R < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {R}")
-    return R
+        count = None if isinstance(R, bool) else operator.index(R)
+    except TypeError:
+        count = None
+    if count is None:
+        raise DomainError(f"{name} must be an integer, got {R!r}")
+    if count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def require_real(value, name: str, above=None, at_least=None, at_most=None) -> float:
@@ -214,6 +216,19 @@ def require_real(value, name: str, above=None, at_least=None, at_most=None) -> f
         domain = " and ".join(word if word and b == 0 else f"{op} {b}" for b, op, word in rules if b is not None)
         raise DomainError(f"{name} must be {domain}, got {x}")
     return x
+
+
+def require_real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array: a point cloud, a covariance matrix or normal quantiles.
+
+    Raises :class:`DomainError`, naming the array ``name``, unless numpy
+    reads ``values`` with an integer or float dtype (not bool, string or
+    object); finiteness is left to the caller.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold real numbers, got {arr.dtype} entries")
+    return arr.astype(float, copy=False)
 
 
 def require_ladder(values, name, min_rungs=1, decreasing=False) -> list:

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AmbiguousMinimumError, DomainError, SpecValidationError, UnsupportedModelError
-from .parallel import require_count, require_real
+from .parallel import require_count, require_real, require_real_array
 
 __all__ = [
     "ProfileTable",
@@ -59,7 +59,7 @@ def gaussian_tail(x):
     rounding of x / sqrt(2) (about 1.7e-13 at x = 35.5), until the result
     underflows into subnormals (around x = 37.6).
     """
-    arr = np.asarray(x, dtype=float)
+    arr = require_real_array(x, "gaussian_tail input")
     if not np.all(np.isfinite(arr)):
         raise DomainError("gaussian_tail requires finite input")
     out = 0.5 * _erfc(arr / math.sqrt(2.0))
@@ -210,7 +210,7 @@ class ThresholdFamily:
         object.__setattr__(self, "offsets", offs)
 
     def realize(self, u) -> np.ndarray:
-        return np.asarray(self.limits_c) * float(u) + np.asarray(self.offsets)
+        return np.asarray(self.limits_c) * require_real(u, "u") + np.asarray(self.offsets)
 
 
 # -- scalar model evaluation -------------------------------------------------

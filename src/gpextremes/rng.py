@@ -22,11 +22,13 @@ MAX_TAG_BYTES = 32
 
 
 def _as_seed(value, name="master_seed", bits=64) -> int:
-    """``value``, a Python or numpy integer in [0, 2**bits), as an int: a float is not truncated."""
+    """``value``, a Python or numpy integer (not a bool) in [0, 2**bits), as an int: a float is not truncated."""
     try:
-        seed = operator.index(value)
-    except TypeError as exc:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+        seed = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        seed = None
+    if seed is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if not 0 <= seed < 1 << bits:
         raise DomainError(f"{name} must be a {bits}-bit unsigned integer, got {value}")
     return seed

@@ -95,7 +95,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
-from .parallel import _one_blas_thread, _openblas_trmm, require_count, require_real
+from .parallel import _one_blas_thread, _openblas_trmm, require_count, require_real, require_real_array
 from .processes import (
     LocallyStationary,
     NonStationary,
@@ -746,9 +746,11 @@ def sample_cholesky_oracle(cov, R: int, stream: RngStream, grid: SampleGrid | No
     path, so it cross-validates the circulant samplers.
     """
     R = require_count(R, 1)
-    cov = np.asarray(cov, dtype=float)
+    cov = require_real_array(cov, "cov")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DomainError("cov must be a square matrix")
+    if not np.all(np.isfinite(cov)):
+        raise DomainError("cov must be finite")
     scale = max(1.0, float(np.abs(cov).max()))
     if np.abs(cov - cov.T).max() > 1e-12 * scale:
         raise DomainError("cov must be symmetric")

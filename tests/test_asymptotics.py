@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -115,10 +116,47 @@ class TestProviders:
             p.pickands(np.asarray([1.0, 2.0]))
 
     def test_monte_carlo_provider_caches(self):
-        p = MonteCarloProvider(1.0, RngStream(5), R=1000, S_ladder=(1.0, 2.0, 4.0), grid_step=1.0 / 64)
+        p = MonteCarloProvider(1.0, RngStream(5), R=1000)
         a = p.pickands(np.asarray([1.0]))
-        b = p.pickands(np.asarray([1.0]))
-        assert a is b
+        b = p.pickands(np.asarray([2.0]))
+        # one cache entry, the unit direction's, serves both amplitudes
+        assert len(p._cache) == 1
+        assert b.value == pytest.approx(4.0 * a.value, rel=1e-14)
+        assert b.diagnostics["scaled_by"] == 4.0
+
+    def test_monte_carlo_provider_scales_a_direction(self):
+        p = MonteCarloProvider(1.0, RngStream(5), R=1000)
+        a = p.pickands([0.5, 1.0])
+        b = p.pickands([1.0, 2.0])
+        assert len(p._cache) == 1
+        assert b.value == pytest.approx(4.0 * a.value, rel=1e-14)
+        assert b.se == pytest.approx(4.0 * a.se, rel=1e-14)
+
+    def test_monte_carlo_provider_arguments(self):
+        assert list(inspect.signature(MonteCarloProvider).parameters) == ["kappa", "stream", "R", "workers"]
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    @pytest.mark.parametrize("C1", [0.3, 1.0, 1.7, 2.0, 1e-3, 123.456])
+    def test_closed_form_pickands_is_closed_forms_n1(self, kappa, C1):
+        est = ClosedFormProvider(kappa).pickands([C1])
+        assert est.value == closed_forms_n1(C1, kappa)
+        assert est.se == 0.0
+
+    @pytest.mark.parametrize("C", ["1", None, True, [-1.0], [0.0, 0.0], ["1"], [True], [], [[1.0]]])
+    def test_pickands_rejects_bad_amplitudes(self, C):
+        with pytest.raises(DomainError):
+            ClosedFormProvider(1.0).pickands(C)
+
+    def test_scaling_provider_from_a_non_unit_base(self):
+        base = ConstantEstimate(2.0, 0.1, (0.0, 8.0), 0.01, 1000, "slope")
+        p = ScalingProvider([2.0, 1.0], base, kappa=2.0)
+        est = p.pickands([1.0, 0.5])
+        assert est.value == pytest.approx(1.0, rel=1e-14)
+        assert est.se == pytest.approx(0.05, rel=1e-14)
+        with pytest.raises(ProviderError):
+            p.pickands([1.0, 1.0])
+        with pytest.raises(ProviderError):
+            p.pickands([1.0])
 
     def test_monte_carlo_provider_key_is_numpy_independent(self):
         # the stream of a request is derived from repr(key), which must not show numpy scalar types
@@ -164,6 +202,16 @@ class TestLocallyStationary:
         fam = ThresholdFamily((1.0,))
         appr = approx_locally_stationary(spec, fam, 3.0, ClosedFormProvider(1.0))
         assert appr.leading_constant == pytest.approx(7.0 / 3.0, rel=1e-4)
+
+    def test_varying_profile_asks_one_direction(self):
+        # every Simpson node's amplitude is a multiple of (1), so one estimate serves them all
+        prof = ProfileTable.from_function(lambda t: (1.0 + t) ** 2, 1.0, count=65)
+        spec = VectorProcessSpec((LocallyStationary(prof, 1.0),), 1.0)
+        provider = MonteCarloProvider(1.0, RngStream(8), R=1000)
+        appr = approx_locally_stationary(spec, ThresholdFamily((1.0,)), 3.0, provider)
+        (unit,) = provider._cache.values()
+        assert appr.leading_constant == pytest.approx(unit.value * 7.0 / 3.0, rel=1e-4)
+        assert appr.diagnostics["integral_se"] == pytest.approx(unit.se * 4.0, rel=1e-3)
 
     def test_mixed_kappa_zeroes_slower_coordinates(self):
         # the rougher coordinate dominates; the smoother one enters with a = 0

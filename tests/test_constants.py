@@ -537,6 +537,21 @@ class TestDiscreteZero:
             assert se > 0
             assert abs(value - p / u) < 4.0 * se
 
+    def test_rung_draws_reported(self):
+        est = estimate_discrete_zero([1.0, 0.8], 1.5, (0.25, 0.125), 12.0, R=4096, stream=STREAM.child("dzd"))
+        # K = 48 and 96 lattice steps, each embedded in a circulant of twice its power-of-two size
+        assert est.diagnostics["rung_draws"] == [
+            {
+                "sampler_method": "circulant",
+                "sampler_size": size,
+                "sampler_clamped": 0,
+                "sampler_factor": None,
+                "blocks": 2,
+            }
+            for size in (128, 256)
+        ]
+        assert [u for u, _, _ in est.diagnostics["rungs"]] == [0.25, 0.125]
+
     def test_horizon_precondition(self):
         with pytest.raises(TruncationError):
             estimate_discrete_zero([1.0], 1.0, (0.5, 0.25), 10.0, R=2000, stream=STREAM)

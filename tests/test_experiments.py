@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gpextremes import ConfigError, DriftSpec, config_hash, emit_bounds_table, experiments, run_experiment
+from gpextremes import ConfigError, DomainError, DriftSpec, config_hash, emit_bounds_table, experiments, run_experiment
 from gpextremes.cli import main as cli_main
 from gpextremes.experiments import (
     RESULT_COLUMNS,
@@ -375,6 +375,20 @@ class TestRunExperiment:
         m2 = run_experiment(probability_config(), seed_override=999)
         assert results_csv_bytes(m1) != results_csv_bytes(m2)
 
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2", True, None])
+    def test_workers_must_be_a_positive_integer(self, tmp_path, workers):
+        # max(1, int(workers)) used to run 2.5 at 2, parse "2" and run 0 at 1
+        with pytest.raises(DomainError, match="workers"):
+            run_experiment(bounds_config(), out_dir=tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, "7", -1, 2**64, True])
+    def test_seed_override_must_be_a_seed(self, tmp_path, seed):
+        # it used to reach the manifest's master_seed unchecked
+        with pytest.raises(DomainError, match="seed"):
+            run_experiment(bounds_config(), out_dir=tmp_path / "out", seed_override=seed)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_process_is_config_error(self):
         tree = probability_config()
         tree["probability"]["process"] = "ghost"
@@ -489,6 +503,14 @@ class TestCli:
         cfg = self._write(tmp_path, tree)
         assert cli_main(["bounds-table", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "bounds_table.drifts[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"), ("--seed", "-1")])
+    def test_rejected_argument_exits_1(self, tmp_path, capsys, flag, value):
+        cfg = self._write(tmp_path, bounds_config())
+        assert cli_main(["bounds-table", "--config", cfg, "--out", str(tmp_path / "out"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag[2:] in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config(self, tmp_path):
         bad = tmp_path / "nope.json"

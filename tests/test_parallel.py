@@ -44,7 +44,7 @@ class TestReplicate:
     def test_worker_count_invariance(self):
         assert replicate(5000, STREAM, 3, record) == replicate(5000, STREAM, 1, record)
 
-    @pytest.mark.parametrize("R", [MIN_REPLICATIONS - 1, 0, 2000.5, 2000.0, "2000", None])
+    @pytest.mark.parametrize("R", [MIN_REPLICATIONS - 1, 0, 2000.5, 2000.0, "2000", None, True])
     def test_r_precondition(self, R):
         with pytest.raises(DomainError):
             replicate(R, STREAM, 1, record)
@@ -132,11 +132,13 @@ def ou_spec():
     return VectorProcessSpec((Stationary(1.0, 1.0),), 1.0)
 
 
-# Entry points that derive child streams before any replication runs.
+# Entry points that derive child streams from a stream they are given, before
+# any replication runs: a missing stream must be rejected up front.
 CHILD_STREAM_ENTRY_POINTS = {
     "pickands": lambda stream: estimate_pickands([1.0], 1.0, (1.0, 2.0, 4.0), R=2000, stream=stream),
     "discrete_zero": lambda stream: estimate_discrete_zero([1.0], 1.0, (0.5, 0.25), 40.0, R=2000, stream=stream),
     "slepian": lambda stream: audit_slepian(ou_spec(), ou_spec(), [1.5], SampleGrid(0.0, 0.25, 5), 2000, stream),
+    "monte_carlo_provider": lambda stream: gx.MonteCarloProvider(1.0, stream),
 }
 
 
@@ -279,8 +281,8 @@ def window_constant(C=(1.0,), kappa=1.0, window=(0.0, 2.0), grid_step=None):
     return gx.estimate_window_constant(C, kappa, DriftSpec.zero(1), window, grid_step, R=2000, stream=STREAM)
 
 
-def local_window(kappa=1.0, window=(0.0, 1.0), u=2.0):
-    return gx.local_window_approx([1.0], kappa, DriftSpec.zero(1), window, [2.0], u, gx.ClosedFormProvider(1.0))
+def local_window(kappa=1.0, window=(0.0, 1.0), u=2.0, thresholds=(2.0,)):
+    return gx.local_window_approx([1.0], kappa, DriftSpec.zero(1), window, thresholds, u, gx.ClosedFormProvider(1.0))
 
 
 def locally_stationary_spec(kappa=1.0, block_count=32):
@@ -288,7 +290,9 @@ def locally_stationary_spec(kappa=1.0, block_count=32):
 
 
 # Every numeric argument of the public entry points, as "entry-argument": a call
-# with that one argument replaced.  A string or None there must be a GpxError.
+# with that one argument replaced.  A string, None or a bool there must be a
+# GpxError.  An array argument is filled with it, so numpy reads it with a
+# string, object or bool dtype.
 NUMERIC_ENTRY_POINTS = {
     "SampleGrid-origin": lambda x: SampleGrid(x, 0.25, 5),
     "SampleGrid-step": lambda x: SampleGrid(0.0, x, 5),
@@ -331,7 +335,19 @@ NUMERIC_ENTRY_POINTS = {
     "audit_slepian-thresholds": lambda x: audit_slepian(ou_spec(), ou_spec(), [x], GRID, 2000, STREAM),
     "MonteCarloProvider-kappa": lambda x: gx.MonteCarloProvider(x, STREAM),
     "MonteCarloProvider-R": lambda x: gx.MonteCarloProvider(1.0, STREAM, R=x),
+    "MonteCarloProvider-workers": lambda x: gx.MonteCarloProvider(1.0, STREAM, workers=x),
     "ScalingProvider-kappa": lambda x: gx.ScalingProvider([1.0], UNIT_ESTIMATE, x),
+    "ScalingProvider-base_C": lambda x: gx.ScalingProvider([x], UNIT_ESTIMATE, 1.0),
+    "ClosedFormProvider-kappa": lambda x: gx.ClosedFormProvider(x),
+    "ClosedFormProvider.pickands-C": lambda x: gx.ClosedFormProvider(1.0).pickands([x]),
+    "ClosedFormProvider.window-C": lambda x: gx.ClosedFormProvider(1.0).window([x], DriftSpec.zero(1), (0.0, 1.0)),
+    "ClosedFormProvider.window-window": lambda x: gx.ClosedFormProvider(1.0).window([1.0], DriftSpec.zero(1), (0.0, x)),
+    "AsymptoticApproximation.assemble-tail_args": lambda x: gx.AsymptoticApproximation.assemble(
+        "local_window", 1.0, 0.0, [x], 3.0
+    ),
+    "AsymptoticApproximation.assemble-u": lambda x: gx.AsymptoticApproximation.assemble(
+        "local_window", 1.0, 0.0, [3.0], x
+    ),
     "approx_locally_stationary-u": lambda x: gx.approx_locally_stationary(
         ou_spec(), gx.ThresholdFamily((1.0,)), x, gx.ClosedFormProvider(1.0)
     ),
@@ -341,12 +357,18 @@ NUMERIC_ENTRY_POINTS = {
     "local_window_approx-kappa": lambda x: local_window(kappa=x),
     "local_window_approx-u": lambda x: local_window(u=x),
     "local_window_approx-window": lambda x: local_window(window=(0.0, x)),
+    "local_window_approx-thresholds_at_u": lambda x: local_window(thresholds=[x]),
     "order_stats_approx-n": lambda x: gx.order_stats_approx(x, 1, 0.1),
     "order_stats_approx-r": lambda x: gx.order_stats_approx(3, x, 0.1),
     "order_stats_approx-base": lambda x: gx.order_stats_approx(3, 1, x),
     "theta_combination-beta": lambda x: gx.theta_combination(LEFT_PROFILE, x),
     "ThresholdFamily-limits_c": lambda x: gx.ThresholdFamily((x,)),
     "ThresholdFamily-offsets": lambda x: gx.ThresholdFamily((1.0,), (x,)),
+    "ThresholdFamily.realize-u": lambda x: gx.ThresholdFamily((1.0,)).realize(x),
+    "gaussian_tail-x": lambda x: gx.gaussian_tail(x),
+    "gaussian_tail-entries": lambda x: gx.gaussian_tail([x, x]),
+    "PointCloud-points": lambda x: gx.PointCloud(2, [[x, x]]),
+    "sample_cholesky_oracle-cov": lambda x: gx.sample_cholesky_oracle([[x, x], [x, x]], 10, STREAM),
     "ProfileTable-nodes": lambda x: gx.ProfileTable((0.0, x), (1.0, 1.0)),
     "ProfileTable-values": lambda x: gx.ProfileTable((0.0, 1.0), (1.0, x)),
     "VectorProcessSpec-horizon": lambda x: VectorProcessSpec((Stationary(1.0, 1.0),), x),
@@ -383,7 +405,7 @@ STRING_ONLY = {
 NUMERIC_CASES = [
     pytest.param(entry, bad, id=f"{name}-{type(bad).__name__}")
     for name, entry in NUMERIC_ENTRY_POINTS.items()
-    for bad in ("2", None)
+    for bad in ("2", None, True)
     if not (bad is None and name in STRING_ONLY)
 ]
 

@@ -64,8 +64,23 @@ def test_generator_replays():
         lambda: derive_stream(5, "x", 2.5),
         lambda: derive_stream(5.0, "x", 2),
         lambda: derive_stream(5, "x", "2"),
+        lambda: RngStream(True),
+        lambda: RngStream(2, False),
+        lambda: derive_stream(5, "x", True),
     ],
-    ids=["float-seed", "str-seed", "float-id", "str-id", "wide-id", "float-index", "float-seed-derived", "str-index"],
+    ids=[
+        "float-seed",
+        "str-seed",
+        "float-id",
+        "str-id",
+        "wide-id",
+        "float-index",
+        "float-seed-derived",
+        "str-index",
+        "bool-seed",
+        "bool-id",
+        "bool-index",
+    ],
 )
 def test_seeds_ids_and_indexes_are_integers(build):
     # int() used to truncate or parse them: RngStream(1.5) == RngStream(1)

@@ -756,6 +756,12 @@ class TestCholeskyOracle:
         with pytest.raises(DomainError):
             sample_cholesky_oracle(np.array([[1.0, 0.5], [0.1, 1.0]]), 100, STREAM)
 
+    # a non-finite entry used to pass the symmetry test and draw nan paths
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(DomainError, match="cov must be finite"):
+            sample_cholesky_oracle(np.array([[entry, 0.0], [0.0, 1.0]]), 100, STREAM)
+
     def test_cross_validates_circulant_sampler(self):
         # same law from two independent code paths: KS per node + covariance
         R = 20_000
