@@ -78,10 +78,13 @@ class AsymptoticApproximation:
     @classmethod
     def assemble(cls, regime, leading_constant, u_power, tail_args, u, diagnostics=None):
         leading_constant = require_real(leading_constant, "leading constant", above=0)
+        u_power = require_real(u_power, "u power")
+        if isinstance(tail_args, str) or not np.iterable(tail_args):
+            raise DomainError(f"tail arguments must be a sequence of numbers, got {tail_args!r}")
         tail_args = tuple(require_real(x, "tail argument") for x in tail_args)
         tails = float(np.prod([gaussian_tail(x) for x in tail_args]))
         value = leading_constant * require_real(u, "u") ** u_power * tails
-        return cls(regime, leading_constant, float(u_power), tail_args, value, diagnostics or {})
+        return cls(regime, leading_constant, u_power, tail_args, value, diagnostics or {})
 
 
 # -- constant providers --------------------------------------------------------
@@ -223,10 +226,14 @@ class ScalingProvider(ConstantProvider):
     def __init__(self, base_C, base_estimate: ConstantEstimate, kappa):
         self.kappa = require_real(kappa, "kappa", above=0, at_most=2)
         base_C = _check_amplitudes(base_C)
+        if not isinstance(base_estimate, ConstantEstimate):
+            raise DomainError(f"base_estimate must be a ConstantEstimate, got {base_estimate!r}")
+        value = require_real(base_estimate.value, "base estimate value", above=0)
+        se = require_real(base_estimate.se, "base estimate se", at_least=0)
         lam = float(base_C.max())
         self.direction = base_C / lam
         factor = lam ** (2.0 / self.kappa)
-        self.base = replace(base_estimate, value=base_estimate.value / factor, se=base_estimate.se / factor)
+        self.base = replace(base_estimate, value=value / factor, se=se / factor)
 
     def _unit_pickands(self, direction) -> ConstantEstimate:
         if direction.shape != self.direction.shape or np.any(np.abs(direction - self.direction) > 1e-9):

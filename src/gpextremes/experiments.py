@@ -186,6 +186,15 @@ def _integer(node, at, key, required=True, default=None):
     return val if val is None else int(val)
 
 
+def _seed(tree):
+    """The config's master seed, a 64-bit unsigned integer by :func:`rng._as_seed`'s rule."""
+    seed = _integer(tree, "", "seed")
+    try:
+        return _as_seed(seed, "seed")
+    except DomainError as exc:
+        raise ConfigError("seed", f"expected a 64-bit unsigned integer, got {seed}") from exc
+
+
 def _vector(node, at, key, required=True, default=None):
     val = _get(node, at, key, list, required=required, default=default)
     if val is None:
@@ -576,7 +585,7 @@ def run_experiment(tree: dict, out_dir=None, seed_override=None, workers: int = 
     if kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {kind!r}; expected one of {KINDS}")
     exp_id = _get(tree, "", "experiment_id", str, required=False, default=kind)
-    seed = seed_override if seed_override is not None else _integer(tree, "", "seed")
+    seed = seed_override if seed_override is not None else _seed(tree)
     out_path = None
     if out_dir is not None:
         out_path = Path(out_dir)

@@ -23,8 +23,9 @@ shifted by a maximum, which keeps coordinates beyond +-700 from
 overflowing.  :func:`ewv_mc` is an independent Monte Carlo estimator.
 
 :func:`ewv_batch` reduces n <= 3 in row chunks: each chunk holds at most
-``_CHUNK_ELEMENTS // m**(n - 1)`` clouds, so every temporary of a kernel
-stays near ``_CHUNK_ELEMENTS`` entries however many clouds come in.  The
+``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a quarter of that for n = 2), so
+every temporary of a kernel stays near ``_CHUNK_ELEMENTS`` entries however
+many clouds come in.  The
 clouds may be any strided (R, m, n) view, such as ``np.moveaxis`` of an
 (n, R, m) block of coordinate planes, and are never copied whole.  Every
 cloud is reduced on its own, with the same operands in the same order, so
@@ -117,14 +118,15 @@ def _ewv_staircase_log_rows(x: np.ndarray, y: np.ndarray):
     y_prev the previous record.  Every strip is shifted by the largest
     coordinate sum of the row, which no x_k + y_k exceeds, so no term
     overflows.  A point that sets no record adds an exact zero, so pruning
-    dominated points leaves every strip bit for bit.  Only y and x + y are
-    gathered into sweep order, and the strips are formed in place.
+    dominated points leaves every strip bit for bit.  x and y are gathered
+    into sweep order, the gathered y is added to the gathered x in place
+    (the same sums as x + y), and the strips are formed in place.
     """
     order = np.argsort(-x, axis=1)
-    total = x + y
-    shift = total.max(axis=1)
-    strips = np.take_along_axis(total, order, axis=1)
+    strips = np.take_along_axis(x, order, axis=1)
     ys = np.take_along_axis(y, order, axis=1)
+    strips += ys
+    shift = strips.max(axis=1)
     run = np.maximum.accumulate(ys, axis=1)
     gap = np.empty_like(ys)  # y_prev - y_k, -inf before the first record
     gap[:, 0] = -np.inf
@@ -174,14 +176,17 @@ def _ewv3_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _ewv_log_rows(points: np.ndarray):
     """(shift, mantissa) of clouds (R, m, n) for n <= 3, in row chunks.
 
-    Each chunk holds at most ``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (at
-    least one), so no temporary of a kernel grows with R.  Every cloud is
-    reduced on its own, so the chunking leaves every bit of the result.
+    Each chunk holds at most ``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a
+    quarter of that for n = 2; at least one), so no temporary of a kernel
+    grows with R.  Every cloud is reduced on its own, so the chunking
+    leaves every bit of the result.
     """
     R, m, n = points.shape
     shift = np.empty(R)
     mantissa = np.empty(R)
-    rows = max(1, _CHUNK_ELEMENTS // m ** (n - 1))
+    # the n = 2 sweep holds five (cloud, point) arrays at once, so it takes a quarter of the elements
+    budget = _CHUNK_ELEMENTS // 4 if n == 2 else _CHUNK_ELEMENTS
+    rows = max(1, budget // m ** (n - 1))
     for lo in range(0, R, rows):
         pts = points[lo : lo + rows]
         part = slice(lo, lo + pts.shape[0])

@@ -106,10 +106,12 @@ def _openblas_trmm():
     """``product(L, z)``: ``z @ L.T`` in place in z by numpy's bundled OpenBLAS, or None.
 
     L is a C-contiguous float (m, m) array read as lower-triangular (its
-    upper triangle is never read) and z a C-contiguous float (rows, m)
-    array; the product returns z.  One ``cblas_dtrmm`` call does half the
-    multiplications of ``z @ L.T`` and needs no second array.  None when
-    numpy bundles no OpenBLAS or it lacks ``cblas_dtrmm``.
+    upper triangle is never read) and z a float (rows, m) array whose rows
+    are contiguous, each at least m entries after the last, such as the
+    last m columns of a C-contiguous array; the product returns z.  One
+    ``cblas_dtrmm`` call does half the multiplications of ``z @ L.T`` and
+    needs no second array.  None when numpy bundles no OpenBLAS or it lacks
+    ``cblas_dtrmm``.
     """
     calls = _openblas()
     if calls is None or calls[2] is None:
@@ -118,15 +120,16 @@ def _openblas_trmm():
 
     def product(L, z):
         rows, m = z.shape
+        ld, rest = divmod(z.strides[0], z.itemsize)
         if not (
             L.shape == (m, m)
             and L.dtype == z.dtype == np.float64
             and L.flags.c_contiguous
-            and z.flags.c_contiguous
+            and (z.flags.c_contiguous or (z.strides[1] == z.itemsize and rest == 0 and ld >= m))
         ):
-            raise ValueError("the triangular product needs C-contiguous float64 arrays L (m, m) and z (rows, m)")
+            raise ValueError("the triangular product needs float64 arrays L (m, m), C-contiguous, and z (rows, m) by rows")
         if rows:
-            trmm(*_TRMM_ROWS_TIMES_LOWER_T, rows, m, 1.0, L.ctypes.data, m, z.ctypes.data, m)
+            trmm(*_TRMM_ROWS_TIMES_LOWER_T, rows, m, 1.0, L.ctypes.data, m, z.ctypes.data, max(ld, m))
         return z
 
     return product

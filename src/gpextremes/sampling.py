@@ -22,28 +22,37 @@ once when the draw is built:
   in place by one triangular product (``cblas_dtrmm`` of numpy's bundled
   OpenBLAS, a plain matrix product where numpy bundles none).
 
-The embedding is always computed first, at the least power-of-two size
-that holds the sequence.  Eigenvalues slightly below zero (>= -1e-8 of the
-maximum) are clamped with a logged warning; deeper negativity makes the
-embedding infeasible at that size.  :func:`_stationary` picks the method
-from that outcome.  A feasible embedding of least size stays
-circulant.  A padded one would draw at least four normals per node, and
-the dense draw measured cheaper on every padded spec up to
-``_DENSE_MAX_NODES`` = 2049 nodes (with one BLAS thread, 2048 rows, on a
-2-core x86_64 VM with numpy 2.4.6: 89 against 516 ms at 1025 nodes padded
-4x, 307 against 501 ms at 2049 nodes padded 2x), so up to that cap an
-infeasible least embedding goes dense and no padded one is computed; the
-clamps logged are those of the embedding that is drawn.  Above that cap, where the factor would pass 32 MB, the
-padding doubles up to three times: a padded embedding stays circulant and
-one still infeasible raises :class:`EmbeddingError`.  So kappa > 1 on short
-spans goes dense, while fractional Gaussian noise, whose least embedding is
-nonnegative definite, stays circulant.
+:func:`_stationary` picks the method by the node count m of the sequence:
+
+* m <= ``_DENSE_ALWAYS_NODES`` = 1025: dense, and no embedding is computed.
+* m <= ``_DENSE_MAX_NODES`` = 2049: circulant when the embedding of least
+  size (the least power of two >= 2 (m - 1)) is feasible, dense otherwise;
+  no padded embedding is computed.
+* m > 2049, where the factor would pass 32 MB: circulant, the padding
+  doubled up to three times until the embedding is feasible; one still
+  infeasible raises :class:`EmbeddingError`.
+
+Embedding eigenvalues slightly below zero (>= -1e-8 of the maximum) are
+clamped with a logged warning; deeper negativity makes the embedding
+infeasible at that size.  The clamps logged are those of the embedding that
+is drawn.  The triangular product measured cheaper than the least
+embedding's draw up to about 1500 nodes (kappa = 1.5 fractional Gaussian
+noise, 4096 rows, one BLAS thread, a 2-core x86_64 VM with numpy 2.4.6;
+circulant against dense microseconds per row, the factor's build time in
+brackets: 8.2 / 3.4 (1 ms) at 128 nodes, 31 / 18 (12 ms) at 512, 66 / 46
+(49 ms) at 1024, 111 / 74 (97 ms) at 1536, 102 / 116 (215 ms) at 2048),
+and on every padded spec up to 2049 nodes (2048 rows: 89 against 516 ms at
+1025 nodes padded 4x, 307 against 501 ms at 2049 nodes padded 2x).
 
 :class:`FgnSampler` holds two draws, its ``increments`` and its ``path``.
 Fractional Brownian motion is the prefix sum of fractional Gaussian noise,
-exact in distribution; :func:`_prefix_sum` is the one place that forms it,
-in place from B(0) = 0.  :func:`StationarySampler` is the draw of a
-unit-variance exponential-correlation sequence.
+exact in distribution.  Where the increments are dense with factor L, the
+path is one triangular product by ``cumsum(L, axis=0)``, the Cholesky
+factor of the fractional Brownian covariance on the grid, behind an exact
+B(0) = 0 (:func:`_stationary_path`), and the increments are the path's
+differences; otherwise :func:`_prefix_sum` forms the path from the
+increments, in place from B(0) = 0.  :func:`StationarySampler` is the draw
+of a unit-variance exponential-correlation sequence.
 :func:`coordinate_samplers` builds the draw of every coordinate of a vector
 process once, so an estimator can draw every replication block with them.
 A dense symmetric-square-root sampler serves as the independent oracle for
@@ -74,11 +83,12 @@ faulted in again each time: 7x the page faults of whole-plane blocks on a
 two-coordinate window constant).  The circulant draw builds and
 transforms its spectrum in smaller sub-chunks of at most
 ``_SPECTRUM_ELEMENTS`` embedding entries (64 rows at size 1024, a 0.5 MB
-complex half spectrum).  Every row of a
-direct or a circulant draw is the same bits whatever its chunk and pick.  A
-dense product of another row count may round its last bits differently
-(BLAS blocks a different row count differently), so a dense row is the
-same bits only at the same chunk rows and picks.
+complex half spectrum).  A dense draw of a whole chunk into a C-contiguous
+``out`` draws its normals straight into it and multiplies them there.
+Every row of a direct or a circulant draw is the same bits whatever its
+chunk and pick.  A dense product of another row count may round its last
+bits differently (BLAS blocks a different row count differently), so a
+dense row is the same bits only at the same chunk rows and picks.
 
 Every draw records its numerical fallbacks: ``clamped``, the count of
 embedding eigenvalues clamped to zero, and ``factor``, "cholesky" or "eigh"
@@ -272,6 +282,10 @@ _CLAMP_REL = 1e-8
 _MAX_DOUBLINGS = 3
 # Largest node count drawn by a dense factor: 2049^2 doubles are 32 MB.
 _DENSE_MAX_NODES = 2049
+# Largest node count drawn by a dense factor whatever its embedding: the
+# triangular product measured cheaper than the least circulant embedding up
+# to about 1500 nodes.
+_DENSE_ALWAYS_NODES = 1025
 # Width of the diagonal blocks of the in-place Cholesky factorization.
 _FACTOR_BLOCK = 128
 
@@ -285,8 +299,6 @@ def _embedding_eigenvalues(cov_of_lag, m, doublings=_MAX_DOUBLINGS):
     the ``clamped`` tiny negatives are set to zero.  Raises
     :class:`EmbeddingError` when that does not suffice.
     """
-    if m == 1:
-        return np.asarray([float(cov_of_lag(np.zeros(1, dtype=int))[0])]), 1, 0
     size = 1
     while size < 2 * (m - 1):
         size *= 2
@@ -427,19 +439,37 @@ def _dense_factor(cov_of_lag, m):
         return np.ascontiguousarray(np.linalg.qr(eigvec.T, mode="r").T), "eigh"
 
 
-def _dense_draw(factor, R, gen, chunk):
-    """The cursor of R rows ``standard_normal((R, m)) @ factor.T``, factor lower-triangular.
+def _matmul_in_place(L, z):
+    """``z @ L.T`` written into z, the triangular product where numpy bundles no OpenBLAS."""
+    z[:] = z @ L.T
+    return z
 
-    Each chunk's picked normals z, a C-contiguous (rows, m) array, become
-    ``z @ factor.T`` in place through :func:`_openblas_trmm`, a triangular
-    product that skips the zero upper triangle; the rows then go to
-    ``out``, or z is returned.  Where numpy bundles no OpenBLAS the product
-    is ``np.matmul``.  Only picked rows are multiplied.
+
+def _dense_draw(factor, R, gen, chunk, lead=0):
+    """The cursor of R rows of ``lead`` zeros and then ``z @ factor.T``, factor lower-triangular (m, m).
+
+    Chunk ``r0:r1`` draws ``standard_normal((r1 - r0, lead + m))``; a row's
+    first ``lead`` normals are dropped for exact zeros and its last m, z,
+    become ``z @ factor.T`` in place through :func:`_openblas_trmm`, a
+    triangular product that skips the zero upper triangle (``np.matmul``
+    where numpy bundles none).  When the whole chunk is picked and ``out``
+    is a C-contiguous float block, the normals are drawn straight into it;
+    otherwise the picked rows of a new array of normals are multiplied and
+    go to ``out``, or are returned.  Either way the chunk consumes the same
+    normals, and the product has the same shape.
     """
-    product = _openblas_trmm()
-    if product is None:
-        return _normal_chunks(R, factor.shape[0], gen, chunk, lambda z, out: np.matmul(z, factor.T, out=out))
-    return _normal_chunks(R, factor.shape[0], gen, chunk, lambda z, out: _written(product(factor, z), out))
+    product = _openblas_trmm() or _matmul_in_place
+
+    width = lead + factor.shape[0]
+
+    def fill(r0, r1, pick, out):
+        whole = isinstance(pick, slice) and out is not None and out.flags.c_contiguous and out.dtype == np.float64
+        z = gen.standard_normal(out=out) if whole else gen.standard_normal((r1 - r0, width))[pick]
+        product(factor, z[:, lead:])
+        z[:, :lead] = 0.0
+        return z if whole else _written(z, out)
+
+    return _cursor(R, chunk, fill)
 
 
 # -- direct draw kernels -------------------------------------------------------
@@ -485,26 +515,67 @@ def _ar1_draw(rho, count, R, gen, chunk):
 # -- the draws of stationary sequences -----------------------------------------
 
 
+def _embedding(cov_of_lag, count):
+    """``(eigenvalues, size, clamped)`` of the embedding that draws ``count`` nodes, or None where the draw is dense.
+
+    Up to ``_DENSE_ALWAYS_NODES`` nodes every draw is dense and no
+    embedding is computed.  Up to ``_DENSE_MAX_NODES`` the least embedding
+    is drawn when it is feasible, and the draw is dense when it is not.
+    Beyond, the padding doubles at most three times, and an embedding still
+    infeasible raises :class:`EmbeddingError`.
+    """
+    if count <= _DENSE_ALWAYS_NODES:
+        return None
+    dense_ok = count <= _DENSE_MAX_NODES
+    try:
+        return _embedding_eigenvalues(cov_of_lag, count, 0 if dense_ok else _MAX_DOUBLINGS)
+    except EmbeddingError:
+        if not dense_ok:
+            raise
+        return None
+
+
+def _circulant(embedding, count):
+    """The circulant draw of ``count`` nodes from ``embedding`` = ``(eigenvalues, size, clamped)``."""
+    eigs, size, clamped = embedding
+    kernel = functools.partial(_circulant_draw, _mode_scale(eigs, size), size, count)
+    return _Draw(kernel, count, "circulant", size, clamped)
+
+
 def _stationary(cov_of_lag, count):
     """The draw of a length-``count`` stationary sequence whose covariance at lag k is ``cov_of_lag(k)``.
 
     Circulant (``size`` the embedding size, ``clamped`` its clamped
-    eigenvalues) when the embedding is feasible: at its least size up to
-    ``_DENSE_MAX_NODES`` nodes, after at most three padding doublings
-    beyond.  Otherwise dense (``size`` = count, ``factor`` the kind from
-    :func:`_dense_factor`) up to the cap, and :class:`EmbeddingError` beyond
-    it.
+    eigenvalues) where :func:`_embedding` gives an embedding, dense
+    otherwise (``size`` = count, ``factor`` the kind from
+    :func:`_dense_factor`).
     """
-    dense_ok = count <= _DENSE_MAX_NODES
-    try:
-        eigs, size, clamped = _embedding_eigenvalues(cov_of_lag, count, 0 if dense_ok else _MAX_DOUBLINGS)
-    except EmbeddingError:
-        if not dense_ok:
-            raise
-        factor, kind = _dense_factor(cov_of_lag, count)
-        return _Draw(functools.partial(_dense_draw, factor), count, "dense", factor=kind)
-    scale = _mode_scale(eigs, size)
-    return _Draw(functools.partial(_circulant_draw, scale, size, count), count, "circulant", size, clamped)
+    embedding = _embedding(cov_of_lag, count)
+    if embedding is not None:
+        return _circulant(embedding, count)
+    factor, kind = _dense_factor(cov_of_lag, count)
+    return _Draw(functools.partial(_dense_draw, factor), count, "dense", factor=kind)
+
+
+def _stationary_path(cov_of_lag, count):
+    """``(increments, path)``: the draws of the sequence of :func:`_stationary` and of its prefix sums from 0.
+
+    Where the sequence is circulant, ``path`` is :func:`_prefix_sum` of it.
+    Where it is dense with factor L, the prefix sums of its rows are rows
+    times ``cumsum(L, axis=0)``, itself lower-triangular, the Cholesky
+    factor of the prefix sums' covariance; it is formed in place in L, and
+    ``path`` is one triangular product by it behind one exact zero (``size``
+    = count + 1).  ``increments`` is then :func:`_differences` of the path,
+    so the sampler holds one factor.
+    """
+    embedding = _embedding(cov_of_lag, count)
+    if embedding is not None:
+        increments = _circulant(embedding, count)
+        return increments, _prefix_sum(increments)
+    factor, kind = _dense_factor(cov_of_lag, count)
+    np.cumsum(factor, axis=0, out=factor)
+    path = _Draw(functools.partial(_dense_draw, factor, lead=1), count + 1, "dense", factor=kind)
+    return _differences(path), path
 
 
 def _check_grid(kappa, step, count):
@@ -536,6 +607,21 @@ def _prefix_sum(increments):
     return _Draw.joined(chunks, count, [increments])
 
 
+def _differences(path):
+    """The draw of the ``(R, count - 1)`` steps between consecutive nodes of the draw ``path``."""
+
+    def chunks(R, gen, chunk):
+        take = path.chunks(R, gen, chunk)
+
+        def steps(pick=slice(None), out=None):
+            rows = take(pick)
+            return np.subtract(rows[:, 1:], rows[:, :-1], out=out)
+
+        return steps
+
+    return _Draw.joined(chunks, path.count - 1, [path])
+
+
 class FgnSampler:
     """Fractional Gaussian noise on a fixed grid, as two draws.
 
@@ -543,16 +629,20 @@ class FgnSampler:
     ``(R, count + 1)`` fractional Brownian paths from B(0) = 0, their prefix
     sums.  kappa = 1 increments are independent and kappa = 2 increments
     are one shared normal (the path is a.s. linear); both are drawn
-    directly, as is the empty draw of ``count`` = 0.  All other exponents
-    use the circulant or the dense draw that :func:`_stationary` picks.
+    directly, as are a single increment and the empty draw of ``count`` =
+    0, and their paths are :func:`_prefix_sum` of them.  All other
+    exponents use the circulant or the dense draws that
+    :func:`_stationary_path` picks: a dense path is one triangular product
+    by the Cholesky factor of the fractional Brownian covariance, and its
+    increments are its differences.
     """
 
     def __init__(self, kappa, step, count):
         kappa, step, count = _check_grid(kappa, step, count)
         if kappa == 2.0:
             self.increments = _Draw(functools.partial(_shared_normal_draw, step, count), count)
-        elif kappa == 1.0 or count == 0:
-            self.increments = _Draw(functools.partial(_scaled_draw, np.sqrt(step), count), count)
+        elif kappa == 1.0 or count <= 1:
+            self.increments = _Draw(functools.partial(_scaled_draw, np.sqrt(step**kappa), count), count)
         else:
             scale = step**kappa
 
@@ -560,7 +650,8 @@ class FgnSampler:
                 k = np.abs(lags).astype(float)
                 return 0.5 * scale * ((k + 1) ** kappa - 2 * k**kappa + np.abs(k - 1) ** kappa)
 
-            self.increments = _stationary(cov, count)
+            self.increments, self.path = _stationary_path(cov, count)
+            return
         self.path = _prefix_sum(self.increments)
 
 

@@ -86,6 +86,17 @@ class TestAssemble:
         with pytest.raises(DomainError):
             AsymptoticApproximation.assemble("local_window", 0.0, 1.0, (1.0,), 1.0)
 
+    # a scalar tail argument used to raise a bare TypeError, and a string
+    # u power passed through float()
+    @pytest.mark.parametrize(
+        "u_power, tail_args",
+        [(1.0, 3.0), (1.0, "33"), (1.0, None), (1.0, [[3.0]]), ("1", (3.0,)), (None, (3.0,))],
+        ids=["scalar-tail", "string-tail", "none-tail", "nested-tail", "string-power", "none-power"],
+    )
+    def test_malformed_arguments_are_domain_errors(self, u_power, tail_args):
+        with pytest.raises(DomainError):
+            AsymptoticApproximation.assemble("x", 1.0, u_power, tail_args, 3.0)
+
 
 class TestProviders:
     def test_closed_form_pickands(self):
@@ -146,6 +157,26 @@ class TestProviders:
     def test_pickands_rejects_bad_amplitudes(self, C):
         with pytest.raises(DomainError):
             ClosedFormProvider(1.0).pickands(C)
+
+    # a missing base used to raise a bare AttributeError, and a string value
+    # a TypeError at the first lookup
+    @pytest.mark.parametrize(
+        "base",
+        [
+            None,
+            0.5,
+            ConstantEstimate("1", 0.01, (0.0, 8.0), 0.01, 1000, "slope"),
+            ConstantEstimate(0.5, "0.01", (0.0, 8.0), 0.01, 1000, "slope"),
+            ConstantEstimate(0.5, None, (0.0, 8.0), 0.01, 1000, "slope"),
+            ConstantEstimate(0.0, 0.01, (0.0, 8.0), 0.01, 1000, "slope"),
+            ConstantEstimate(math.nan, 0.01, (0.0, 8.0), 0.01, 1000, "slope"),
+            ConstantEstimate(0.5, -0.01, (0.0, 8.0), 0.01, 1000, "slope"),
+        ],
+        ids=["none", "number", "string-value", "string-se", "none-se", "zero-value", "nan-value", "negative-se"],
+    )
+    def test_scaling_provider_rejects_a_malformed_base(self, base):
+        with pytest.raises(DomainError):
+            ScalingProvider([1.0], base, 1.0)
 
     def test_scaling_provider_from_a_non_unit_base(self):
         base = ConstantEstimate(2.0, 0.1, (0.0, 8.0), 0.01, 1000, "slope")

@@ -5,6 +5,7 @@ the package.  A package change that drops or renames a name it calls would
 crash the benchmark's traced run; this test fails first.  Its tracer and
 probes import only numpy and the package, so they load here by file path.
 """
+import copy
 import importlib.util
 import json
 import os
@@ -60,3 +61,35 @@ def test_setup_probe_accepts_each_workload_config(name, tmp_path):
         [sys.executable, str(PERFBENCH / "setup_probe.py"), str(config)], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+
+
+# The draw each workload runs: the estimator its experiment calls, and the
+# sampler fields of that estimate's draw (of every rung's, for a ladder).
+WORKLOAD_DRAWS = {
+    "window-n3": ("estimate_window_constant", [("direct", 32, None)]),
+    "conj-n2": ("estimate_conjunction_prob", [("dense", 1025, "cholesky")] * 2),
+    "pickands-n2": ("estimate_pickands", [("dense", 513, "cholesky")] * 4),
+}
+
+
+def sampler_fields(diagnostics):
+    """``(method, size, factor)`` of each draw that an estimate's diagnostics report."""
+    if "rung_draws" in diagnostics:
+        return [fields for rung in diagnostics["rung_draws"] for fields in sampler_fields(rung)]
+    if "sampler_methods" in diagnostics:
+        return list(zip(diagnostics["sampler_methods"], diagnostics["sampler_sizes"], diagnostics["sampler_factors"]))
+    return [(diagnostics["sampler_method"], diagnostics["sampler_size"], diagnostics["sampler_factor"])]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_each_workload_keeps_its_draw(name, monkeypatch):
+    # a change of the sampling method rule must not move a workload off its draw unnoticed
+    estimator, pinned = WORKLOAD_DRAWS[name]
+    estimates, call = [], getattr(experiments, estimator)
+    monkeypatch.setattr(experiments, estimator, lambda *args: estimates.append(call(*args)) or estimates[-1])
+    tree = copy.deepcopy(WORKLOADS[name]["config"])
+    tree[tree["kind"]]["replications"] = 1000  # the draw is built the same at every R
+    tree["seed"] = 1
+    experiments.run_experiment(tree)
+    (estimate,) = estimates
+    assert sampler_fields(estimate.diagnostics) == pinned

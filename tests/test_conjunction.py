@@ -424,14 +424,17 @@ class TestLazyScan:
         assert triple[0].diagnostics["sampler_methods"] == ["direct", "dense", "dense"]
 
     def test_diagnostics_report_the_fallbacks(self):
-        # 33 nodes at step 1/32: a = 20 clamps its embedding, a = 5 goes dense by eigh
-        spec = VectorProcessSpec((Stationary(20.0, 2.0), Stationary(5.0, 2.0)), 1.0)
-        est = estimate_conjunction_prob(spec, [1.0, 1.0], unit_grid(33), 1000, STREAM.child("fallbacks"))
+        # 1105 nodes at step 1/16: the stationary a = 5 clamps its embedding, and
+        # the frozen blocks of 17 nodes of the constant a = 5 go dense by eigh
+        T = 1105 / 16
+        frozen = LocallyStationary(ProfileTable.constant(5.0, T), 2.0, block_count=65)
+        spec, grid = VectorProcessSpec((Stationary(5.0, 2.0), frozen), T), unit_grid(1105, 69.0)
+        est = estimate_conjunction_prob(spec, [1.0, 1.0], grid, 1000, STREAM.child("fallbacks"))
         assert est.diagnostics["sampler_methods"] == ["circulant", "dense"]
-        assert est.diagnostics["sampler_clamped"] == [19, 0]
+        assert est.diagnostics["sampler_clamped"] == [874, 0]
         assert est.diagnostics["sampler_factors"] == [None, "eigh"]
-        (report,) = audit_borell(spec, (4.0,), unit_grid(33), 1000, STREAM.child("fallbacks"))
-        assert report.empirical_at_u.diagnostics["sampler_clamped"] == [19, 0]
+        (report,) = audit_borell(spec, (4.0,), grid, 1000, STREAM.child("fallbacks"))
+        assert report.empirical_at_u.diagnostics["sampler_clamped"] == [874, 0]
 
     def test_streamed_scan_holds_a_chunk(self, monkeypatch):
         # the conj-n2 coordinates in chunks of 511 rows: the block's reused plane

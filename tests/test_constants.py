@@ -23,7 +23,7 @@ from gpextremes import (
 from gpextremes.constants import _window_node_count, default_window_step
 from gpextremes.orthants import ewv_batch
 from gpextremes.parallel import mean_and_se, replicate
-from gpextremes.sampling import FgnSampler
+from gpextremes.sampling import FgnSampler, _chunk_rows
 
 STREAM = RngStream(31_337)
 SQRT_PI = math.sqrt(math.pi)
@@ -230,10 +230,18 @@ class TestWindowConstant:
             estimate_window_constant([1.0], 1.0, zero_drift(1), window, R=2000, stream=STREAM)
 
 
+def path_rows(sampler, Rb, gen, chunk):
+    """The ``(Rb, count + 1)`` paths of ``sampler`` in a new array, drawn in
+    chunks of ``chunk`` rows as an estimator draws them: a dense path is one
+    triangular product per chunk, which rounds by the chunk's row count."""
+    take = sampler.path.chunks(Rb, gen, chunk)
+    return np.concatenate([take() for _ in range(0, Rb, chunk)])
+
+
 def stacked_window_constant(C, kappa, drift, window, step, R, stream):
     """(value, se) of the window constant built the way it was before the
-    in-place blocks: a separate zeroed array per coordinate path, anchored
-    and drifted out of place, then ``np.stack`` of the paths handed to
+    in-place blocks: a separate array per coordinate path, anchored and
+    drifted out of place, then ``np.stack`` of the paths handed to
     ``ewv_batch`` as one contiguous cloud (or the exact bridge maxima)."""
     C = np.asarray(C, dtype=float)
     j1 = _window_node_count(window[0], step, "S1")
@@ -242,12 +250,12 @@ def stacked_window_constant(C, kappa, drift, window, step, R, stream):
     trend = np.abs(t)[:, None] ** kappa * (C**2)[None, :] + drift.evaluate(t)
     sampler = FgnSampler(kappa, step, m - 1)
     sqrt2C = math.sqrt(2.0) * C
+    chunk = _chunk_rows(C.size * m)
 
     def run_block(Rb, block):
         parts = []
         for i in range(C.size):
-            path = np.zeros((Rb, m))
-            np.cumsum(sampler.increments(Rb, block("coord", i).generator()), axis=1, out=path[:, 1:])
+            path = path_rows(sampler, Rb, block("coord", i).generator(), chunk)
             path -= path[:, j1][:, None]
             parts.append(sqrt2C[i] * path - trend[None, :, i])
         if C.size == 1 and kappa == 1.0:
@@ -312,10 +320,10 @@ class TestInPlaceBlocks:
         common = dict(grid_step=1.0 / 128, R=4096, stream=STREAM.child("diag"))
         est = estimate_window_constant([1.0], 1.5, zero_drift(1, 1.5), (0.0, 1.0), **common)
         assert est.diagnostics == {
-            "sampler_method": "circulant",
-            "sampler_size": 256,
+            "sampler_method": "dense",
+            "sampler_size": 129,
             "sampler_clamped": 0,
-            "sampler_factor": None,
+            "sampler_factor": "cholesky",
             "blocks": 2,
         }
         est = estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 1.0), **common)
@@ -330,8 +338,8 @@ class TestInPlaceBlocks:
 
 def cumsum_discrete_zero(C, kappa, u_ladder, horizon, R, stream):
     """(value, se, rungs) of the discrete-zero estimate built the way it was
-    before the in-place blocks: a separate increments array per coordinate,
-    ``np.cumsum`` of it, and the out-of-place ``sqrt2C * path - trend + tilt``
+    before the in-place blocks: a separate path array per coordinate, and the
+    out-of-place ``sqrt2C * path - trend + tilt`` of its K lattice nodes
     folded into the running minimum, from the same ``replicate`` streams."""
     C = np.asarray(C, dtype=float)
     sqrt2C = math.sqrt(2.0) * C
@@ -340,11 +348,12 @@ def cumsum_discrete_zero(C, kappa, u_ladder, horizon, R, stream):
         K = int(math.floor(horizon / u + 1e-9))
         trend = (u * np.arange(1, K + 1))[:, None] ** kappa * (C**2)[None, :]
         sampler = FgnSampler(kappa, u, K)
+        chunk = _chunk_rows(2 * K + 1)
 
         def run_block(Rb, block):
             mins = np.full((Rb, K), np.inf)
             for i in range(C.size):
-                path = np.cumsum(sampler.increments(Rb, block("coord", i).generator()), axis=1)
+                path = path_rows(sampler, Rb, block("coord", i).generator(), chunk)[:, 1:]
                 tilt = block("tilt", i).generator().exponential(size=Rb)
                 np.minimum(mins, sqrt2C[i] * path - trend[None, :, i] + tilt[:, None], out=mins)
             return int((mins.max(axis=1) <= 0.0).sum())
@@ -423,13 +432,13 @@ class TestPickandsEstimator:
     def test_rung_draws_reported(self):
         est = estimate_pickands([1.0], 1.5, (0.5, 1.0, 2.0), R=2048, stream=STREAM.child("pd"))
         draws = est.diagnostics["rung_draws"]
-        # default step S/512 puts 512 increments in every rung
+        # default step S/512 puts 512 increments in every rung, a dense path of 513 nodes
         assert draws == [
             {
-                "sampler_method": "circulant",
-                "sampler_size": 1024,
+                "sampler_method": "dense",
+                "sampler_size": 513,
                 "sampler_clamped": 0,
-                "sampler_factor": None,
+                "sampler_factor": "cholesky",
                 "blocks": 1,
             }
         ] * 3
@@ -539,16 +548,16 @@ class TestDiscreteZero:
 
     def test_rung_draws_reported(self):
         est = estimate_discrete_zero([1.0, 0.8], 1.5, (0.25, 0.125), 12.0, R=4096, stream=STREAM.child("dzd"))
-        # K = 48 and 96 lattice steps, each embedded in a circulant of twice its power-of-two size
+        # K = 48 and 96 lattice steps, each a dense path of K + 1 nodes
         assert est.diagnostics["rung_draws"] == [
             {
-                "sampler_method": "circulant",
+                "sampler_method": "dense",
                 "sampler_size": size,
                 "sampler_clamped": 0,
-                "sampler_factor": None,
+                "sampler_factor": "cholesky",
                 "blocks": 2,
             }
-            for size in (128, 256)
+            for size in (49, 97)
         ]
         assert [u for u, _, _ in est.diagnostics["rungs"]] == [0.25, 0.125]
 

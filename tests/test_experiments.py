@@ -206,6 +206,9 @@ NESTED_KEY_CASES = [
                 lambda t: t["processes"]["ou"]["coords"][0].update(a=-math.inf),
             ),
             ("seed", "nan", probability_config, lambda t: t.update(seed=math.nan)),
+            # a seed outside 64 bits used to run and end in one error row
+            ("seed", "negative", probability_config, lambda t: t.update(seed=-1)),
+            ("seed", "65-bit", probability_config, lambda t: t.update(seed=2**64)),
             # array entries that a drift or a threshold family rejects
             ("constant.drift", "nan", window_config, lambda t: t["constant"]["drift"].update(d_upper=[math.nan])),
             (
@@ -510,6 +513,14 @@ class TestCli:
         assert cli_main(["bounds-table", "--config", cfg, "--out", str(tmp_path / "out"), flag, value]) == 1
         err = capsys.readouterr().err
         assert flag[2:] in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_seed_outside_64_bits_exits_1(self, tmp_path, capsys):
+        # it used to run, write master_seed -1 and one error row, and exit 2
+        cfg = self._write(tmp_path, probability_config(seed=-1))
+        assert cli_main(["estimate-prob", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_config(self, tmp_path):

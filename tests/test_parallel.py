@@ -113,6 +113,18 @@ def test_bundled_openblas_exports_what_the_package_calls():
 
 
 @pytest.mark.skipif(parallel._openblas_trmm() is None, reason="numpy has no bundled OpenBLAS")
+def test_triangular_product_takes_the_last_columns_of_rows():
+    # a path draw multiplies all but the first column of each row in place
+    L = np.tril(np.arange(1.0, 10.0).reshape(3, 3))
+    rows = np.arange(12.0).reshape(3, 4)
+    expected = rows[:, 1:] @ L.T
+    z = rows[:, 1:]
+    assert parallel._openblas_trmm()(L, z) is z
+    np.testing.assert_array_equal(rows[:, 1:], expected)
+    np.testing.assert_array_equal(rows[:, 0], [0.0, 4.0, 8.0])
+
+
+@pytest.mark.skipif(parallel._openblas_trmm() is None, reason="numpy has no bundled OpenBLAS")
 @pytest.mark.parametrize(
     "L, z",
     [

@@ -176,6 +176,19 @@ class TestSampleFbm:
         target = cov_matrix(FractionalBrownian(0.9), grid.nodes())
         assert max_cov_z(batch.values[:, 0, :], target) < 5.0
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.5, 1.99])
+    def test_dense_path_covariance(self, kappa):
+        # one triangular product by the prefix-summed factor: B(0) is an exact
+        # zero and the rest has the fractional Brownian covariance
+        R = 40_000
+        grid = SampleGrid(0.0, 1.0 / 16, 17)
+        assert sampling._fbm_draw(kappa, grid).method == "dense"
+        values = sample_fbm(kappa, grid, R, STREAM.child("dense-cov", int(100 * kappa))).values[:, 0, :]
+        assert not np.signbit(values[:, 0]).any() and not values[:, 0].any()
+        s, t = np.meshgrid(grid.nodes(), grid.nodes(), indexing="ij")
+        target = 0.5 * (s**kappa + t**kappa - np.abs(s - t) ** kappa)
+        assert max_cov_z(values, target) < 5.0
+
 
 class TestCirculantDraw:
     @pytest.mark.parametrize("size", [1, 2, 4, 1024])
@@ -210,18 +223,20 @@ class TestCirculantDraw:
         assert end.var() == pytest.approx(0.1**1.5, rel=4 * math.sqrt(2.0 / R))
 
     def test_clamp_warning(self, caplog):
-        # 33 nodes: the least embedding (size 64) is feasible after clamping, and is drawn
+        # 1100 nodes: the least embedding (size 4096) is feasible after clamping, and is drawn
         with caplog.at_level(logging.WARNING, logger="gpextremes.sampling"):
-            sampler = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 33)
-        assert (sampler.method, sampler.size) == ("circulant", 64)
+            sampler = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 1100)
+        assert (sampler.method, sampler.size) == ("circulant", 4096)
         (record,) = caplog.records
         assert record.getMessage().startswith("clamped")
         assert record.args[0] > 0
-        # 17 nodes: the least embedding is infeasible, so the draw is dense and
+        # 2049 nodes: the least embedding is infeasible, so the draw is dense and
         # no padded embedding is computed whose clamps would touch no draw
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="gpextremes.sampling"):
-            assert sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).method == "dense"
+            assert sampling.StationarySampler(1.0, 1.5, 0.1 / 2048, 2049).method == "dense"
+            # 33 nodes: dense with no embedding, so nothing is clamped
+            assert sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 33).method == "dense"
         assert not caplog.records
 
 
@@ -274,20 +289,49 @@ class TestDrawPlan:
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_cost_rule_choices(self):
-        # the conj-n2 coordinate's least embedding of 1025 nodes (2048) is infeasible: dense
+        # the conj-n2 coordinate: dense at 1025 nodes
         conj = sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025)
         assert (conj.method, conj.size) == ("dense", 1025)
-        # FGN never pads its embedding: circulant at every node count
-        for count, size in [(2049, 4096), (1025, 2048), (512, 1024), (9, 16)]:
+        # FGN never pads its embedding: circulant above 1025 increments, dense up to them
+        for count, size in [(2049, 4096), (1026, 4096)]:
             fgn = sampling.FgnSampler(1.5, 1.0 / count, count)
             assert (fgn.increments.method, fgn.increments.size) == ("circulant", size)
-        # the unpadded spec of this class (and of the circulant oracle test) stays circulant
+        for count in (1025, 512, 9):
+            fgn = sampling.FgnSampler(1.5, 1.0 / count, count)
+            assert (fgn.path.method, fgn.path.size, fgn.path.count) == ("dense", count + 1, count + 1)
+            assert (fgn.increments.method, fgn.increments.count) == ("dense", count)
+        # the feasible spec of this class (and of the circulant oracle test) is dense at 64 nodes
         plain = sampling.StationarySampler(self.A, self.KAPPA, self.STEP, self.COUNT)
-        assert (plain.method, plain.size) == ("circulant", 128)
-        # the 17-node sampler's least embedding (32) is infeasible: dense
+        assert (plain.method, plain.size) == ("dense", 64)
         assert sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17).method == "dense"
         assert sampling.FgnSampler(1.0, 0.1, 9).increments.method == "direct"
+        assert sampling.FgnSampler(1.5, 0.1, 1).increments.method == "direct"
         assert sampling.StationarySampler(1.0, 1.0, 0.1, 9).method == "direct"
+
+    # (draw builder, method, size, embeddings computed): dense without an
+    # embedding up to 1025 nodes, the least embedding above when it is
+    # feasible, dense where it is not up to 2049 nodes
+    METHOD_RULE = {
+        "64-nodes": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 64), "dense", 64, 0),
+        "conj-n2": (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025), "dense", 1025, 0),
+        "clamping-33": (lambda: sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 33), "dense", 33, 0),
+        "fgn-512": (lambda: sampling.FgnSampler(1.5, 1.0 / 512, 512).path, "dense", 513, 0),
+        "fgn-1025": (lambda: sampling.FgnSampler(1.5, 1.0 / 1025, 1025).path, "dense", 1026, 0),
+        "fgn-1026": (lambda: sampling.FgnSampler(1.5, 1.0 / 1026, 1026).increments, "circulant", 4096, 1),
+        "clamping-1100": (lambda: sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 1100), "circulant", 4096, 1),
+        "feasible-1100": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 1100), "circulant", 4096, 1),
+        "infeasible-2049": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1 / 2048, 2049), "dense", 2049, 1),
+        "fgn-2049": (lambda: sampling.FgnSampler(1.5, 1.0 / 2049, 2049).increments, "circulant", 4096, 1),
+    }
+
+    @pytest.mark.parametrize("case", METHOD_RULE.values(), ids=METHOD_RULE.keys())
+    def test_method_rule(self, monkeypatch, case):
+        build, method, size, embeddings = case
+        calls = []
+        embed = sampling._embedding_eigenvalues
+        monkeypatch.setattr(sampling, "_embedding_eigenvalues", lambda *args: calls.append(args) or embed(*args))
+        draw = build()
+        assert (draw.method, draw.size, len(calls)) == (method, size, embeddings)
 
     def test_infeasible_embedding_goes_dense_up_to_the_cap(self):
         # a span of 1/4 at kappa = 1.5 fails three padding doublings
@@ -313,11 +357,11 @@ class TestDrawPlan:
         np.testing.assert_array_equal(factors[0], factors[1])
 
     def test_samplers_record_their_fallbacks(self, caplog):
-        # 33 nodes: the drawn embedding clamps 19 eigenvalues, as the log says
+        # 1100 nodes: the drawn embedding clamps 874 eigenvalues, as the log says
         with caplog.at_level(logging.WARNING, logger="gpextremes.sampling"):
-            clamping = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 33)
-        assert (clamping.method, clamping.clamped, clamping.factor) == ("circulant", 19, None)
-        assert [record.args[0] for record in caplog.records] == [19]
+            clamping = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 1100)
+        assert (clamping.method, clamping.clamped, clamping.factor) == ("circulant", 874, None)
+        assert [record.args[0] for record in caplog.records] == [874]
         # 17 nodes: dense, and the Toeplitz matrix is numerically indefinite, so eigh
         indefinite = sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17)
         assert (indefinite.method, indefinite.clamped, indefinite.factor) == ("dense", 0, "eigh")
@@ -407,7 +451,7 @@ def one_coordinate_draw(coord, grid):
 
 # name -> (draw builder, node count, R); every draw takes ``out=``
 OUT_DRAWS = {
-    "circulant": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 64), 64, 300),
+    "circulant": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 1100), 1100, 300),
     "dense": (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 257), 257, 300),
     "dense-eigh": (lambda: sampling.StationarySampler(5.0, 2.0, 1.0 / 16, 17), 17, 300),
     # three chunks of rows of the direct normals
@@ -418,6 +462,7 @@ OUT_DRAWS = {
     ),
     "fgn-kappa2": (lambda: sampling.FgnSampler(2.0, 0.1, 16).increments, 16, 300),
     "fgn-kappa15": (lambda: sampling.FgnSampler(1.5, 1.0 / 512, 512).increments, 512, 300),
+    "fgn-kappa15-circulant": (lambda: sampling.FgnSampler(1.5, 1.0 / 1100, 1100).increments, 1100, 300),
     "fgn-single-increment": (lambda: sampling.FgnSampler(1.5, 0.1, 1).increments, 1, 300),
     "ar1": (lambda: sampling.StationarySampler(1.0, 1.0, 0.01, 50), 50, 300),
     "single-node": (lambda: sampling.StationarySampler(1.0, 1.5, 0.1, 1), 1, 300),
@@ -425,6 +470,7 @@ OUT_DRAWS = {
     "fbm-origin-offset": (lambda: sampling._fbm_draw(1.5, SampleGrid(0.25, 1.0 / 64, 33)), 33, 300),
     "fbm-one-node": (lambda: sampling._fbm_draw(1.5, SampleGrid(0.0, 1.0 / 64, 1)), 1, 300),
     "fgn-path": (lambda: sampling.FgnSampler(1.5, 1.0 / 512, 512).path, 513, 300),
+    "fgn-path-circulant": (lambda: sampling.FgnSampler(1.5, 1.0 / 1100, 1100).path, 1101, 300),
     "locally-stationary": (
         lambda: one_coordinate_draw(
             LocallyStationary(ProfileTable.from_function(lambda t: 1.0 + t, 1.0, count=17), 1.5, block_count=4),
@@ -606,11 +652,31 @@ class TestOutContract:
             tracemalloc.stop()
         assert peak <= 1.5 * sampling._CHUNK_ELEMENTS * 8
 
+    @pytest.mark.parametrize(
+        "build, m",
+        [
+            (lambda: sampling.StationarySampler(1.0, 1.5, 1.0 / 1024, 1025), 1025),
+            (lambda: sampling.FgnSampler(1.5, 1.0 / 512, 512).path, 513),
+        ],
+        ids=["dense", "fgn-path"],
+    )
+    def test_dense_draw_into_a_contiguous_block_draws_in_place(self, build, m):
+        # the normals of every chunk are drawn straight into out and multiplied there
+        R, draw = 2048, build()
+        out = np.empty((R, m))
+        tracemalloc.start()
+        try:
+            draw(R, np.random.default_rng(3), out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * sampling._CHUNK_ELEMENTS * 8
+
     def test_circulant_draw_holds_a_small_spectrum_chunk(self):
-        # the spectrum, its normals and its transform are built 64 rows at a time
-        R, m = 2048, 513
-        sampler = sampling.FgnSampler(1.5, 1.0 / 512, m - 1)
-        assert (sampler.increments.method, sampler.increments.size) == ("circulant", 1024)
+        # the spectrum, its normals and its transform are built 16 rows at a time
+        R, m = 1024, 2049
+        sampler = sampling.FgnSampler(1.5, 1.0 / 2048, m - 1)
+        assert (sampler.increments.method, sampler.increments.size) == ("circulant", 4096)
         out = np.empty((R, m))
         tracemalloc.start()
         try:
