@@ -6,19 +6,21 @@ resolves the u^(-2/kappa) mesoscale of the local-window theory; nested
 refinement (evaluating strided subsets of one fine-grid batch) makes the
 discretization bias monotone and exactly measurable per replication.
 
-The hit scans stream each replication block in chunks of rows, lazily,
-coordinate by coordinate.  In each chunk coordinate 0 is drawn on every
-row and gives, per threshold row, the node mask of its exceedances.  A row
-without an exceeding node for any threshold row cannot hit, so each later
-coordinate is drawn only on the chunk's rows still alive (the picks of the
-samplers' chunk cursors) and narrows the masks.  A picked draw gives the
-rows of the full draw from the same stream, so the counts are those of full
-paths; only a dense coordinate's product may round its last bits
-differently, which flips a hit only for a value within rounding of its
-threshold.  The Borell audit needs whole paths: it draws every coordinate
-of a chunk and reduces the chunk.  Every estimate reports its draw in
-``diagnostics``, including the rows drawn per coordinate and the samplers'
-numerical fallbacks.
+Replication block b draws coordinate i from the stream ("block", b,
+"coord", i), so the hit scans and the Borell audit see the same paths.  The
+hit scans stream each block in chunks of rows, lazily, coordinate by
+coordinate.  In each chunk coordinate 0 is drawn on every row and gives,
+per threshold row, the node mask of its exceedances.  A row without an
+exceeding node for any threshold row cannot hit, so each later coordinate
+is drawn only on the chunk's rows still alive (the picks of the samplers'
+chunk cursors) and narrows the masks.  A picked draw gives the rows of the
+full draw from the same stream, so the counts are those of full paths; only
+a dense coordinate's product may round its last bits differently, which
+flips a hit only for a value within rounding of its threshold.  The Borell
+audit needs whole paths: it is a reducer of the block engine
+:func:`~gpextremes.sampling._plane_blocks`.  Every estimate reports the
+engine's draw record in ``diagnostics``, including the rows drawn per
+coordinate and the samplers' numerical fallbacks.
 
 The audits turn the comparison inequalities into empirical verdicts:
 correlation dominance must not raise the conjunction probability
@@ -46,7 +48,7 @@ from .processes import (
     coord_variance,
 )
 from .rng import RngStream
-from .sampling import SampleGrid, _chunk_rows, coordinate_samplers
+from .sampling import SampleGrid, _block_cursors, _chunk_rows, _draw_diagnostics, _plane_blocks, coordinate_samplers
 
 __all__ = [
     "ProbEstimate",
@@ -122,52 +124,6 @@ def _stride_hits(exceed, strides=(1,)):
     return counts
 
 
-def _draw_diagnostics(samplers, blocks, rows_drawn):
-    return {
-        "sampler_methods": [draw.method for draw in samplers],
-        "sampler_sizes": [int(draw.size) for draw in samplers],
-        "sampler_clamped": [int(draw.clamped) for draw in samplers],
-        "sampler_factors": [draw.factor for draw in samplers],
-        "blocks": blocks,
-        "rows_drawn": [int(r) for r in rows_drawn],
-    }
-
-
-def _block_cursors(samplers, Rb, block, chunk):
-    """Each coordinate's chunk cursor over ``Rb`` rows, from the per-coordinate streams of the block stream."""
-    paths = block()
-    return [draw.chunks(Rb, paths.child("coord", i).generator(), chunk) for i, draw in enumerate(samplers)]
-
-
-def _path_blocks(spec, grid, R, stream, workers, reduce):
-    """``([reduce(values) for each chunk of each block], diagnostics)`` of ``R`` paths of ``spec`` on ``grid``.
-
-    Builds the coordinate samplers once; each block streams its paths in
-    chunks of rows, every coordinate of a chunk drawn into one
-    ``(rows, n, m)`` array that is handed to ``reduce``.  The chunks of the
-    blocks are listed in row order, and their rows are those that
-    :func:`sample_vector` draws from the block's stream, up to the last bits
-    of a dense product (its chunks have other row counts).
-    """
-    samplers = coordinate_samplers(spec, grid)
-    chunk = _chunk_rows(spec.n * grid.count)
-
-    def run_block(Rb, block):
-        takes = _block_cursors(samplers, Rb, block, chunk)
-        planes = np.empty((min(chunk, Rb), spec.n, grid.count))
-        parts = []
-        for r0 in range(0, Rb, chunk):
-            values = planes[: min(chunk, Rb - r0)]
-            for i, take in enumerate(takes):
-                take(out=values[:, i, :])
-            parts.append(reduce(values))
-        return parts
-
-    blocks = replicate(R, stream, workers, run_block)
-    parts = [part for block in blocks for part in block]
-    return parts, _draw_diagnostics(samplers, len(blocks), [R] * spec.n)
-
-
 def _exceed_blocks(spec, thr, grid, R, stream, workers, reduce):
     """``(sum of reduce(exceed) over every chunk of every block, diagnostics)``, drawn lazily.
 
@@ -175,9 +131,10 @@ def _exceed_blocks(spec, thr, grid, R, stream, workers, reduce):
     J threshold rows ``thr``, on the k rows of a chunk that have an
     exceeding node for some threshold row; the other rows cannot hit.
     ``reduce`` returns counts.  In each chunk coordinate 0 is drawn on every
-    row; each later coordinate is drawn on the rows still alive only, from
-    the same per-coordinate stream that :func:`sample_vector` uses, and then
-    narrows the masks.  A chunk holds one coordinate's rows at a time.
+    row; each later coordinate is drawn on the rows still alive only and
+    narrows the masks.  A chunk holds one coordinate's rows at a time.  The
+    rows of block b are those of ``draw(Rb, stream.child("block", b,
+    "coord", i).generator())`` for coordinate i.
     """
     samplers = coordinate_samplers(spec, grid)
     chunk = _chunk_rows(grid.count)
@@ -427,12 +384,12 @@ def audit_borell(
     tau_sq = float(finite_g.min())
     thr = np.asarray([[u] * spec.n for u in us])
 
-    def reduce(values):
-        sup_mix = np.einsum("rnm,nm->rm", values, lam).max(axis=1)
-        exceed = np.stack([(values > row[None, :, None]).all(axis=1) for row in thr])
+    def reduce(planes):
+        sup_mix = np.einsum("nrm,nm->rm", planes, lam).max(axis=1)
+        exceed = np.stack([(planes > row[:, None, None]).all(axis=0) for row in thr])
         return sup_mix, _stride_hits(exceed)[:, 0]
 
-    parts, diagnostics = _path_blocks(spec, grid, R, stream, workers, reduce)
+    parts, diagnostics = _plane_blocks(coordinate_samplers(spec, grid), R, stream, workers, lambda block: reduce)
     mu_hat, mu_se = mean_and_se([p[0] for p in parts])
     counts = sum(p[1] for p in parts)
     mu_conservative = mu_hat + 3.0 * mu_se

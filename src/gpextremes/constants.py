@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import mean_and_se, replicate, require_count, require_ladder, require_real, require_stream
+from .parallel import mean_and_se, require_count, require_ladder, require_real, require_stream
 from .rng import RngStream
-from .sampling import FgnSampler, _chunk_rows
+from .sampling import FgnSampler, _plane_blocks
 
 __all__ = [
     "DriftSpec",
@@ -113,17 +113,6 @@ def _check_amplitudes(C):
     return C
 
 
-def _draw_record(draw, parts) -> dict:
-    """What an estimate reports of its path draw and of the blocks ``parts`` it ran."""
-    return {
-        "sampler_method": draw.method,
-        "sampler_size": draw.size,
-        "sampler_clamped": draw.clamped,
-        "sampler_factor": draw.factor,
-        "blocks": len(parts),
-    }
-
-
 def _window_node_count(S, step, label):
     j = S / step
     j_round = int(round(j))
@@ -200,12 +189,11 @@ def estimate_window_constant(
     discretization bias entirely.  The degenerate window [0, 0] is exactly 1.
     kappa = 2 with n <= 2 is exact quadrature over the linear-path normals;
     it draws nothing, but ``R``, reported as its replications, must still be
-    a non-negative integer.  Each replication block streams its paths in chunks of rows: a chunk
-    fills one (rows, m) plane per coordinate in place and hands the orthant
-    volume (or the bridge maxima) a view of them, and the block joins the
-    chunks' values in row order, so the estimate is that of whole blocks.
-    ``diagnostics`` records the path draw's ``method``, ``size``,
-    ``clamped`` and ``factor`` and the block count.
+    a non-negative integer.  The blocks run through
+    :func:`~gpextremes.sampling._plane_blocks`, whose reducer anchors,
+    scales and drifts each coordinate's plane of a chunk in place and hands
+    the orthant volume (or the bridge maxima) a view of them, so the
+    estimate is that of whole blocks.  ``diagnostics`` is its draw record.
     """
     C = _check_amplitudes(C)
     kappa = require_real(kappa, "kappa", above=0, at_most=2)
@@ -243,36 +231,30 @@ def estimate_window_constant(
     drift_is_zero = all(v == 0.0 for v in drift.d_lower + drift.d_upper)
     exact_bridge = C.size == 1 and kappa == 1.0 and m > 1 and (drift.exponent == 1.0 or drift_is_zero)
 
-    chunk = _chunk_rows(C.size * m)
-
-    def run_block(Rb, block):
-        takes = [fbm.chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
+    def reducer(block):
         gen_u = block("bridge").generator() if exact_bridge else None
-        values = []
-        planes = np.empty((C.size, min(chunk, Rb), m))
-        for r0 in range(0, Rb, chunk):
-            # one (rows, m) plane per coordinate, each filled and drifted in place
-            paths = planes[:, : min(chunk, Rb - r0)]
+
+        def reduce(paths):
+            # one (rows, m) plane per coordinate, each drifted in place
             for i, path in enumerate(paths):
-                takes[i](out=path)
                 if j1 > 0:
                     # anchor the two-sided path at the j1-th node (time 0)
                     path -= path[:, j1, None].copy()
                 path *= sqrt2C[i]
                 path -= trend[:, i]
-            if exact_bridge:
-                xi = paths[0]
-                log_u = np.log1p(-gen_u.random(size=(xi.shape[0], m - 1)))
-                a, bb = xi[:, :-1], xi[:, 1:]
-                seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
-                values.append(np.exp(seg_max.max(axis=1)))
-            else:
-                values.append(ewv_batch(np.moveaxis(paths, 0, 2)))
-        return np.concatenate(values)
+            if not exact_bridge:
+                return ewv_batch(np.moveaxis(paths, 0, 2))
+            xi = paths[0]
+            log_u = np.log1p(-gen_u.random(size=(xi.shape[0], m - 1)))
+            a, bb = xi[:, :-1], xi[:, 1:]
+            seg_max = 0.5 * (a + bb + np.sqrt((bb - a) ** 2 - 4.0 * C[0] ** 2 * step * log_u))
+            return np.exp(seg_max.max(axis=1))
 
-    parts = replicate(R, stream, workers, run_block)
+        return reduce
+
+    parts, diagnostics = _plane_blocks([fbm] * C.size, R, stream, workers, reducer)
     value, se = mean_and_se(parts)
-    return ConstantEstimate(value, se, (S1, S2), step, R, "window", diagnostics=_draw_record(fbm, parts))
+    return ConstantEstimate(value, se, (S1, S2), step, R, "window", diagnostics=diagnostics)
 
 
 def estimate_pickands(
@@ -439,12 +421,12 @@ def estimate_discrete_zero(
     unit-mean exponential tilts independent per coordinate; the final value
     linearly extrapolates the last two rungs to u = 0.  The horizon must
     push the drift to at least 40 for some coordinate so that truncation
-    error is far below Monte Carlo noise.  Each replication block streams
-    its paths in chunks of rows: per chunk it draws every coordinate's path
-    from B(0) = 0 into one reused (rows, K + 1) plane, scales, drifts and
-    tilts it in place, and folds its K lattice nodes into the chunk's
-    running minimum.  ``rung_draws`` holds each rung's path draw and block
-    count, as :func:`estimate_window_constant` reports them.
+    error is far below Monte Carlo noise.  A rung that every replication
+    hits, or none, reports the rule-of-three se 3 / (R u).  The rungs run
+    through :func:`~gpextremes.sampling._plane_blocks`, whose reducer
+    scales, drifts and tilts the K lattice nodes of each coordinate's plane
+    in place and folds them into the running minimum in plane 0.
+    ``rung_draws`` holds each rung's draw record.
     """
     require_stream(stream)
     C = _check_amplitudes(C)
@@ -466,31 +448,29 @@ def estimate_discrete_zero(
         trend = t[:, None] ** kappa * (C**2)[None, :]
         fbm = FgnSampler(kappa, u, K).path
 
-        chunk = _chunk_rows(2 * K + 1)
-
-        def run_block(Rb, block):
-            takes = [fbm.chunks(Rb, block("coord", i).generator(), chunk) for i in range(C.size)]
+        def reducer(block):
             tilts = [block("tilt", i).generator() for i in range(C.size)]
-            hits = 0
-            low = np.empty((min(chunk, Rb), K))
-            plane = np.empty((min(chunk, Rb), K + 1))
-            for r0 in range(0, Rb, chunk):
-                rows = min(chunk, Rb - r0)
-                mins, path = low[:rows], plane[:rows]
-                mins.fill(np.inf)
-                for i in range(C.size):
-                    nodes = takes[i](out=path)[:, 1:]
+
+            def reduce(paths):
+                # the K lattice nodes of each plane, scaled, drifted and tilted
+                # in place and folded into the running minimum in plane 0
+                mins = paths[0, :, 1:]
+                for i, path in enumerate(paths):
+                    nodes = path[:, 1:]
                     nodes *= sqrt2C[i]
                     nodes -= trend[:, i]
-                    nodes += tilts[i].exponential(size=rows)[:, None]
+                    nodes += tilts[i].exponential(size=nodes.shape[0])[:, None]
                     np.minimum(mins, nodes, out=mins)
-                hits += int((mins.max(axis=1) <= 0.0).sum())
-            return hits
+                return int((mins.max(axis=1) <= 0.0).sum())
 
-        parts = replicate(R, stream.child("rung", r), workers, run_block)
-        p = sum(parts) / R
-        rungs.append((u, p / u, math.sqrt(p * (1.0 - p) / R) / u))
-        rung_draws.append(_draw_record(fbm, parts))
+            return reduce
+
+        parts, draws = _plane_blocks([fbm] * C.size, R, stream.child("rung", r), workers, reducer)
+        hits = sum(parts)
+        p = hits / R
+        se = math.sqrt(p * (1.0 - p) / R) if 0 < hits < R else 3.0 / R
+        rungs.append((u, p / u, se / u))
+        rung_draws.append(draws)
 
     (u1, h1, se1), (u2, h2, se2) = rungs[-2], rungs[-1]
     slope_w = u2 / (u1 - u2)

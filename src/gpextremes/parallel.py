@@ -259,8 +259,9 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     """``[fn(Rb, block) for each block]`` over ``R`` replications, in block order.
 
     ``Rb`` is the block's replication count and ``block(*salt)`` is the
-    block's stream ``stream.child("block", b, *salt)``: ``block()`` for one
-    stream per block, ``block("coord", i)`` and the like for several.  Rejects
+    block's stream ``stream.child("block", b, *salt)``; every path draw
+    keys coordinate i as ``block("coord", i)``, as
+    :func:`gpextremes.sampling._plane_blocks` does.  Rejects
     a missing stream and, by :func:`require_count`, an ``R`` that is not an
     integer of at least ``MIN_REPLICATIONS`` and ``workers`` that is not a
     positive integer.  The caller reduces the list: :func:`mean_and_se` for

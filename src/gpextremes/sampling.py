@@ -58,6 +58,14 @@ process once, so an estimator can draw every replication block with them.
 A dense symmetric-square-root sampler serves as the independent oracle for
 cross-validation.
 
+Replication blocks of whole paths run through one engine,
+:func:`_plane_blocks`: each chunk of a block draws plane i of one reused
+``(n, rows, count)`` buffer from the block's stream ("block", b, "coord",
+i) and hands the planes to a reducer (the window constant, the
+discrete-zero rungs, the Borell audit).  The lazy conjunction scan keeps
+its own loop but shares :func:`_block_cursors` and
+:func:`_draw_diagnostics`.
+
 Every draw streams its R rows as consecutive chunks.  Each draw method is
 one cursor kernel, and a draw's ``chunks(R, gen, chunk)`` returns its
 cursor: a function
@@ -65,11 +73,11 @@ cursor: a function
 at most ``chunk`` rows and returns the rows of it that ``pick`` names, every
 row (``slice(None)``), a sorted array of distinct row indices within the
 chunk, or none (an empty array).  The rows go into ``out`` when given,
-which may be any writable strided view, such as one coordinate plane
-``values[:, i, :]`` of a larger block.  Every chunk is drawn whatever it
-picks, so once all chunks are taken the generator is in the state the full
-draw leaves.  So a caller that decides per chunk which rows it needs, such
-as the lazy conjunction scan, gets exactly the rows of the full draw.
+which may be any writable strided view, such as one coordinate's plane of
+a block's buffer.  Every chunk is drawn whatever it picks, so once all
+chunks are taken the generator is in the state the full draw leaves.  So a
+caller that decides per chunk which rows it needs, such as the lazy
+conjunction scan, gets exactly the rows of the full draw.
 
 The full draw ``draw(R, gen, out=None)`` is a loop over those chunks, on
 one BLAS thread as the replication blocks run, so its bits do not depend on
@@ -105,7 +113,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, EmbeddingError, FactorizationError, UnsupportedModelError
-from .parallel import _one_blas_thread, _openblas_trmm, require_count, require_real, require_real_array
+from .parallel import _one_blas_thread, _openblas_trmm, replicate, require_count, require_real, require_real_array
 from .processes import (
     LocallyStationary,
     NonStationary,
@@ -352,8 +360,6 @@ def _circulant_draw(scale, size, count, R, gen, chunk):
     ``size * irfft(conj(w[:size/2 + 1]))``.  Every normal is drawn, but only
     the picked spectrum rows are built and transformed.
     """
-    if size == 1:
-        return _scaled_draw(scale[0], 1, R, gen, chunk)
     half = size // 2
     first = scale[0] * gen.standard_normal(R)
     last = scale[half] * gen.standard_normal(R)
@@ -806,6 +812,54 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
         else:  # a valid spec's only other coordinate type
             draws.append(_fbm_draw(coord.kappa, grid))
     return tuple(draws)
+
+
+# -- replication blocks of whole paths ------------------------------------------
+
+
+def _block_cursors(draws, Rb, block, chunk):
+    """Each draw's chunk cursor over ``Rb`` rows: draw i streams from the block's stream ``block("coord", i)``."""
+    return [draw.chunks(Rb, block("coord", i).generator(), chunk) for i, draw in enumerate(draws)]
+
+
+def _draw_diagnostics(draws, blocks, rows_drawn):
+    """What an estimate reports of its draws ``draws``, the ``blocks`` it ran and the rows drawn per draw."""
+    return {
+        "sampler_methods": [draw.method for draw in draws],
+        "sampler_sizes": [int(draw.size) for draw in draws],
+        "sampler_clamped": [int(draw.clamped) for draw in draws],
+        "sampler_factors": [draw.factor for draw in draws],
+        "blocks": blocks,
+        "rows_drawn": [int(r) for r in rows_drawn],
+    }
+
+
+def _plane_blocks(draws, R, stream, workers, reducer):
+    """``(parts, diagnostics)``: ``reduce(planes)`` of every chunk of ``R`` rows of ``draws``, in row order.
+
+    Each block of :func:`replicate` calls ``reduce = reducer(block)`` once,
+    then fills one reused ``(len(draws), rows, count)`` buffer per chunk of
+    ``_chunk_rows(len(draws) * count)`` rows, plane i drawn in place from
+    ``block("coord", i)``.  ``diagnostics`` is :func:`_draw_diagnostics`.
+    """
+    count = draws[0].count
+    chunk = _chunk_rows(len(draws) * count)
+
+    def run_block(Rb, block):
+        reduce = reducer(block)
+        takes = _block_cursors(draws, Rb, block, chunk)
+        buffer = np.empty((len(draws), min(chunk, Rb), count))
+        parts = []
+        for r0 in range(0, Rb, chunk):
+            planes = buffer[:, : min(chunk, Rb - r0)]
+            for take, plane in zip(takes, planes):
+                take(out=plane)
+            parts.append(reduce(planes))
+        return parts
+
+    blocks = replicate(R, stream, workers, run_block)
+    parts = [part for block in blocks for part in block]
+    return parts, _draw_diagnostics(draws, len(blocks), [R] * len(draws))
 
 
 def sample_vector(

@@ -237,6 +237,17 @@ class TestBorellAudit:
         assert rep.tau_sq == pytest.approx(2.0, rel=1e-9)
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("kappa", [1.0, 1.5])
+    def test_sees_the_paths_of_the_scan(self, kappa):
+        # the whole-path blocks and the lazy scan draw coordinate i of block b
+        # from one stream, so they count the same hits
+        spec, grid, us, R = ou_spec(n=2, kappa=kappa), unit_grid(257), (1.0, 2.0), 5000
+        stream = STREAM.child("bor-scan", int(2 * kappa))
+        reports = audit_borell(spec, us, grid, R, stream)
+        ests = estimate_conjunction_prob(spec, [[u, u] for u in us], grid, R, stream)
+        assert [r.empirical_at_u.hits for r in reports] == [e.hits for e in ests]
+        assert ests[0].hits > ests[1].hits > 0
+
 
 def nonstat_pair_spec(T=1.0):
     c1 = NonStationary(
@@ -329,16 +340,17 @@ MIXED_SPECS = {"n2": mixed_pair_spec, "n3": mixed_triple_spec}
 
 
 def eager_counts(spec, grid, thr, R, stream, reduce, workers=1):
-    """``reduce`` summed over full blocks: every coordinate drawn on every row by ``sample_vector``.
+    """``reduce`` summed over full blocks: every coordinate drawn on every row by its sampler's full draw.
 
-    The reference for the lazy scan: the same ``replicate`` streams, the
-    node masks "every coordinate exceeds" of each threshold row of ``thr``.
+    The reference for the lazy scan: the same ``replicate`` streams, coordinate
+    i of a block drawn from ``blk("coord", i)``, the node masks "every
+    coordinate exceeds" of each threshold row of ``thr``.
     """
     samplers = coordinate_samplers(spec, grid)
 
     def block(Rb, blk):
-        values = sample_vector(spec, grid, Rb, blk(), samplers).values
-        return reduce(np.stack([(values > row[None, :, None]).all(axis=1) for row in np.atleast_2d(thr)]))
+        values = np.stack([draw(Rb, blk("coord", i).generator()) for i, draw in enumerate(samplers)])
+        return reduce(np.stack([(values > row[:, None, None]).all(axis=0) for row in np.atleast_2d(thr)]))
 
     return sum(replicate(R, stream, workers, block))
 

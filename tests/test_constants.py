@@ -320,19 +320,21 @@ class TestInPlaceBlocks:
         common = dict(grid_step=1.0 / 128, R=4096, stream=STREAM.child("diag"))
         est = estimate_window_constant([1.0], 1.5, zero_drift(1, 1.5), (0.0, 1.0), **common)
         assert est.diagnostics == {
-            "sampler_method": "dense",
-            "sampler_size": 129,
-            "sampler_clamped": 0,
-            "sampler_factor": "cholesky",
+            "sampler_methods": ["dense"],
+            "sampler_sizes": [129],
+            "sampler_clamped": [0],
+            "sampler_factors": ["cholesky"],
             "blocks": 2,
+            "rows_drawn": [4096],
         }
         est = estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 1.0), **common)
         assert est.diagnostics == {
-            "sampler_method": "direct",
-            "sampler_size": 128,
-            "sampler_clamped": 0,
-            "sampler_factor": None,
+            "sampler_methods": ["direct"],
+            "sampler_sizes": [128],
+            "sampler_clamped": [0],
+            "sampler_factors": [None],
             "blocks": 2,
+            "rows_drawn": [4096],
         }
 
 
@@ -435,11 +437,12 @@ class TestPickandsEstimator:
         # default step S/512 puts 512 increments in every rung, a dense path of 513 nodes
         assert draws == [
             {
-                "sampler_method": "dense",
-                "sampler_size": 513,
-                "sampler_clamped": 0,
-                "sampler_factor": "cholesky",
+                "sampler_methods": ["dense"],
+                "sampler_sizes": [513],
+                "sampler_clamped": [0],
+                "sampler_factors": ["cholesky"],
                 "blocks": 1,
+                "rows_drawn": [2048],
             }
         ] * 3
 
@@ -546,16 +549,26 @@ class TestDiscreteZero:
             assert se > 0
             assert abs(value - p / u) < 4.0 * se
 
+    def test_all_hit_rung_reports_the_rule_of_three_se(self):
+        # the call of test_single_node_rungs on a stream where every replication
+        # of the u = 0.9 rung hits: its se is 3 / (R u), not a binomial 0
+        C, kappa, horizon, R = math.sqrt(40.0), 1.9, 1.0, 20_000
+        est = estimate_discrete_zero([C], kappa, (0.9, 0.51), horizon, R=R, stream=STREAM.child("dz1-1"))
+        u, value, se = est.diagnostics["rungs"][0]
+        assert (u, value) == (0.9, 1.0 / 0.9)
+        assert se == 3.0 / (R * u)
+
     def test_rung_draws_reported(self):
         est = estimate_discrete_zero([1.0, 0.8], 1.5, (0.25, 0.125), 12.0, R=4096, stream=STREAM.child("dzd"))
         # K = 48 and 96 lattice steps, each a dense path of K + 1 nodes
         assert est.diagnostics["rung_draws"] == [
             {
-                "sampler_method": "dense",
-                "sampler_size": size,
-                "sampler_clamped": 0,
-                "sampler_factor": "cholesky",
+                "sampler_methods": ["dense"] * 2,
+                "sampler_sizes": [size] * 2,
+                "sampler_clamped": [0] * 2,
+                "sampler_factors": ["cholesky"] * 2,
                 "blocks": 2,
+                "rows_drawn": [4096] * 2,
             }
             for size in (49, 97)
         ]
