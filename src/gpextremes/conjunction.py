@@ -7,20 +7,21 @@ refinement (evaluating strided subsets of one fine-grid batch) makes the
 discretization bias monotone and exactly measurable per replication.
 
 Replication block b draws coordinate i from the stream ("block", b,
-"coord", i), so the hit scans and the Borell audit see the same paths.  The
-hit scans stream each block in chunks of rows, lazily, coordinate by
-coordinate.  In each chunk coordinate 0 is drawn on every row and gives,
-per threshold row, the node mask of its exceedances.  A row without an
-exceeding node for any threshold row cannot hit, so each later coordinate
-is drawn only on the chunk's rows still alive (the picks of the samplers'
-chunk cursors) and narrows the masks.  A picked draw gives the rows of the
-full draw from the same stream, so the counts are those of full paths; only
-a dense coordinate's product may round its last bits differently, which
-flips a hit only for a value within rounding of its threshold.  The Borell
-audit needs whole paths: it is a reducer of the block engine
-:func:`~gpextremes.sampling._plane_blocks`.  Every estimate reports the
-engine's draw record in ``diagnostics``, including the rows drawn per
-coordinate and the samplers' numerical fallbacks.
+"coord", i).  Every hit count, the Borell audit's empirical tail included,
+comes from one lazy scan, :func:`_exceed_blocks`, which streams each block
+in chunks of rows, coordinate by coordinate.  In each chunk coordinate 0 is
+drawn on every row and gives, per threshold row, the node mask of its
+exceedances.  A row without an exceeding node for any threshold row cannot
+hit, so a later coordinate is drawn only for the rows still alive, and no
+normal is drawn for a dead row: the k-th row of a block alive before
+coordinate i is paired with the k-th row of coordinate i's draw.  Which
+rows are alive depends only on the earlier coordinates, and the rows of
+coordinate i are iid and independent of them, so every row is still a
+vector of independent coordinate paths and the hit count is Binomial(R, p).
+The Borell audit's mixture supremum needs whole paths: it is a reducer of
+the block engine :func:`~gpextremes.sampling._plane_blocks`.  Every
+estimate reports its draw record in ``diagnostics``, including the rows
+drawn per coordinate and the samplers' numerical fallbacks.
 
 The audits turn the comparison inequalities into empirical verdicts:
 correlation dominance must not raise the conjunction probability
@@ -70,11 +71,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """Binomial hit-probability estimate; zero hits report the rule-of-three bound.
+    """Binomial hit-probability estimate; zero hits, or R, report the rule-of-three se 3/R.
 
     ``diagnostics`` records the draw: each coordinate's sampler ``method``
-    and ``size``, the number of replication blocks and the rows drawn per
-    coordinate, which the lazy scan keeps below R for later coordinates.
+    and ``size``, the number of replication blocks and ``rows_drawn``, the
+    rows whose normals were drawn per coordinate.  The lazy scan draws
+    coordinate i >= 1 only for the rows alive after the coordinates before
+    it, each paired with the next row of coordinate i's draw, so its
+    ``rows_drawn`` falls below R for later coordinates.
     """
 
     value: float
@@ -91,6 +95,10 @@ def _prob_from_hits(hits, R, grid_step, diagnostics) -> ProbEstimate:
     if hits == 0:
         return ProbEstimate(
             0.0, 3.0 / R, 0, R, grid_step, "rare event: zero hits; se is the rule-of-three bound 3/R", dict(diagnostics)
+        )
+    if hits == R:
+        return ProbEstimate(
+            1.0, 3.0 / R, R, R, grid_step, "every replication hits; se is the rule-of-three bound 3/R", dict(diagnostics)
         )
     return ProbEstimate(p, math.sqrt(p * (1.0 - p) / R), int(hits), R, grid_step, "", dict(diagnostics))
 
@@ -124,39 +132,43 @@ def _stride_hits(exceed, strides=(1,)):
     return counts
 
 
-def _exceed_blocks(spec, thr, grid, R, stream, workers, reduce):
+def _exceed_blocks(samplers, thr, R, stream, workers, reduce):
     """``(sum of reduce(exceed) over every chunk of every block, diagnostics)``, drawn lazily.
 
-    ``exceed`` is the (J, k, m) node mask "every coordinate exceeds" of the
-    J threshold rows ``thr``, on the k rows of a chunk that have an
-    exceeding node for some threshold row; the other rows cannot hit.
-    ``reduce`` returns counts.  In each chunk coordinate 0 is drawn on every
-    row; each later coordinate is drawn on the rows still alive only and
-    narrows the masks.  A chunk holds one coordinate's rows at a time.  The
-    rows of block b are those of ``draw(Rb, stream.child("block", b,
-    "coord", i).generator())`` for coordinate i.
+    ``samplers`` are :func:`~gpextremes.sampling.coordinate_samplers` of the
+    spec and grid.  ``exceed`` is the (J, k, m) node mask "every coordinate
+    exceeds" of the J threshold rows ``thr``, on the k rows of a chunk that
+    have an exceeding node for some threshold row; the other rows cannot
+    hit.  ``reduce`` returns counts.  In each chunk coordinate 0 is drawn on
+    every row; each later coordinate is drawn, straight into the chunk's
+    plane, on the rows still alive only (none when no row is alive) and
+    narrows the masks.  Block b draws coordinate i from ``stream.child(
+    "block", b, "coord", i)``: coordinate 0's rows are those of its full
+    draw ``draw(Rb, gen)``, and the k-th row of the block alive before
+    coordinate i >= 1 takes row k of that coordinate's draw.
+    ``rows_drawn`` counts the rows drawn per coordinate.
     """
-    samplers = coordinate_samplers(spec, grid)
-    chunk = _chunk_rows(grid.count)
+    count = samplers[0].count
+    chunk = _chunk_rows(count)
 
     def run_block(Rb, block):
-        takes = _block_cursors(samplers, Rb, block, chunk)
-        plane = np.empty((min(chunk, Rb), grid.count))
+        takes = _block_cursors(samplers, Rb, block)
+        plane = np.empty((min(chunk, Rb), count))
         counts = 0
-        drawn = np.zeros(spec.n, dtype=np.int64)
+        drawn = np.zeros(len(samplers), dtype=np.int64)
         for r0 in range(0, Rb, chunk):
-            alive = slice(None)  # every row of the chunk
             rows = min(chunk, Rb - r0)
             exceed = None
             for i, take in enumerate(takes):
-                above = take(alive, out=plane[:rows]) > thr[:, i, None, None]
+                if not rows:
+                    break
+                above = take(rows, plane[:rows]) > thr[:, i, None, None]
                 drawn[i] += rows
                 exceed = above if exceed is None else np.logical_and(exceed, above, out=above)
                 live = exceed.any(axis=(0, 2))
                 if not live.all():
-                    alive = np.flatnonzero(live) if isinstance(alive, slice) else alive[live]
                     exceed = exceed[:, live]
-                    rows = alive.size
+                    rows = exceed.shape[1]
             counts = counts + reduce(exceed)
         return counts, drawn
 
@@ -166,9 +178,9 @@ def _exceed_blocks(spec, thr, grid, R, stream, workers, reduce):
     return counts, _draw_diagnostics(samplers, len(parts), rows_drawn)
 
 
-def _scan_hits(spec, thr, grid, R, stream, workers, strides=(1,)):
+def _scan_hits(samplers, thr, R, stream, workers, strides=(1,)):
     """``(counts, diagnostics)``: hit counts (len(thr), len(strides)) on shared, lazily drawn paths."""
-    return _exceed_blocks(spec, thr, grid, R, stream, workers, lambda exceed: _stride_hits(exceed, strides))
+    return _exceed_blocks(samplers, thr, R, stream, workers, lambda exceed: _stride_hits(exceed, strides))
 
 
 def estimate_conjunction_prob(
@@ -187,7 +199,7 @@ def estimate_conjunction_prob(
     Returns one estimate or a list matching the stack.
     """
     thr = _threshold_matrix(thresholds, spec.n)
-    counts, diagnostics = _scan_hits(spec, thr, grid, R, stream, workers)
+    counts, diagnostics = _scan_hits(coordinate_samplers(spec, grid), thr, R, stream, workers)
     out = [_prob_from_hits(int(c[0]), R, grid.step, diagnostics) for c in counts]
     return out[0] if np.asarray(thresholds).ndim == 1 else out
 
@@ -216,7 +228,7 @@ def conjunction_prob_nested(
     thr = _threshold_matrix(thresholds, spec.n)
     if thr.shape[0] != 1:
         raise DomainError("nested mode takes a single threshold vector")
-    counts, diagnostics = _scan_hits(spec, thr, grid, R, stream, workers, strides=strides)
+    counts, diagnostics = _scan_hits(coordinate_samplers(spec, grid), thr, R, stream, workers, strides)
     return [_prob_from_hits(int(c), R, grid.step * s, diagnostics) for c, s in zip(counts[0], strides)]
 
 
@@ -274,7 +286,7 @@ def estimate_double_event(
         ]
         return np.asarray([single] + joint, dtype=np.int64)
 
-    counts, diagnostics = _exceed_blocks(spec, thr, grid, R, stream, workers, reduce)
+    counts, diagnostics = _exceed_blocks(coordinate_samplers(spec, grid), thr, R, stream, workers, reduce)
     single = _prob_from_hits(int(counts[0]), R, step, diagnostics)
     joint = tuple(_prob_from_hits(int(c), R, step, diagnostics) for c in counts[1:])
     return DoubleEventResult(tuple(offsets), joint, single)
@@ -382,20 +394,18 @@ def audit_borell(
     if finite_g.size == 0 or finite_g.min() <= 0:
         raise PreconditionError("tau^2 must be positive on the grid")
     tau_sq = float(finite_g.min())
-    thr = np.asarray([[u] * spec.n for u in us])
+    samplers = coordinate_samplers(spec, grid)
 
-    def reduce(planes):
-        sup_mix = np.einsum("nrm,nm->rm", planes, lam).max(axis=1)
-        exceed = np.stack([(planes > row[:, None, None]).all(axis=0) for row in thr])
-        return sup_mix, _stride_hits(exceed)[:, 0]
+    def sup_mix(planes):
+        return np.einsum("nrm,nm->rm", planes, lam).max(axis=1)
 
-    parts, diagnostics = _plane_blocks(coordinate_samplers(spec, grid), R, stream, workers, lambda block: reduce)
-    mu_hat, mu_se = mean_and_se([p[0] for p in parts])
-    counts = sum(p[1] for p in parts)
+    parts, _ = _plane_blocks(samplers, R, stream, workers, lambda block: sup_mix)
+    mu_hat, mu_se = mean_and_se(parts)
+    counts, diagnostics = _scan_hits(samplers, np.asarray([[u] * spec.n for u in us]), R, stream, workers)
     mu_conservative = mu_hat + 3.0 * mu_se
 
     reports = []
-    for u, hits in zip(us, counts):
+    for u, hits in zip(us, counts[:, 0]):
         emp = _prob_from_hits(int(hits), R, grid.step, diagnostics)
         if u <= mu_conservative:
             reports.append(BorellReport(tau_sq, mu_hat, mu_se, math.nan, emp, "inconclusive"))
@@ -449,7 +459,7 @@ def audit_piterbarg_decay(
     tau_sq = float(g[np.isfinite(g)].min())
     mes = grid.span
     thr = np.asarray([[u] * spec.n for u in us])
-    counts, draw_diagnostics = _scan_hits(spec, thr, grid, R, stream, workers)
+    counts, draw_diagnostics = _scan_hits(coordinate_samplers(spec, grid), thr, R, stream, workers)
 
     estimates = []
     ratios = []

@@ -1,7 +1,7 @@
 """Exact Gaussian path simulation on uniform grids.
 
 Every draw is one record, a ``_Draw`` of R rows of ``count`` nodes:
-``chunks(R, gen, chunk)`` streams the rows, calling it as ``draw(R, gen,
+``chunks(R, gen)`` streams the rows, calling it as ``draw(R, gen,
 out=None)`` draws them all, and ``method``, ``size``, ``clamped`` and
 ``factor`` say how.  Stationary sequences (fractional Gaussian noise and the
 exponential-correlation family) are drawn by one of three methods, chosen
@@ -62,26 +62,25 @@ Replication blocks of whole paths run through one engine,
 :func:`_plane_blocks`: each chunk of a block draws plane i of one reused
 ``(n, rows, count)`` buffer from the block's stream ("block", b, "coord",
 i) and hands the planes to a reducer (the window constant, the
-discrete-zero rungs, the Borell audit).  The lazy conjunction scan keeps
-its own loop but shares :func:`_block_cursors` and
+discrete-zero rungs, the Borell audit's mixture).  The lazy conjunction
+scan keeps its own loop, which takes a later coordinate's rows only for
+the rows still alive, but shares :func:`_block_cursors` and
 :func:`_draw_diagnostics`.
 
-Every draw streams its R rows as consecutive chunks.  Each draw method is
-one cursor kernel, and a draw's ``chunks(R, gen, chunk)`` returns its
-cursor: a function
-``take(pick=slice(None), out=None)`` whose k-th call draws the k-th chunk of
-at most ``chunk`` rows and returns the rows of it that ``pick`` names, every
-row (``slice(None)``), a sorted array of distinct row indices within the
-chunk, or none (an empty array).  The rows go into ``out`` when given,
-which may be any writable strided view, such as one coordinate's plane of
-a block's buffer.  Every chunk is drawn whatever it picks, so once all
-chunks are taken the generator is in the state the full draw leaves.  So a
-caller that decides per chunk which rows it needs, such as the lazy
-conjunction scan, gets exactly the rows of the full draw.
+Every draw streams its R rows through one cursor.  Each draw method is one
+cursor kernel, and a draw's ``chunks(R, gen)`` returns its cursor: a
+function ``take(rows, out=None)`` whose calls draw the next ``rows`` rows of
+the full draw of R rows, in order, and return them.  The rows go into
+``out`` when given, which may be any writable strided view, such as one
+coordinate's plane of a block's buffer.  A take draws the normals of its
+rows only, so a caller that needs fewer than R rows, such as the lazy
+conjunction scan, draws no normal for the rows it does not take; a
+circulant cursor alone draws the two real modes of all R rows when it is
+made (its fixed draw order).
 
-The full draw ``draw(R, gen, out=None)`` is a loop over those chunks, on
-one BLAS thread as the replication blocks run, so its bits do not depend on
-the process's thread count.  One rule sizes
+The full draw ``draw(R, gen, out=None)`` takes its rows in chunks, on one
+BLAS thread as the replication blocks run, so its bits do not depend on the
+process's thread count.  One rule sizes
 every chunk: its float working set is at most ``_CHUNK_ELEMENTS`` entries
 (4 MB), so a full draw takes ``_CHUNK_ELEMENTS // count`` rows per chunk and
 a replication block that holds n planes per row takes ``_CHUNK_ELEMENTS //
@@ -91,12 +90,12 @@ faulted in again each time: 7x the page faults of whole-plane blocks on a
 two-coordinate window constant).  The circulant draw builds and
 transforms its spectrum in smaller sub-chunks of at most
 ``_SPECTRUM_ELEMENTS`` embedding entries (64 rows at size 1024, a 0.5 MB
-complex half spectrum).  A dense draw of a whole chunk into a C-contiguous
-``out`` draws its normals straight into it and multiplies them there.
-Every row of a direct or a circulant draw is the same bits whatever its
-chunk and pick.  A dense product of another row count may round its last
-bits differently (BLAS blocks a different row count differently), so a
-dense row is the same bits only at the same chunk rows and picks.
+complex half spectrum).  A dense take into a C-contiguous ``out`` draws its
+normals straight into it and multiplies them there.  Every row of a direct
+or a circulant draw is the same bits however its rows are split into
+takes.  A dense product of another row count may round its last bits
+differently (BLAS blocks a different row count differently), so a dense
+row is the same bits only at the same take sizes.
 
 Every draw records its numerical fallbacks: ``clamped``, the count of
 embedding eigenvalues clamped to zero, and ``factor``, "cholesky" or "eigh"
@@ -195,11 +194,9 @@ def _chunk_rows(width):
     return max(1, _CHUNK_ELEMENTS // max(width, 1))
 
 
-def _rows_out(out, k, pick, count):
-    """``out``, or a new ``(rows, count)`` array for the rows ``pick`` names among ``k``."""
-    if out is None:
-        out = np.empty((k if isinstance(pick, slice) else len(pick), count))
-    return out
+def _rows_out(out, rows, count):
+    """``out``, or a new ``(rows, count)`` array."""
+    return np.empty((rows, count)) if out is None else out
 
 
 def _written(rows, out):
@@ -210,32 +207,18 @@ def _written(rows, out):
     return out
 
 
-def _cursor(R, chunk, fill):
-    """The cursor ``take(pick=slice(None), out=None)`` over R rows in chunks of at most ``chunk``.
+def _normal_chunks(m, gen, write):
+    """The cursor whose take of ``rows`` rows is ``write(z, out)``, z their normals.
 
-    The k-th call draws the k-th chunk ``r0:r1`` as ``fill(r0, r1, pick, out)``.
+    A take draws ``standard_normal((rows, m))``.  The takes continue one
+    stream, so they are the rows of a single (R, m) call whatever the
+    split.
     """
-    starts = iter(range(0, R, chunk))
-
-    def take(pick=slice(None), out=None):
-        r0 = next(starts)
-        return fill(r0, min(R, r0 + chunk), pick, out)
-
-    return take
-
-
-def _normal_chunks(R, m, gen, chunk, write):
-    """The cursor whose chunk ``r0:r1`` is ``write(z, out)``, z the picked rows of its normals.
-
-    Chunk ``r0:r1`` draws ``standard_normal((r1 - r0, m))``.  The chunks
-    continue one stream, so they are the rows of a single (R, m) call
-    whatever the chunking.
-    """
-    return _cursor(R, chunk, lambda r0, r1, pick, out: write(gen.standard_normal((r1 - r0, m))[pick], out))
+    return lambda rows, out=None: write(gen.standard_normal((rows, m)), out)
 
 
 class _Draw:
-    """R rows of ``count`` nodes: ``chunks(R, gen, chunk)`` streams them, and calling the draw draws them all.
+    """R rows of ``count`` nodes: ``chunks(R, gen)`` streams them, and calling the draw draws them all.
 
     ``method`` names how the rows are drawn ("direct", "circulant" or
     "dense"), ``size`` is the length of each row's draw (the embedding size
@@ -278,9 +261,9 @@ class _Draw:
         out = np.empty((R, self.count)) if out is None else out
         chunk = _chunk_rows(self.count)
         with _one_blas_thread():
-            take = self.chunks(R, gen, chunk)
+            take = self.chunks(R, gen)
             for r0 in range(0, R, chunk):
-                take(out=out[r0 : r0 + chunk])
+                take(min(chunk, R - r0), out[r0 : r0 + chunk])
         return out
 
 
@@ -345,49 +328,44 @@ def _mode_scale(eigs, size):
     return np.sqrt(eigs[: half + 1] * weight)
 
 
-def _circulant_draw(scale, size, count, R, gen, chunk):
+def _circulant_draw(scale, size, count, R, gen):
     """The cursor of R stationary Gaussian rows of length count with the embedded covariance.
 
     Each row's half spectrum ``size/2 + 1`` is filled and transformed with a
     real inverse FFT, in sub-chunks of at most ``_SPECTRUM_ELEMENTS``
-    embedding entries within each chunk, so the working set stays within
+    embedding entries within each take, so the working set stays within
     about 2 MB.  Draw order is fixed: the normals of mode 0 for all R rows,
     then of mode size/2, both when the cursor is made, then the
     ``(rows, 2, size/2 - 1)`` real and imaginary parts of the paired modes
     in row order, so a given generator state always produces the same rows
-    whatever the chunking.  The paired modes enter conjugated, because the
-    real part of the forward FFT of a Hermitian spectrum w is
-    ``size * irfft(conj(w[:size/2 + 1]))``.  Every normal is drawn, but only
-    the picked spectrum rows are built and transformed.
+    however they are split into takes.  The paired modes enter conjugated,
+    because the real part of the forward FFT of a Hermitian spectrum w is
+    ``size * irfft(conj(w[:size/2 + 1]))``.
     """
     half = size // 2
     first = scale[0] * gen.standard_normal(R)
     last = scale[half] * gen.standard_normal(R)
     paired = scale[1:half]
     sub = max(1, _SPECTRUM_ELEMENTS // size)
+    taken = 0
 
-    def fill(r0, r1, pick, out):
-        picked = np.arange(r0, r1)[pick]
-        out = _rows_out(out, r1 - r0, pick, count)
-        for s0 in range(r0, r1, sub):
-            s1 = min(r1, s0 + sub)
+    def take(rows, out=None):
+        nonlocal taken
+        r0, taken = taken, taken + rows
+        out = _rows_out(out, rows, count)
+        for s0 in range(0, rows, sub):
+            s1 = min(rows, s0 + sub)
             uv = gen.standard_normal((s1 - s0, 2, half - 1))
-            i0, i1 = np.searchsorted(picked, (s0, s1))
-            if i0 == i1:
-                continue
-            rows = picked[i0:i1]
-            if i1 - i0 < s1 - s0:
-                uv = uv[rows - s0]
-            spectrum = np.empty((i1 - i0, half + 1), dtype=complex)
-            spectrum[:, 0] = first[rows]
-            spectrum[:, half] = last[rows]
+            spectrum = np.empty((s1 - s0, half + 1), dtype=complex)
+            spectrum[:, 0] = first[r0 + s0 : r0 + s1]
+            spectrum[:, half] = last[r0 + s0 : r0 + s1]
             np.multiply(uv[:, 0], paired, out=spectrum.real[:, 1:half])
             np.multiply(uv[:, 1], -paired, out=spectrum.imag[:, 1:half])
             del uv  # freed before the transform allocates its output
-            out[i0:i1] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
+            out[s0:s1] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
         return out
 
-    return _cursor(R, chunk, fill)
+    return take
 
 
 def _toeplitz(cov_of_lag, m):
@@ -451,58 +429,54 @@ def _matmul_in_place(L, z):
     return z
 
 
-def _dense_draw(factor, R, gen, chunk, lead=0):
+def _dense_draw(factor, R, gen, lead=0):
     """The cursor of R rows of ``lead`` zeros and then ``z @ factor.T``, factor lower-triangular (m, m).
 
-    Chunk ``r0:r1`` draws ``standard_normal((r1 - r0, lead + m))``; a row's
-    first ``lead`` normals are dropped for exact zeros and its last m, z,
-    become ``z @ factor.T`` in place through :func:`_openblas_trmm`, a
+    A take of ``rows`` rows draws ``standard_normal((rows, lead + m))``; a
+    row's first ``lead`` normals are dropped for exact zeros and its last m,
+    z, become ``z @ factor.T`` in place through :func:`_openblas_trmm`, a
     triangular product that skips the zero upper triangle (``np.matmul``
-    where numpy bundles none).  When the whole chunk is picked and ``out``
-    is a C-contiguous float block, the normals are drawn straight into it;
-    otherwise the picked rows of a new array of normals are multiplied and
-    go to ``out``, or are returned.  Either way the chunk consumes the same
-    normals, and the product has the same shape.
+    where numpy bundles none).  When ``out`` is a C-contiguous float block,
+    the normals are drawn straight into it; otherwise they are drawn into a
+    new array, multiplied there and go to ``out``, or are returned.
     """
     product = _openblas_trmm() or _matmul_in_place
-
     width = lead + factor.shape[0]
 
-    def fill(r0, r1, pick, out):
-        whole = isinstance(pick, slice) and out is not None and out.flags.c_contiguous and out.dtype == np.float64
-        z = gen.standard_normal(out=out) if whole else gen.standard_normal((r1 - r0, width))[pick]
+    def take(rows, out=None):
+        direct = out is not None and out.flags.c_contiguous and out.dtype == np.float64
+        z = gen.standard_normal(out=out) if direct else gen.standard_normal((rows, width))
         product(factor, z[:, lead:])
         z[:, :lead] = 0.0
-        return z if whole else _written(z, out)
+        return z if direct else _written(z, out)
 
-    return _cursor(R, chunk, fill)
+    return take
 
 
 # -- direct draw kernels -------------------------------------------------------
 #
 # Each kernel, like _circulant_draw and _dense_draw, takes its parameters and
-# then (R, gen, chunk), and returns the cursor of R rows; a draw binds the
+# then (R, gen), and returns the cursor of R rows; a draw binds the
 # parameters with functools.partial.
 
 
-def _scaled_draw(scale, count, R, gen, chunk):
+def _scaled_draw(scale, count, R, gen):
     """The cursor of R rows of ``count`` independent normals times ``scale``, scaled in place."""
-    return _normal_chunks(R, count, gen, chunk, lambda z, out: np.multiply(scale, z, out=z if out is None else out))
+    return _normal_chunks(count, gen, lambda z, out: np.multiply(scale, z, out=z if out is None else out))
 
 
-def _shared_normal_draw(scale, count, R, gen, chunk):
+def _shared_normal_draw(scale, count, R, gen):
     """The cursor of R rows that each repeat one normal times ``scale`` on all ``count`` nodes."""
 
-    def fill(r0, r1, pick, out):
-        xi = scale * gen.standard_normal(r1 - r0)[pick]
-        out = _rows_out(out, r1 - r0, pick, count)
-        out[:] = xi[:, None]
+    def take(rows, out=None):
+        out = _rows_out(out, rows, count)
+        out[:] = scale * gen.standard_normal(rows)[:, None]
         return out
 
-    return _cursor(R, chunk, fill)
+    return take
 
 
-def _ar1_draw(rho, count, R, gen, chunk):
+def _ar1_draw(rho, count, R, gen):
     """The cursor of R unit-variance AR(1) rows of ``count`` nodes with lag-one correlation ``rho``.
 
     A row is ``x_0 = xi_0`` and ``x_j = rho x_(j-1) + sqrt(1 - rho^2) xi_j``,
@@ -515,7 +489,7 @@ def _ar1_draw(rho, count, R, gen, chunk):
             xi[:, j] += rho * xi[:, j - 1]
         return _written(xi, out)
 
-    return _normal_chunks(R, count, gen, chunk, recur)
+    return _normal_chunks(count, gen, recur)
 
 
 # -- the draws of stationary sequences -----------------------------------------
@@ -593,22 +567,21 @@ def _check_grid(kappa, step, count):
 def _prefix_sum(increments):
     """The draw of the ``(R, count + 1)`` paths from B(0) = 0 whose steps are the draw ``increments``.
 
-    Each chunk's increments are drawn into ``out[:, 1:]`` and prefix-summed
+    Each take's increments are drawn into ``out[:, 1:]`` and prefix-summed
     in place.  With no increments the path is the one node B(0) = 0.
     """
     count = increments.count + 1
 
-    def chunks(R, gen, chunk):
-        steps = increments.chunks(R, gen, chunk)
+    def chunks(R, gen):
+        steps = increments.chunks(R, gen)
 
-        def fill(r0, r1, pick, out):
-            out = _rows_out(out, r1 - r0, pick, count)
+        def take(rows, out=None):
+            out = _rows_out(out, rows, count)
             out[:, 0] = 0.0
-            rows = steps(pick, out[:, 1:])
-            np.cumsum(rows, axis=1, out=rows)
+            np.cumsum(steps(rows, out[:, 1:]), axis=1, out=out[:, 1:])
             return out
 
-        return _cursor(R, chunk, fill)
+        return take
 
     return _Draw.joined(chunks, count, [increments])
 
@@ -616,12 +589,12 @@ def _prefix_sum(increments):
 def _differences(path):
     """The draw of the ``(R, count - 1)`` steps between consecutive nodes of the draw ``path``."""
 
-    def chunks(R, gen, chunk):
-        take = path.chunks(R, gen, chunk)
+    def chunks(R, gen):
+        take = path.chunks(R, gen)
 
-        def steps(pick=slice(None), out=None):
-            rows = take(pick)
-            return np.subtract(rows[:, 1:], rows[:, :-1], out=out)
+        def steps(rows, out=None):
+            nodes = take(rows)
+            return np.subtract(nodes[:, 1:], nodes[:, :-1], out=out)
 
         return steps
 
@@ -697,13 +670,9 @@ def _fbm_draw(kappa, grid):
     if j0 == 0:
         return path
 
-    def chunks(R, gen, chunk):
-        take = path.chunks(R, gen, chunk)
-
-        def tail(pick=slice(None), out=None):
-            return _written(take(pick)[:, j0:], out)
-
-        return tail
+    def chunks(R, gen):
+        take = path.chunks(R, gen)
+        return lambda rows, out=None: _written(take(rows)[:, j0:], out)
 
     return _Draw.joined(chunks, grid.count, [path])
 
@@ -745,17 +714,17 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
             raise UnsupportedModelError(f"a_profile must stay positive, got {a_frozen} in block {b}")
         blocks.append((slice(sel[0], pos), stationary(a_frozen, coord.kappa, sel.size)))
 
-    def chunks(R, gen, chunk):
+    def chunks(R, gen):
         gens = [gen] + [np.random.Generator(gen.bit_generator.jumped(b)) for b in range(1, len(blocks))]
-        takes = [sampler.chunks(R, g, chunk) for (_, sampler), g in zip(blocks, gens)]
+        takes = [sampler.chunks(R, g) for (_, sampler), g in zip(blocks, gens)]
 
-        def fill(r0, r1, pick, out):
-            out = _rows_out(out, r1 - r0, pick, grid.count)
-            for (sel, _), take in zip(blocks, takes):
-                take(pick, out[:, sel])
+        def take(rows, out=None):
+            out = _rows_out(out, rows, grid.count)
+            for (sel, _), block in zip(blocks, takes):
+                block(rows, out[:, sel])
             return out
 
-        return _cursor(R, chunk, fill)
+        return take
 
     return _Draw.joined(chunks, grid.count, [sampler for _, sampler in blocks])
 
@@ -763,11 +732,11 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
 def _profiled_draw(sampler, sigma):
     """The draw of the sigma profile times a unit-variance path."""
 
-    def chunks(R, gen, chunk):
-        take = sampler.chunks(R, gen, chunk)
+    def chunks(R, gen):
+        take = sampler.chunks(R, gen)
 
-        def scaled(pick=slice(None), out=None):
-            out = take(pick, out)
+        def scaled(rows, out=None):
+            out = take(rows, out)
             out *= sigma
             return out
 
@@ -779,7 +748,7 @@ def _profiled_draw(sampler, sigma):
 def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
     """One draw per coordinate of ``spec`` on ``grid``.
 
-    Each draw streams its rows with ``chunks(R, gen, chunk)`` and, called
+    Each draw streams its rows with ``chunks(R, gen)`` and, called
     as ``draw(R, gen, out=None)``, returns all ``(R, grid.count)`` rows.
     Builds every embedding and dense factor once, so an estimator builds
     these outside its replication blocks and streams every block with them.
@@ -817,9 +786,9 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
 # -- replication blocks of whole paths ------------------------------------------
 
 
-def _block_cursors(draws, Rb, block, chunk):
-    """Each draw's chunk cursor over ``Rb`` rows: draw i streams from the block's stream ``block("coord", i)``."""
-    return [draw.chunks(Rb, block("coord", i).generator(), chunk) for i, draw in enumerate(draws)]
+def _block_cursors(draws, Rb, block):
+    """Each draw's cursor over ``Rb`` rows: draw i streams from the block's stream ``block("coord", i)``."""
+    return [draw.chunks(Rb, block("coord", i).generator()) for i, draw in enumerate(draws)]
 
 
 def _draw_diagnostics(draws, blocks, rows_drawn):
@@ -847,13 +816,13 @@ def _plane_blocks(draws, R, stream, workers, reducer):
 
     def run_block(Rb, block):
         reduce = reducer(block)
-        takes = _block_cursors(draws, Rb, block, chunk)
+        takes = _block_cursors(draws, Rb, block)
         buffer = np.empty((len(draws), min(chunk, Rb), count))
         parts = []
         for r0 in range(0, Rb, chunk):
             planes = buffer[:, : min(chunk, Rb - r0)]
             for take, plane in zip(takes, planes):
-                take(out=plane)
+                take(len(plane), plane)
             parts.append(reduce(planes))
         return parts
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gpextremes.conjunction as conjunction
+import gpextremes.sampling as sampling
 from gpextremes import (
     AsymptoticApproximation,
     DomainError,
@@ -94,6 +95,15 @@ class TestConjunctionProb:
         pooled1 = 3.0 * math.hypot(both.se, only1.se)
         assert both.value <= only0.value + pooled0
         assert both.value <= only1.value + pooled1
+
+    def test_every_replication_hitting_reports_the_rule_of_three_se(self):
+        spec = VectorProcessSpec((Stationary(1.0, 1.5),) * 2, 1.0)
+        est = estimate_conjunction_prob(spec, [-3.0, -3.0], SampleGrid(0.0, 1.0 / 64, 65), 2000, RngStream(5))
+        assert (est.value, est.hits, est.replications) == (1.0, 2000, 2000)
+        assert est.se == pytest.approx(3.0 / 2000, rel=1e-15)
+        assert "rule-of-three" in est.notes
+        rep = compare_with_asymptotic(est, AsymptoticApproximation("local_window", 1.0, 0.0, (0.0,), 1.0))
+        assert rep.ci[0] < 1.0 < rep.ci[1]
 
     def test_zero_hits_rule_of_three(self):
         spec = ou_spec()
@@ -340,17 +350,26 @@ MIXED_SPECS = {"n2": mixed_pair_spec, "n3": mixed_triple_spec}
 
 
 def eager_counts(spec, grid, thr, R, stream, reduce, workers=1):
-    """``reduce`` summed over full blocks: every coordinate drawn on every row by its sampler's full draw.
+    """``reduce`` summed over whole blocks, every coordinate drawn in full and paired compactly.
 
     The reference for the lazy scan: the same ``replicate`` streams, coordinate
-    i of a block drawn from ``blk("coord", i)``, the node masks "every
-    coordinate exceeds" of each threshold row of ``thr``.
+    i of a block drawn in full by its sampler from ``blk("coord", i)``.  The
+    k-th row of the block alive before coordinate i (one with a node where
+    every earlier coordinate exceeds, for some threshold row) is paired with
+    row k of that draw; ``reduce`` gets the node masks "every coordinate
+    exceeds" of each threshold row of ``thr``.
     """
     samplers = coordinate_samplers(spec, grid)
+    thr = np.atleast_2d(np.asarray(thr, dtype=float))
 
     def block(Rb, blk):
-        values = np.stack([draw(Rb, blk("coord", i).generator()) for i, draw in enumerate(samplers)])
-        return reduce(np.stack([(values > row[:, None, None]).all(axis=0) for row in np.atleast_2d(thr)]))
+        exceed = np.ones((len(thr), Rb, grid.count), dtype=bool)
+        for i, draw in enumerate(samplers):
+            alive = np.flatnonzero(exceed.any(axis=(0, 2)))
+            values = np.full((Rb, grid.count), -np.inf)
+            values[alive] = draw(Rb, blk("coord", i).generator())[: alive.size]
+            exceed &= values > thr[:, i, None, None]
+        return reduce(exceed)
 
     return sum(replicate(R, stream, workers, block))
 
@@ -360,7 +379,38 @@ def stride_counts(strides=(1,)):
 
 
 class TestLazyScan:
-    """The lazy scan draws later coordinates only on rows that can still hit; counts are the eager ones."""
+    """The lazy scan draws later coordinates only for rows that can still hit; counts are the eager ones."""
+
+    def test_no_normal_is_drawn_for_a_dead_row(self, monkeypatch):
+        # conj-n2's coordinates on 257 nodes: coordinate 1 of each block draws
+        # exactly the rows where coordinate 0 exceeds, and no normal beyond them
+        spec, grid, u, R = ou_spec(n=2, kappa=1.5), unit_grid(257), 1.5, 5000
+        samplers = coordinate_samplers(spec, grid)
+        seen = [[] for _ in samplers]
+
+        def recorded(i, draw):
+            def chunks(Rb, gen):
+                seen[i].append((Rb, gen, gen.bit_generator.state))
+                return draw.chunks(Rb, gen)
+
+            return sampling._Draw(chunks, draw.count, draw.method, draw.size, draw.clamped, draw.factor)
+
+        recording = tuple(recorded(i, draw) for i, draw in enumerate(samplers))
+        monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: recording)
+        est = estimate_conjunction_prob(spec, [u, u], grid, R, STREAM.child("dead-rows"))
+        assert len(seen[0]) == len(seen[1]) == est.diagnostics["blocks"] > 1
+        live_total = 0
+        for (Rb, _, start0), (_, gen1, start1) in zip(*seen):
+            first = np.random.Generator(np.random.PCG64())
+            first.bit_generator.state = start0
+            live = int((samplers[0](Rb, first) > u).any(axis=1).sum())
+            ref = np.random.Generator(np.random.PCG64())
+            ref.bit_generator.state = start1
+            samplers[1](live, ref)
+            assert gen1.bit_generator.state == ref.bit_generator.state
+            live_total += live
+        assert est.diagnostics["rows_drawn"] == [R, live_total]
+        assert 0 < live_total < R // 2
 
     @pytest.mark.parametrize("name", MIXED_SPECS)
     def test_threshold_stack_equals_eager(self, name):
@@ -450,8 +500,8 @@ class TestLazyScan:
 
     def test_streamed_scan_holds_a_chunk(self, monkeypatch):
         # the conj-n2 coordinates in chunks of 511 rows: the block's reused plane
-        # of rows, one chunk of normals, the picked copy of them and the masks,
-        # beside the factor L built before tracing
+        # of rows, into which every coordinate's normals are drawn and
+        # multiplied, and the masks, beside the factor L built before tracing
         spec, grid = ou_spec(n=2, kappa=1.5), unit_grid(1025)
         samplers = coordinate_samplers(spec, grid)
         monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: samplers)
@@ -461,7 +511,7 @@ class TestLazyScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (511 * 1025 * 8)
+        assert peak <= 1.5 * (511 * 1025 * 8)
 
     def test_block_peak_is_below_two_and_a_half_planes(self, monkeypatch):
         # one conj-n2-shaped block: two dense kappa = 1.5 coordinates, 2048 rows of 1025 nodes

@@ -234,8 +234,8 @@ def path_rows(sampler, Rb, gen, chunk):
     """The ``(Rb, count + 1)`` paths of ``sampler`` in a new array, drawn in
     chunks of ``chunk`` rows as an estimator draws them: a dense path is one
     triangular product per chunk, which rounds by the chunk's row count."""
-    take = sampler.path.chunks(Rb, gen, chunk)
-    return np.concatenate([take() for _ in range(0, Rb, chunk)])
+    take = sampler.path.chunks(Rb, gen)
+    return np.concatenate([take(min(chunk, Rb - r0)) for r0 in range(0, Rb, chunk)])
 
 
 def stacked_window_constant(C, kappa, drift, window, step, R, stream):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import logging
 import math
 import os
@@ -498,18 +499,21 @@ OUT_DRAWS = {
 }
 
 
-def streamed(draw, R, gen, chunk, pick):
-    """``(rows, indices)``: the rows ``pick(c, k)`` names in each chunk c of k rows, stacked, and their indices."""
-    take = draw.chunks(R, gen, chunk)
-    parts, rows = [], []
+def streamed(draw, R, gen, size, total=None):
+    """The rows of ``draw``'s cursor over R rows, taken ``size(c)`` rows at the c-th take until ``total`` (R)."""
+    take = draw.chunks(R, gen)
+    total = R if total is None else total
+    parts, done = [], 0
     # on one BLAS thread, as the replication blocks and the full draw run
     with parallel._one_blas_thread():
-        for c, r0 in enumerate(range(0, R, chunk)):
-            k = min(chunk, R - r0)
-            p = pick(c, k)
-            parts.append(take(p))
-            rows.append(np.arange(r0, r0 + k)[p])
-    return np.concatenate(parts), np.concatenate(rows)
+        for c in itertools.count():
+            if done == total:
+                break
+            k = min(size(c), total - done)
+            parts.append(take(k))
+            assert parts[-1].shape[0] == k
+            done += k
+    return np.concatenate(parts)
 
 
 class TestOutContract:
@@ -528,40 +532,42 @@ class TestOutContract:
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
-    def test_rows_select_rows_of_a_full_draw(self, case):
+    def test_random_takes_are_the_rows_of_a_full_draw(self, case):
         build, count, R = case
         draw = build()
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
         full = draw(R, ref_gen)
-        coin = np.random.default_rng(1)
-        got, rows = streamed(draw, R, gen, 37, lambda c, k: np.flatnonzero(coin.random(k) < 0.2))
-        assert got.shape == (rows.size, count)
-        # a picked dense product may round its last bits differently; every other draw is exact
+        sizes = np.random.default_rng(1).integers(0, 40, size=R)
+        got = streamed(draw, R, gen, lambda c: sizes[c])
+        assert got.shape == (R, count)
+        # a dense product of another row count may round its last bits differently; every other draw is exact
         atol = 1e-12 if "dense" in draw.method else 0.0
-        np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
+        np.testing.assert_allclose(got, full, rtol=0, atol=atol)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
-    def test_rows_selecting_every_row_is_the_full_draw(self, case):
+    def test_takes_of_the_full_draws_chunks_are_the_full_draw(self, case):
         build, count, R = case
         draw = build()
         full = draw(R, np.random.default_rng(8))
-        # every row of each chunk of the full draw's size, picked by index, into a strided destination
+        # the full draw's chunk sizes, into a strided destination: the same bits, dense too
         chunk = sampling._chunk_rows(count)
-        take = draw.chunks(R, np.random.default_rng(8), chunk)
+        take = draw.chunks(R, np.random.default_rng(8))
         block = np.full((R, 3, count), np.nan)
         with parallel._one_blas_thread():
             for r0 in range(0, R, chunk):
-                take(np.arange(min(chunk, R - r0)), out=block[r0 : r0 + chunk, 1, :])
+                take(min(chunk, R - r0), out=block[r0 : r0 + chunk, 1, :])
         np.testing.assert_array_equal(block[:, 1, :], full)
 
-    def test_rows_selecting_none_consume_the_draw(self):
-        draw = sampling.StationarySampler(1.0, 1.5, 0.1, 64)
-        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
-        draw(300, ref_gen)
-        got, _ = streamed(draw, 300, gen, 64, lambda c, k: np.arange(0))
-        assert got.shape == (0, 64)
-        assert gen.bit_generator.state == ref_gen.bit_generator.state
+    @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
+    def test_a_prefix_of_takes_is_the_prefix_of_the_full_draw(self, case):
+        # the lazy conjunction scan takes fewer rows than its cursor's R
+        build, count, R = case
+        draw = build()
+        full = draw(R, np.random.default_rng(8))
+        got = streamed(draw, R, np.random.default_rng(8), lambda c: 7, total=R // 3)
+        atol = 1e-12 if "dense" in draw.method else 0.0
+        np.testing.assert_allclose(got, full[: R // 3], rtol=0, atol=atol)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, None])
     @pytest.mark.parametrize("case", OUT_DRAWS.values(), ids=OUT_DRAWS.keys())
@@ -571,40 +577,41 @@ class TestOutContract:
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
         full = draw(R, ref_gen)
         if chunk is None:
-            # the full draw's own chunks, every row: the same bits for every method, dense too
-            got, rows = streamed(draw, R, gen, sampling._chunk_rows(count), lambda c, k: slice(None))
+            # the full draw's own chunks: the same bits for every method, dense too
+            got = streamed(draw, R, gen, lambda c: sampling._chunk_rows(count))
             np.testing.assert_array_equal(got, full)
         else:
-            # chunk by chunk in turn: every row, every other row, none
-            picks = (lambda k: slice(None), lambda k: np.arange(0, k, 2), lambda k: np.arange(0))
-            got, rows = streamed(draw, R, gen, chunk, lambda c, k: picks[c % 3](k))
+            # take by take in turn: a chunk, half a chunk, no row
+            sizes = (chunk, chunk // 2, 0)
+            got = streamed(draw, R, gen, lambda c: sizes[c % 3])
             atol = 1e-12 if "dense" in draw.method else 0.0
-            np.testing.assert_allclose(got, full[rows], rtol=0, atol=atol)
+            np.testing.assert_allclose(got, full, rtol=0, atol=atol)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize("blas", ["openblas", "matmul"])
-    @pytest.mark.parametrize("pick", ["all", "some", "none"])
+    @pytest.mark.parametrize("takes", ["chunks", "uneven", "prefix"])
     @pytest.mark.parametrize(
         "cov, m, kind",
         [(exp_correlation(1.0, 1.5, 1.0 / 1024), 257, "cholesky"), (exp_correlation(5.0, 2.0, 1.0 / 16), 17, "eigh")],
         ids=["cholesky", "eigh"],
     )
-    def test_dense_rows_are_the_normals_times_the_factor(self, monkeypatch, cov, m, kind, pick, blas):
+    def test_dense_rows_are_the_normals_times_the_factor(self, monkeypatch, cov, m, kind, takes, blas):
         # the triangular product, and the matrix product where numpy bundles no OpenBLAS
         if blas == "matmul":
             monkeypatch.setattr(sampling, "_openblas_trmm", lambda: None)
         factor, got_kind = sampling._dense_factor(cov, m)
         assert got_kind == kind
-        R, chunk = 300, 64
-        picks = {
-            "all": lambda c, k: slice(None),
-            "some": lambda c, k: np.arange(1, k, 3),
-            "none": lambda c, k: np.arange(0),
-        }
+        R = 300
+        size, total = {
+            "chunks": (lambda c: 64, R),
+            "uneven": (lambda c: c % 5, R),
+            "prefix": (lambda c: 64, 150),
+        }[takes]
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
         draw = types.SimpleNamespace(chunks=functools.partial(sampling._dense_draw, factor))
-        got, rows = streamed(draw, R, gen, chunk, picks[pick])
-        ref = ref_gen.standard_normal((R, m))[rows] @ factor.T
+        got = streamed(draw, R, gen, size, total)
+        # a take draws the normals of its rows only
+        ref = ref_gen.standard_normal((total, m)) @ factor.T
         assert got.shape == ref.shape
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
