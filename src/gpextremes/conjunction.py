@@ -14,7 +14,7 @@ drawn on every row and gives, per threshold row, the node mask of its
 exceedances.  A row without an exceeding node for any threshold row cannot
 hit, so a later coordinate is drawn only for the rows still alive, and no
 normal is drawn for a dead row: the k-th row of a block alive before
-coordinate i is paired with the k-th row of coordinate i's draw.  Which
+coordinate i is paired with the k-th row of coordinate i's stream.  Which
 rows are alive depends only on the earlier coordinates, and the rows of
 coordinate i are iid and independent of them, so every row is still a
 vector of independent coordinate paths and the hit count is Binomial(R, p).
@@ -77,8 +77,9 @@ class ProbEstimate:
     and ``size``, the number of replication blocks and ``rows_drawn``, the
     rows whose normals were drawn per coordinate.  The lazy scan draws
     coordinate i >= 1 only for the rows alive after the coordinates before
-    it, each paired with the next row of coordinate i's draw, so its
-    ``rows_drawn`` falls below R for later coordinates.
+    it, each taking the next row of coordinate i's stream of rows, whatever
+    its draw method, so its ``rows_drawn`` falls below R for later
+    coordinates.
     """
 
     value: float
@@ -142,17 +143,17 @@ def _exceed_blocks(samplers, thr, R, stream, workers, reduce):
     hit.  ``reduce`` returns counts.  In each chunk coordinate 0 is drawn on
     every row; each later coordinate is drawn, straight into the chunk's
     plane, on the rows still alive only (none when no row is alive) and
-    narrows the masks.  Block b draws coordinate i from ``stream.child(
-    "block", b, "coord", i)``: coordinate 0's rows are those of its full
-    draw ``draw(Rb, gen)``, and the k-th row of the block alive before
-    coordinate i >= 1 takes row k of that coordinate's draw.
-    ``rows_drawn`` counts the rows drawn per coordinate.
+    narrows the masks.  Block b streams coordinate i's rows from
+    ``stream.child("block", b, "coord", i)``: row k of the block is row k of
+    coordinate 0's stream, and the k-th row of the block alive before
+    coordinate i >= 1 is row k of coordinate i's stream.  ``rows_drawn``
+    counts the rows drawn per coordinate.
     """
     count = samplers[0].count
     chunk = _chunk_rows(count)
 
     def run_block(Rb, block):
-        takes = _block_cursors(samplers, Rb, block)
+        takes = _block_cursors(samplers, block)
         plane = np.empty((min(chunk, Rb), count))
         counts = 0
         drawn = np.zeros(len(samplers), dtype=np.int64)

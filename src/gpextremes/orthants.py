@@ -256,7 +256,7 @@ def ewv_mc(cloud: PointCloud, budget: int, stream: RngStream):
 
 
 def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.ndarray:
-    """Exact EWV of many clouds at once; ``points`` has shape (R, m, n).
+    """Exact EWV of many clouds at once; ``points`` has shape (R, m, n), m and n >= 1.
 
     n = 1 is the maximum, n = 2 the staircase and n = 3 the masked-prefix
     sweep, each vectorized over the clouds of a row chunk; n >= 4 prunes
@@ -270,6 +270,8 @@ def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.
     # ``gen`` is unused: perfbench/run.py and perfbench/probes.py pass it, and
     # the benchmark stays fixed so that its timings compare across versions.
     points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or not points.shape[1] or not points.shape[2]:
+        raise DomainError(f"points must have shape (R, m, n) with m, n >= 1, got {points.shape}")
     if points.shape[2] >= 4:
         shift, mantissa = np.array([_ewv_log_cloud(p) for p in points]).reshape(-1, 2).T
     else:

@@ -1,9 +1,9 @@
 """Exact Gaussian path simulation on uniform grids.
 
-Every draw is one record, a ``_Draw`` of R rows of ``count`` nodes:
-``chunks(R, gen)`` streams the rows, calling it as ``draw(R, gen,
-out=None)`` draws them all, and ``method``, ``size``, ``clamped`` and
-``factor`` say how.  Stationary sequences (fractional Gaussian noise and the
+Every draw is one record, a ``_Draw`` of rows of ``count`` nodes:
+``chunks(gen)`` streams the rows, calling it as ``draw(R, gen, out=None)``
+draws R of them, and ``method``, ``size``, ``clamped`` and ``factor`` say
+how.  Stationary sequences (fractional Gaussian noise and the
 exponential-correlation family) are drawn by one of three methods, chosen
 once when the draw is built:
 
@@ -67,16 +67,15 @@ scan keeps its own loop, which takes a later coordinate's rows only for
 the rows still alive, but shares :func:`_block_cursors` and
 :func:`_draw_diagnostics`.
 
-Every draw streams its R rows through one cursor.  Each draw method is one
-cursor kernel, and a draw's ``chunks(R, gen)`` returns its cursor: a
-function ``take(rows, out=None)`` whose calls draw the next ``rows`` rows of
-the full draw of R rows, in order, and return them.  The rows go into
-``out`` when given, which may be any writable strided view, such as one
-coordinate's plane of a block's buffer.  A take draws the normals of its
-rows only, so a caller that needs fewer than R rows, such as the lazy
-conjunction scan, draws no normal for the rows it does not take; a
-circulant cursor alone draws the two real modes of all R rows when it is
-made (its fixed draw order).
+Every draw is one stream of rows.  Each draw method is one cursor kernel,
+and a draw's ``chunks(gen)`` returns its cursor: a function ``take(rows,
+out=None)`` whose calls draw the next ``rows`` rows of the stream, in
+order, and return them.  The rows go into ``out`` when given, which may be
+any writable strided view, such as one coordinate's plane of a block's
+buffer.  A take draws the normals of its rows only, each row's normals
+after those of the row before it, so a caller that needs only some rows,
+such as the lazy conjunction scan, draws no normal for the rows it does
+not take.
 
 The full draw ``draw(R, gen, out=None)`` takes its rows in chunks, on one
 BLAS thread as the replication blocks run, so its bits do not depend on the
@@ -218,7 +217,7 @@ def _normal_chunks(m, gen, write):
 
 
 class _Draw:
-    """R rows of ``count`` nodes: ``chunks(R, gen)`` streams them, and calling the draw draws them all.
+    """Rows of ``count`` nodes: ``chunks(gen)`` streams them, and calling the draw draws R of them.
 
     ``method`` names how the rows are drawn ("direct", "circulant" or
     "dense"), ``size`` is the length of each row's draw (the embedding size
@@ -261,7 +260,7 @@ class _Draw:
         out = np.empty((R, self.count)) if out is None else out
         chunk = _chunk_rows(self.count)
         with _one_blas_thread():
-            take = self.chunks(R, gen)
+            take = self.chunks(gen)
             for r0 in range(0, R, chunk):
                 take(min(chunk, R - r0), out[r0 : r0 + chunk])
         return out
@@ -317,51 +316,45 @@ def _embedding_eigenvalues(cov_of_lag, m, doublings=_MAX_DOUBLINGS):
 
 
 def _mode_scale(eigs, size):
-    """Per-mode scale of the half spectrum that :func:`_circulant_draw` fills.
+    """Per-normal scale of a row's ``size`` normals in :func:`_circulant_draw`'s draw order.
 
     The two real modes (0 and size/2) carry ``sqrt(size * eig)``; each paired
-    mode carries ``sqrt(size * eig / 2)`` on its real and imaginary part.
+    mode carries ``sqrt(size * eig / 2)`` on its real part and minus that on
+    its imaginary part (the spectrum enters conjugated).
     """
     half = size // 2
-    weight = np.full(half + 1, size / 2.0)
-    weight[[0, half]] = size
-    return np.sqrt(eigs[: half + 1] * weight)
+    paired = np.sqrt(eigs[1:half] * (size / 2.0))
+    real = np.sqrt(eigs[[0, half]] * size)
+    return np.concatenate((real[:1], np.column_stack((paired, -paired)).ravel(), real[1:]))
 
 
-def _circulant_draw(scale, size, count, R, gen):
-    """The cursor of R stationary Gaussian rows of length count with the embedded covariance.
+def _circulant_draw(scale, size, count, gen):
+    """The cursor of stationary Gaussian rows of length count with the embedded covariance.
 
     Each row's half spectrum ``size/2 + 1`` is filled and transformed with a
     real inverse FFT, in sub-chunks of at most ``_SPECTRUM_ELEMENTS``
     embedding entries within each take, so the working set stays within
-    about 2 MB.  Draw order is fixed: the normals of mode 0 for all R rows,
-    then of mode size/2, both when the cursor is made, then the
-    ``(rows, 2, size/2 - 1)`` real and imaginary parts of the paired modes
-    in row order, so a given generator state always produces the same rows
-    however they are split into takes.  The paired modes enter conjugated,
-    because the real part of the forward FFT of a Hermitian spectrum w is
-    ``size * irfft(conj(w[:size/2 + 1]))``.
+    about 2 MB.  A row takes ``size`` normals, after those of the row before
+    it: mode 0, then the real and imaginary parts of each paired mode in
+    turn, then mode size/2; so a given generator state always produces the
+    same rows however they are split into takes.  ``scale`` is
+    :func:`_mode_scale`, which conjugates the paired modes, because the real
+    part of the forward FFT of a Hermitian spectrum w is ``size *
+    irfft(conj(w[:size/2 + 1]))``.
     """
     half = size // 2
-    first = scale[0] * gen.standard_normal(R)
-    last = scale[half] * gen.standard_normal(R)
-    paired = scale[1:half]
     sub = max(1, _SPECTRUM_ELEMENTS // size)
-    taken = 0
 
     def take(rows, out=None):
-        nonlocal taken
-        r0, taken = taken, taken + rows
         out = _rows_out(out, rows, count)
         for s0 in range(0, rows, sub):
             s1 = min(rows, s0 + sub)
-            uv = gen.standard_normal((s1 - s0, 2, half - 1))
             spectrum = np.empty((s1 - s0, half + 1), dtype=complex)
-            spectrum[:, 0] = first[r0 + s0 : r0 + s1]
-            spectrum[:, half] = last[r0 + s0 : r0 + s1]
-            np.multiply(uv[:, 0], paired, out=spectrum.real[:, 1:half])
-            np.multiply(uv[:, 1], -paired, out=spectrum.imag[:, 1:half])
-            del uv  # freed before the transform allocates its output
+            parts = spectrum.view(float)  # re_0, im_0, re_1, im_1, ..., re_half, im_half
+            # the row's normals land at im_0, re_1, ..., re_half; mode 0 moves to re_0
+            np.multiply(gen.standard_normal((s1 - s0, size)), scale, out=parts[:, 1 : size + 1])
+            parts[:, 0] = parts[:, 1]
+            parts[:, [1, size + 1]] = 0.0
             out[s0:s1] = np.fft.irfft(spectrum, n=size, axis=1)[:, :count]
         return out
 
@@ -429,8 +422,8 @@ def _matmul_in_place(L, z):
     return z
 
 
-def _dense_draw(factor, R, gen, lead=0):
-    """The cursor of R rows of ``lead`` zeros and then ``z @ factor.T``, factor lower-triangular (m, m).
+def _dense_draw(factor, gen, lead=0):
+    """The cursor of rows of ``lead`` zeros and then ``z @ factor.T``, factor lower-triangular (m, m).
 
     A take of ``rows`` rows draws ``standard_normal((rows, lead + m))``; a
     row's first ``lead`` normals are dropped for exact zeros and its last m,
@@ -456,17 +449,17 @@ def _dense_draw(factor, R, gen, lead=0):
 # -- direct draw kernels -------------------------------------------------------
 #
 # Each kernel, like _circulant_draw and _dense_draw, takes its parameters and
-# then (R, gen), and returns the cursor of R rows; a draw binds the
+# then the generator, and returns the cursor of its rows; a draw binds the
 # parameters with functools.partial.
 
 
-def _scaled_draw(scale, count, R, gen):
-    """The cursor of R rows of ``count`` independent normals times ``scale``, scaled in place."""
+def _scaled_draw(scale, count, gen):
+    """The cursor of rows of ``count`` independent normals times ``scale``, scaled in place."""
     return _normal_chunks(count, gen, lambda z, out: np.multiply(scale, z, out=z if out is None else out))
 
 
-def _shared_normal_draw(scale, count, R, gen):
-    """The cursor of R rows that each repeat one normal times ``scale`` on all ``count`` nodes."""
+def _shared_normal_draw(scale, count, gen):
+    """The cursor of rows that each repeat one normal times ``scale`` on all ``count`` nodes."""
 
     def take(rows, out=None):
         out = _rows_out(out, rows, count)
@@ -476,8 +469,8 @@ def _shared_normal_draw(scale, count, R, gen):
     return take
 
 
-def _ar1_draw(rho, count, R, gen):
-    """The cursor of R unit-variance AR(1) rows of ``count`` nodes with lag-one correlation ``rho``.
+def _ar1_draw(rho, count, gen):
+    """The cursor of unit-variance AR(1) rows of ``count`` nodes with lag-one correlation ``rho``.
 
     A row is ``x_0 = xi_0`` and ``x_j = rho x_(j-1) + sqrt(1 - rho^2) xi_j``,
     recursed in place in its normals xi.
@@ -572,8 +565,8 @@ def _prefix_sum(increments):
     """
     count = increments.count + 1
 
-    def chunks(R, gen):
-        steps = increments.chunks(R, gen)
+    def chunks(gen):
+        steps = increments.chunks(gen)
 
         def take(rows, out=None):
             out = _rows_out(out, rows, count)
@@ -589,8 +582,8 @@ def _prefix_sum(increments):
 def _differences(path):
     """The draw of the ``(R, count - 1)`` steps between consecutive nodes of the draw ``path``."""
 
-    def chunks(R, gen):
-        take = path.chunks(R, gen)
+    def chunks(gen):
+        take = path.chunks(gen)
 
         def steps(rows, out=None):
             nodes = take(rows)
@@ -638,13 +631,13 @@ def StationarySampler(a, kappa, step, count) -> _Draw:
     """The draw of ``(R, count)`` rows with correlation ``exp(-a |t|^kappa)`` on a grid of ``step``.
 
     kappa = 1 uses the exact AR(1) recursion (the correlation is Markov),
-    which on a single node is one normal, whatever kappa; other exponents
-    use the circulant or the dense draw that :func:`_stationary` picks.
-    The draw of a stationary coordinate.
+    as do a single node (one normal) and no node (the empty draw), whatever
+    kappa; other exponents use the circulant or the dense draw that
+    :func:`_stationary` picks.  The draw of a stationary coordinate.
     """
     a = require_real(a, "a", above=0)
     kappa, step, count = _check_grid(kappa, step, count)
-    if kappa == 1.0 or count == 1:
+    if kappa == 1.0 or count <= 1:
         return _Draw(functools.partial(_ar1_draw, np.exp(-a * step), count), count)
     return _stationary(lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa), count)
 
@@ -670,8 +663,8 @@ def _fbm_draw(kappa, grid):
     if j0 == 0:
         return path
 
-    def chunks(R, gen):
-        take = path.chunks(R, gen)
+    def chunks(gen):
+        take = path.chunks(gen)
         return lambda rows, out=None: _written(take(rows)[:, j0:], out)
 
     return _Draw.joined(chunks, grid.count, [path])
@@ -714,9 +707,9 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
             raise UnsupportedModelError(f"a_profile must stay positive, got {a_frozen} in block {b}")
         blocks.append((slice(sel[0], pos), stationary(a_frozen, coord.kappa, sel.size)))
 
-    def chunks(R, gen):
+    def chunks(gen):
         gens = [gen] + [np.random.Generator(gen.bit_generator.jumped(b)) for b in range(1, len(blocks))]
-        takes = [sampler.chunks(R, g) for (_, sampler), g in zip(blocks, gens)]
+        takes = [sampler.chunks(g) for (_, sampler), g in zip(blocks, gens)]
 
         def take(rows, out=None):
             out = _rows_out(out, rows, grid.count)
@@ -732,8 +725,8 @@ def _locally_stationary_draw(coord, grid, horizon, stationary):
 def _profiled_draw(sampler, sigma):
     """The draw of the sigma profile times a unit-variance path."""
 
-    def chunks(R, gen):
-        take = sampler.chunks(R, gen)
+    def chunks(gen):
+        take = sampler.chunks(gen)
 
         def scaled(rows, out=None):
             out = take(rows, out)
@@ -748,7 +741,7 @@ def _profiled_draw(sampler, sigma):
 def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
     """One draw per coordinate of ``spec`` on ``grid``.
 
-    Each draw streams its rows with ``chunks(R, gen)`` and, called
+    Each draw streams its rows with ``chunks(gen)`` and, called
     as ``draw(R, gen, out=None)``, returns all ``(R, grid.count)`` rows.
     Builds every embedding and dense factor once, so an estimator builds
     these outside its replication blocks and streams every block with them.
@@ -786,9 +779,9 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
 # -- replication blocks of whole paths ------------------------------------------
 
 
-def _block_cursors(draws, Rb, block):
-    """Each draw's cursor over ``Rb`` rows: draw i streams from the block's stream ``block("coord", i)``."""
-    return [draw.chunks(Rb, block("coord", i).generator()) for i, draw in enumerate(draws)]
+def _block_cursors(draws, block):
+    """Each draw's cursor in a replication block: draw i streams from the block's stream ``block("coord", i)``."""
+    return [draw.chunks(block("coord", i).generator()) for i, draw in enumerate(draws)]
 
 
 def _draw_diagnostics(draws, blocks, rows_drawn):
@@ -816,7 +809,7 @@ def _plane_blocks(draws, R, stream, workers, reducer):
 
     def run_block(Rb, block):
         reduce = reducer(block)
-        takes = _block_cursors(draws, Rb, block)
+        takes = _block_cursors(draws, block)
         buffer = np.empty((len(draws), min(chunk, Rb), count))
         parts = []
         for r0 in range(0, Rb, chunk):
@@ -831,23 +824,17 @@ def _plane_blocks(draws, R, stream, workers, reducer):
     return parts, _draw_diagnostics(draws, len(blocks), [R] * len(draws))
 
 
-def sample_vector(
-    spec: VectorProcessSpec, grid: SampleGrid, R: int, stream: RngStream, samplers=None
-) -> PathBatch:
+def sample_vector(spec: VectorProcessSpec, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:
     """Sample R paths of every coordinate of a validated vector process.
 
     Coordinates are sampled independently (coordinate-major draw order on
     per-coordinate child streams).  Non-stationary coordinates are the
     sigma profile times a unit-variance path; locally stationary ones use
     the piecewise-frozen scheme.  The grid must lie inside [0, T].
-    ``samplers`` is :func:`coordinate_samplers` of ``(spec, grid)``, for a
-    caller that draws many batches; it is built here when omitted.
     """
     R = require_count(R, 1)
-    if samplers is None:
-        samplers = coordinate_samplers(spec, grid)
     values = np.empty((R, spec.n, grid.count))
-    for i, draw in enumerate(samplers):
+    for i, draw in enumerate(coordinate_samplers(spec, grid)):
         draw(R, stream.child("coord", i).generator(), out=values[:, i, :])
     return PathBatch(grid, spec.n, R, values)
 
@@ -861,8 +848,8 @@ def sample_cholesky_oracle(cov, R: int, stream: RngStream, grid: SampleGrid | No
     """
     R = require_count(R, 1)
     cov = require_real_array(cov, "cov")
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise DomainError("cov must be a square matrix")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
+        raise DomainError(f"cov must be a non-empty square matrix, got shape {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise DomainError("cov must be finite")
     scale = max(1.0, float(np.abs(cov).max()))

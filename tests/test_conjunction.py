@@ -30,7 +30,7 @@ from gpextremes import (
     sample_vector,
 )
 from gpextremes.conjunction import ProbEstimate
-from gpextremes.parallel import replicate
+from gpextremes.parallel import block_sizes, replicate
 from gpextremes.sampling import coordinate_samplers
 
 STREAM = RngStream(90210)
@@ -381,26 +381,37 @@ def stride_counts(strides=(1,)):
 class TestLazyScan:
     """The lazy scan draws later coordinates only for rows that can still hit; counts are the eager ones."""
 
-    def test_no_normal_is_drawn_for_a_dead_row(self, monkeypatch):
-        # conj-n2's coordinates on 257 nodes: coordinate 1 of each block draws
-        # exactly the rows where coordinate 0 exceeds, and no normal beyond them
-        spec, grid, u, R = ou_spec(n=2, kappa=1.5), unit_grid(257), 1.5, 5000
+    @pytest.mark.parametrize(
+        "spec, grid, u, R, method",
+        [
+            # conj-n2's coordinates on 257 nodes
+            (ou_spec(n=2, kappa=1.5), unit_grid(257), 1.5, 5000, "dense"),
+            # fractional Brownian coordinates on 1101 nodes, embedded in 4096 entries
+            (VectorProcessSpec((FractionalBrownian(1.5),) * 2, 1.0), unit_grid(1101), 1.0, 5000, "circulant"),
+        ],
+        ids=["dense", "circulant"],
+    )
+    def test_no_normal_is_drawn_for_a_dead_row(self, monkeypatch, spec, grid, u, R, method):
+        # coordinate 1 of each block draws exactly the rows where coordinate 0
+        # exceeds, and no normal beyond them
         samplers = coordinate_samplers(spec, grid)
+        assert [draw.method for draw in samplers] == [method] * 2
         seen = [[] for _ in samplers]
 
         def recorded(i, draw):
-            def chunks(Rb, gen):
-                seen[i].append((Rb, gen, gen.bit_generator.state))
-                return draw.chunks(Rb, gen)
+            def chunks(gen):
+                seen[i].append((gen, gen.bit_generator.state))
+                return draw.chunks(gen)
 
             return sampling._Draw(chunks, draw.count, draw.method, draw.size, draw.clamped, draw.factor)
 
         recording = tuple(recorded(i, draw) for i, draw in enumerate(samplers))
         monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: recording)
         est = estimate_conjunction_prob(spec, [u, u], grid, R, STREAM.child("dead-rows"))
-        assert len(seen[0]) == len(seen[1]) == est.diagnostics["blocks"] > 1
+        sizes = block_sizes(R)
+        assert len(seen[0]) == len(seen[1]) == len(sizes) == est.diagnostics["blocks"] > 1
         live_total = 0
-        for (Rb, _, start0), (_, gen1, start1) in zip(*seen):
+        for Rb, (_, start0), (gen1, start1) in zip(sizes, *seen):
             first = np.random.Generator(np.random.PCG64())
             first.bit_generator.state = start0
             live = int((samplers[0](Rb, first) > u).any(axis=1).sum())

@@ -234,7 +234,7 @@ def path_rows(sampler, Rb, gen, chunk):
     """The ``(Rb, count + 1)`` paths of ``sampler`` in a new array, drawn in
     chunks of ``chunk`` rows as an estimator draws them: a dense path is one
     triangular product per chunk, which rounds by the chunk's row count."""
-    take = sampler.path.chunks(Rb, gen)
+    take = sampler.path.chunks(gen)
     return np.concatenate([take(min(chunk, Rb - r0)) for r0 in range(0, Rb, chunk)])
 
 

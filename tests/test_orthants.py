@@ -204,6 +204,13 @@ class TestEwvMc:
 
 
 class TestEwvBatch:
+    # (R, 0, n) used to raise ZeroDivisionError (n >= 2) or ValueError (n = 1),
+    # (R, m, 0) a TypeError and a 2-D input an IndexError
+    @pytest.mark.parametrize("shape", [(3, 0, 2), (3, 0, 1), (3, 5, 0), (3, 4), (3,)])
+    def test_malformed_shape_rejected(self, shape):
+        with pytest.raises(DomainError, match="points must have shape"):
+            ewv_batch(np.zeros(shape))
+
     def test_batch_matches_percloud_exact(self):
         gen = np.random.default_rng(13)
         pts = gen.normal(size=(50, 9, 2))

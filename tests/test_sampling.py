@@ -43,15 +43,17 @@ def full_fft_circulant_draw(eigs, size, count, R, gen):
     """The circulant draw as a full Hermitian spectrum and a complex FFT.
 
     Kept as the reference for the half-spectrum ``irfft`` draw: it consumes
-    the same normals in the same order.
+    the same normals in the same order, each row's ``size`` normals after
+    the row before: mode 0, the real and imaginary parts of each paired mode
+    in turn, then mode size/2.
     """
     half = size // 2
+    z = gen.standard_normal((R, size))
     w = np.zeros((R, size), dtype=complex)
-    w[:, 0] = np.sqrt(eigs[0] / size) * gen.standard_normal(R)
-    w[:, half] = np.sqrt(eigs[half] / size) * gen.standard_normal(R)
+    w[:, 0] = np.sqrt(eigs[0] / size) * z[:, 0]
+    w[:, half] = np.sqrt(eigs[half] / size) * z[:, -1]
     if half > 1:
-        uv = gen.standard_normal((R, 2, half - 1))
-        modes = np.sqrt(eigs[1:half] / (2.0 * size)) * (uv[:, 0] + 1j * uv[:, 1])
+        modes = np.sqrt(eigs[1:half] / (2.0 * size)) * (z[:, 1:-1:2] + 1j * z[:, 2:-1:2])
         w[:, 1:half] = modes
         w[:, half + 1 :] = np.conj(modes[:, ::-1])
     return np.fft.fft(w, axis=1).real[:, :count]
@@ -241,6 +243,14 @@ class TestCirculantDraw:
 
 def exp_correlation(a, kappa, step):
     return lambda lags: np.exp(-a * (np.abs(lags).astype(float) * step) ** kappa)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0])
+def test_stationary_sampler_of_no_node_is_the_empty_draw(kappa):
+    # kappa != 1 used to factor an empty matrix and raise numpy's LinAlgError
+    draw = sampling.StationarySampler(1.0, kappa, 0.1, 0)
+    assert (draw.method, draw.count) == ("direct", 0)
+    assert draw(5, np.random.default_rng(1)).shape == (5, 0)
 
 
 class TestDrawPlan:
@@ -437,9 +447,10 @@ class TestDrawPlan:
         grid = SampleGrid(0.25, 1.0 / 64, 33)
         samplers = sampling.coordinate_samplers(spec, grid)
         for salt in ("b0", "b1"):
-            built = sample_vector(spec, grid, 50, STREAM.child(salt), samplers)
-            fresh = sample_vector(spec, grid, 50, STREAM.child(salt))
-            np.testing.assert_array_equal(built.values, fresh.values)
+            batch = sample_vector(spec, grid, 50, STREAM.child(salt))
+            for i, draw in enumerate(samplers):
+                built = draw(50, STREAM.child(salt).child("coord", i).generator())
+                np.testing.assert_array_equal(batch.values[:, i, :], built)
         # equal coordinates share one sampler
         assert samplers[0] == samplers[1]
 
@@ -499,10 +510,9 @@ OUT_DRAWS = {
 }
 
 
-def streamed(draw, R, gen, size, total=None):
-    """The rows of ``draw``'s cursor over R rows, taken ``size(c)`` rows at the c-th take until ``total`` (R)."""
-    take = draw.chunks(R, gen)
-    total = R if total is None else total
+def streamed(draw, total, gen, size):
+    """The first ``total`` rows of ``draw``'s cursor, taken ``size(c)`` rows at the c-th take."""
+    take = draw.chunks(gen)
     parts, done = [], 0
     # on one BLAS thread, as the replication blocks and the full draw run
     with parallel._one_blas_thread():
@@ -552,7 +562,7 @@ class TestOutContract:
         full = draw(R, np.random.default_rng(8))
         # the full draw's chunk sizes, into a strided destination: the same bits, dense too
         chunk = sampling._chunk_rows(count)
-        take = draw.chunks(R, np.random.default_rng(8))
+        take = draw.chunks(np.random.default_rng(8))
         block = np.full((R, 3, count), np.nan)
         with parallel._one_blas_thread():
             for r0 in range(0, R, chunk):
@@ -565,7 +575,7 @@ class TestOutContract:
         build, count, R = case
         draw = build()
         full = draw(R, np.random.default_rng(8))
-        got = streamed(draw, R, np.random.default_rng(8), lambda c: 7, total=R // 3)
+        got = streamed(draw, R // 3, np.random.default_rng(8), lambda c: 7)
         atol = 1e-12 if "dense" in draw.method else 0.0
         np.testing.assert_allclose(got, full[: R // 3], rtol=0, atol=atol)
 
@@ -609,7 +619,7 @@ class TestOutContract:
         }[takes]
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
         draw = types.SimpleNamespace(chunks=functools.partial(sampling._dense_draw, factor))
-        got = streamed(draw, R, gen, size, total)
+        got = streamed(draw, total, gen, size)
         # a take draws the normals of its rows only
         ref = ref_gen.standard_normal((total, m)) @ factor.T
         assert got.shape == ref.shape
@@ -779,13 +789,12 @@ class TestSampleVector:
         prior = get()
         spec = VectorProcessSpec((Stationary(1.0, 1.5),), 1.0)
         grid = SampleGrid(0.0, 1.0 / 1024, 1025)
-        samplers = sampling.coordinate_samplers(spec, grid)
-        assert samplers[0].method == "dense"
+        assert sampling.coordinate_samplers(spec, grid)[0].method == "dense"
         draws = []
         try:
             for threads in (1, 2):
                 set_(threads)
-                draws.append(sample_vector(spec, grid, 64, STREAM.child("threads"), samplers).values)
+                draws.append(sample_vector(spec, grid, 64, STREAM.child("threads")).values)
                 assert get() == threads
         finally:
             set_(prior)
@@ -826,6 +835,11 @@ class TestCholeskyOracle:
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             sample_cholesky_oracle(np.array([[1.0, 0.5], [0.1, 1.0]]), 100, STREAM)
+
+    def test_empty_matrix_rejected(self):
+        # used to raise numpy's ValueError from the symmetry test's max
+        with pytest.raises(DomainError, match="non-empty square matrix"):
+            sample_cholesky_oracle(np.zeros((0, 0)), 100, STREAM)
 
     # a non-finite entry used to pass the symmetry test and draw nan paths
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
