@@ -15,21 +15,30 @@ z descending, with z_(m+1) = -inf,
     EWV_n(P) = sum_k (exp(z_(k)) - exp(z_(k+1))) EWV_(n-1)(top-k prefix of P),
 
 the prefixes projected onto the first n-1 coordinates.  n = 1 is exp(max);
-n = 2 is the O(m log m) staircase; n = 3 sweeps every z-prefix of every
-cloud at once with the staircase as base case, in O(m^2) per cloud and with
-no Pareto filter; n >= 4 prunes each cloud to its Pareto set and slices the
-last coordinate recursively down to the n = 3 kernel.  Every exponential is
-shifted by a maximum, which keeps coordinates beyond +-700 from
-overflowing.  :func:`ewv_mc` is an independent Monte Carlo estimator.
+n = 2 is the O(m log m) staircase; n = 3 first drops every point that an
+earlier point in x order dominates (an exact filter, O(m^2) comparisons per
+cloud), then sweeps every z-prefix of the survivors with the staircase as
+base case, O(c^2) for c survivors; n >= 4 prunes each cloud to its Pareto
+set and slices the last coordinate recursively down to the n = 3 kernel.
+Every exponential is shifted by a maximum, which keeps coordinates beyond
++-700 from overflowing.  :func:`ewv_mc` is an independent Monte Carlo
+estimator.
 
-:func:`ewv_batch` reduces n <= 3 in row chunks: each chunk holds at most
-``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a quarter of that for n = 2), so
-every temporary of a kernel stays near ``_CHUNK_ELEMENTS`` entries however
-many clouds come in.  The
-clouds may be any strided (R, m, n) view, such as ``np.moveaxis`` of an
-(n, R, m) block of coordinate planes, and are never copied whole.  Every
-cloud is reduced on its own, with the same operands in the same order, so
-neither the chunking nor the memory layout changes a bit of the result.
+:func:`ewv_batch` reduces n <= 2 in row chunks of at most
+``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a quarter of that for n = 2).  At
+n = 3 the filter runs in chunks of ``_CHUNK_ELEMENTS // (4 m)`` clouds; the
+clouds are then grouped by their survivor counts, each group padded to its
+largest count, and swept in batches of at most ``_CHUNK_ELEMENTS // 2``
+(point, prefix, cloud) triples.  Every temporary of a kernel stays near
+``_CHUNK_ELEMENTS`` entries however many clouds come in.  The clouds may be
+any strided (R, m, n) view, such as ``np.moveaxis`` of an (n, R, m) block of
+coordinate planes, and are never copied whole.  Every cloud is reduced on
+its own, with the same operands in the same order, so neither the chunking
+nor the memory layout changes a bit of the result.  At n = 3 that takes two
+rules: a cloud is padded with copies of its first survivor placed before it,
+whose x steps are exact zeros, and every sum of the sweep runs in point
+order, so the padded terms add exact zeros and neither the padding nor the
+batch-mates move a bit.  Non-finite points raise :class:`DomainError`.
 
 Every sweep orders its points with numpy's default argsort, a SIMD sort that
 places tied keys in no fixed order.  With distinct keys the sorted
@@ -53,9 +62,10 @@ from .rng import RngStream
 __all__ = ["PointCloud", "pareto_prune", "ewv_exact", "ewv_mc", "ewv_batch"]
 
 # Largest temporary, in elements, of the n <= 3 kernels: clouds are reduced
-# in row chunks of at most this many (cloud, point) pairs for n = 2 and
-# (point, cloud, prefix) triples for n = 3, or one cloud at a time once a
-# single cloud exceeds it.
+# in row chunks of at most this many (cloud, point) pairs for n = 2, or one
+# cloud at a time once a single cloud exceeds it.  At n = 3 the filter's
+# (point, cloud) arrays hold a quarter of it each and the sweep's
+# (point, prefix, cloud) array half of it.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -84,23 +94,37 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _require_finite(shift: np.ndarray, low: float):
+    """Raise unless every cloud is finite: ``shift`` holds the clouds' largest
+    coordinates or coordinate sums, which a nan or +inf makes non-finite, and
+    ``low`` the least of them over the chunk, which a -inf makes -inf."""
+    if not (np.isfinite(shift).all() and low > -np.inf):
+        raise DomainError("all points must be finite")
+
+
 def _pareto_mask(pts: np.ndarray) -> np.ndarray:
     """Boolean mask of componentwise-maximal rows.
 
     Weak domination (<= everywhere, < somewhere) prunes; exact duplicates
-    keep their first occurrence.
+    keep their first occurrence.  A stable sort, lexicographically
+    descending, puts every weak dominator of a row and every earlier copy of
+    it before the row, and nothing else that is >= it everywhere, so a row
+    is pruned exactly when a row before it in that order is >= it
+    everywhere.  The rows are compared in column blocks of at most
+    ``_CHUNK_ELEMENTS`` pairs.
     """
-    m = pts.shape[0]
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        ge = (pts >= pts[i]).all(axis=1)
-        gt = (pts > pts[i]).any(axis=1)
-        if np.any(ge & gt):
-            keep[i] = False
-            continue
-        eq = ge & ~gt
-        if eq[:i].any():
-            keep[i] = False
+    m, n = pts.shape
+    order = np.lexsort(-pts.T[::-1])
+    ranked = pts[order]
+    keep = np.empty(m, dtype=bool)
+    cols = max(1, _CHUNK_ELEMENTS // max(m, 1))
+    for lo in range(0, m, cols):
+        block = ranked[lo : lo + cols]
+        hi = lo + block.shape[0]
+        ge = np.ones((hi, block.shape[0]), dtype=bool)  # ge[i, j]: row i >= row lo + j everywhere
+        for k in range(n):
+            ge &= ranked[:hi, None, k] >= block[None, :, k]
+        keep[order[lo:hi]] = ~np.triu(ge, 1 - lo).any(axis=0)  # rows i < lo + j only
     return keep
 
 
@@ -119,14 +143,17 @@ def _ewv_staircase_log_rows(x: np.ndarray, y: np.ndarray):
     coordinate sum of the row, which no x_k + y_k exceeds, so no term
     overflows.  A point that sets no record adds an exact zero, so pruning
     dominated points leaves every strip bit for bit.  x and y are gathered
-    into sweep order, the gathered y is added to the gathered x in place
-    (the same sums as x + y), and the strips are formed in place.
+    into sweep order by one flat index of the rows, the gathered y is added
+    to the gathered x in place (the same sums as x + y), and the strips are
+    formed in place.
     """
     order = np.argsort(-x, axis=1)
-    strips = np.take_along_axis(x, order, axis=1)
-    ys = np.take_along_axis(y, order, axis=1)
+    order += np.arange(0, order.size, x.shape[1])[:, None]
+    strips = x.reshape(-1)[order]
+    ys = y.reshape(-1)[order]
     strips += ys
     shift = strips.max(axis=1)
+    _require_finite(shift, strips.min())
     run = np.maximum.accumulate(ys, axis=1)
     gap = np.empty_like(ys)  # y_prev - y_k, -inf before the first record
     gap[:, 0] = -np.inf
@@ -139,49 +166,141 @@ def _ewv_staircase_log_rows(x: np.ndarray, y: np.ndarray):
     return shift, -strips.sum(axis=1)
 
 
-def _ewv3_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Mantissa of the n=3 sweep for clouds (B, m, 3): EWV = exp(shift) * mantissa.
+def _maxima3(pts: np.ndarray):
+    """(shift, counts, survivors) of the 3-D maxima filter of clouds (B, m, 3).
 
-    With the points sorted by x descending (x_(m+1) = -inf) and R_j the
-    running maximum of y, summation by parts turns the n=2 staircase into
+    Sorted by x descending, point j is dropped when a point before it has
+    y >= y_j and z >= z_j: j is weakly dominated or a copy, so its orthant
+    lies in the others' union and dropping it leaves the EWV exact.  At
+    exact x ties a dominated point can survive, which is harmless: the
+    survivors hold every maximum.  ``survivors`` lists each cloud's kept
+    point indices in sweep order, cloud after cloud, and ``counts`` how many
+    each cloud keeps; ``shift`` is each cloud's largest coordinate sum.
+    """
+    B, m, _ = pts.shape
+    sums = pts.sum(axis=2)
+    shift = sums.max(axis=1)
+    _require_finite(shift, sums.min())
+    del sums
+    order = np.argsort(pts[:, :, 0], axis=1)[:, ::-1]
+    order += np.arange(0, B * m, m)[:, None]
+    flat = pts.reshape(B * m, 3)
+    y, z = flat[order.T, 1], flat[order.T, 2]  # (point, cloud) in sweep order
+    dominated = np.zeros((m, B), dtype=bool)
+    ge = np.empty((m - 1, B), dtype=bool)
+    ge_z = np.empty_like(ge)
+    for i in range(m - 1):
+        k = m - 1 - i
+        np.less_equal(y[i + 1 :], y[i], out=ge[:k])
+        np.less_equal(z[i + 1 :], z[i], out=ge_z[:k])
+        ge[:k] &= ge_z[:k]
+        dominated[i + 1 :] |= ge[:k]
+    del y, z, ge, ge_z
+    order -= np.arange(0, B * m, m)[:, None]
+    clouds, points = np.nonzero(~dominated.T)
+    return shift, np.bincount(clouds, minlength=B), order[clouds, points]
+
+
+def _ewv3_mantissa(x: np.ndarray, y: np.ndarray, z: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Mantissa of the n=3 sweep of clouds held point-major, (w, G) per coordinate.
+
+    EWV = exp(shift) * mantissa.  The points of each cloud come sorted by x
+    descending (x_(w+1) = -inf).  With R_j the running maximum of y,
+    summation by parts turns the n=2 staircase into
     sum_j (exp(x_j) - exp(x_(j+1))) exp(R_j).  Slab k of the z sweep is the
     staircase of the k+1 points of largest z: the other points are masked to
     -inf before the running maximum, so every prefix comes out of one pass
-    over a (point, cloud, prefix) array.  R_kj is the y of a point i with
+    over a (point, prefix, cloud) array.  R_kj is the y of a point i with
     x_i >= x_j and z_i >= z_(k), so x_j + R_kj + z_(k) never exceeds
     ``shift``, the largest coordinate sum of the cloud, and no term
     overflows.  Every term is non-negative; dominated points and ties add
-    zero.
+    zero.  Both sums run in order, point by point and then prefix by
+    prefix, one cloud per lane, so copies of a cloud's first point placed
+    before it add exact zeros (their x steps are 0) and a cloud's bits
+    depend neither on its padding nor on its batch-mates.
     """
-    m = pts.shape[1]
-    order = np.argsort(-pts[:, :, 0], axis=1)
-    x, y, z = np.take_along_axis(pts, order[:, :, None], axis=1).transpose(2, 1, 0)  # (point, cloud)
+    w = x.shape[0]
     z_order = np.argsort(-z, axis=0)
     zs = np.take_along_axis(z, z_order, axis=0)
     rank = np.empty_like(z_order)
-    np.put_along_axis(rank, z_order, np.arange(m)[:, None], axis=0)
+    np.put_along_axis(rank, z_order, np.arange(w)[:, None], axis=0)
     dx = -np.expm1(np.diff(x, axis=0, append=-np.inf))  # (exp(x_j) - exp(x_(j+1))) / exp(x_j)
     dz = -np.expm1(np.diff(zs, axis=0, append=-np.inf))
-    E = np.where(rank[:, :, None] <= np.arange(m), y[:, :, None], -np.inf)  # (j, B, k)
+    E = np.where(rank[:, None] <= np.arange(w)[:, None], y[:, None], -np.inf)  # (j, k, G)
     # row by row: maximum.accumulate along an axis is several times slower
-    for j in range(1, m):
+    for j in range(1, w):
         np.maximum(E[j - 1], E[j], out=E[j])
-    E += (x - shift)[:, :, None]
-    E += zs.T[None]
+    E += (x - shift)[:, None]
+    E += zs
     np.exp(E, out=E)
-    E *= dx[:, :, None]
-    return (E.sum(axis=0) * dz.T).sum(axis=1)
+    E *= dx[:, None]
+    for j in range(1, w):
+        E[j] += E[j - 1]
+    slabs = E[-1]
+    slabs *= dz
+    for k in range(1, w):
+        slabs[k] += slabs[k - 1]
+    return slabs[-1]
+
+
+def _sweep_bucket(count: int) -> int:
+    """Largest survivor count of ``count``'s sweep group: counts up to 8 alone, then 4 groups per doubling."""
+    step = 1 << max((count - 1).bit_length() - 3, 0)
+    return -(-count // step) * step
+
+
+def _ewv3_log_rows(points: np.ndarray):
+    """(shift, mantissa) of clouds (R, m, 3): the maxima filter, then padded sweeps.
+
+    The filter runs in chunks of at most ``_CHUNK_ELEMENTS // (4 m)``
+    clouds, so its (point, cloud) arrays together stay near
+    ``_CHUNK_ELEMENTS`` elements.  Clouds are then grouped by the bucket of
+    their survivor count (:func:`_sweep_bucket`), each group padded to its
+    largest count with copies of each cloud's first survivor placed before
+    it, and swept in batches whose (point, prefix, cloud) array holds at
+    most half of ``_CHUNK_ELEMENTS`` entries.
+    """
+    R, m, _ = points.shape
+    shift = np.empty(R)
+    counts = np.empty(R, dtype=np.intp)
+    survivors = [np.empty(0, dtype=np.intp)]
+    rows = max(1, _CHUNK_ELEMENTS // (4 * m))
+    for lo in range(0, R, rows):
+        part = slice(lo, min(lo + rows, R))
+        shift[part], counts[part], kept = _maxima3(points[part])
+        survivors.append(kept)
+    survivors = np.concatenate(survivors)
+    start = np.cumsum(counts) - counts
+    present = np.zeros(m + 1, dtype=bool)
+    present[counts] = True
+    groups = {}
+    for count in np.flatnonzero(present).tolist():
+        groups.setdefault(_sweep_bucket(count), []).append(count)
+    mantissa = np.empty(R)
+    for members in groups.values():
+        w = members[-1]
+        group = np.flatnonzero((counts >= members[0]) & (counts <= w))
+        batch = max(1, _CHUNK_ELEMENTS // (2 * w * w))
+        for lo in range(0, group.size, batch):
+            clouds = group[lo : lo + batch]
+            slot = np.maximum(np.arange(w)[:, None] - (w - counts[clouds]), 0)  # pads repeat slot 0
+            j = survivors[start[clouds] + slot]  # (w, G)
+            x, y, z = (points[clouds, j, c] for c in range(3))
+            mantissa[clouds] = _ewv3_mantissa(x, y, z, shift[clouds])
+    return shift, mantissa
 
 
 def _ewv_log_rows(points: np.ndarray):
     """(shift, mantissa) of clouds (R, m, n) for n <= 3, in row chunks.
 
-    Each chunk holds at most ``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a
-    quarter of that for n = 2; at least one), so no temporary of a kernel
-    grows with R.  Every cloud is reduced on its own, so the chunking
-    leaves every bit of the result.
+    n = 3 is :func:`_ewv3_log_rows`.  For n <= 2 each chunk holds at most
+    ``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a quarter of that for n = 2;
+    at least one), so no temporary of a kernel grows with R.  Every cloud
+    is reduced on its own, so the chunking leaves every bit of the result.
     """
     R, m, n = points.shape
+    if n == 3:
+        return _ewv3_log_rows(points)
     shift = np.empty(R)
     mantissa = np.empty(R)
     # the n = 2 sweep holds five (cloud, point) arrays at once, so it takes a quarter of the elements
@@ -193,11 +312,9 @@ def _ewv_log_rows(points: np.ndarray):
         if n == 1:
             shift[part] = pts[:, :, 0].max(axis=1)
             mantissa[part] = 1.0
-        elif n == 2:
-            shift[part], mantissa[part] = _ewv_staircase_log_rows(pts[:, :, 0], pts[:, :, 1])
+            _require_finite(shift[part], pts[:, :, 0].min())
         else:
-            shift[part] = pts.sum(axis=2).max(axis=1)
-            mantissa[part] = _ewv3_mantissa(pts, shift[part])
+            shift[part], mantissa[part] = _ewv_staircase_log_rows(pts[:, :, 0], pts[:, :, 1])
     return shift, mantissa
 
 
@@ -258,21 +375,24 @@ def ewv_mc(cloud: PointCloud, budget: int, stream: RngStream):
 def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.ndarray:
     """Exact EWV of many clouds at once; ``points`` has shape (R, m, n), m and n >= 1.
 
-    n = 1 is the maximum, n = 2 the staircase and n = 3 the masked-prefix
-    sweep, each vectorized over the clouds of a row chunk; n >= 4 prunes
-    each cloud to its Pareto set and slices the last coordinate down to the
-    n = 3 kernel.  ``points`` may be any strided view, such as
-    ``np.moveaxis`` of an (n, R, m) block of coordinate planes; it is never
-    copied whole.  The result does not depend on the order of the points
-    within a cloud, except in the rounding of clouds with exactly tied
-    coordinates (see the module docstring).
+    n = 1 is the maximum, n = 2 the staircase and n = 3 the maxima filter
+    followed by the masked-prefix sweep of the survivors, each vectorized
+    over many clouds; n >= 4 prunes each cloud to its Pareto set and slices
+    the last coordinate down to the n = 3 kernel.  ``points`` may be any
+    strided view, such as ``np.moveaxis`` of an (n, R, m) block of
+    coordinate planes; it is never copied whole.  The result does not depend
+    on the order of the points within a cloud, except in the rounding of
+    clouds with exactly tied coordinates (see the module docstring).  Raises
+    :class:`DomainError` unless ``points`` holds real, finite numbers.
     """
     # ``gen`` is unused: perfbench/run.py and perfbench/probes.py pass it, and
     # the benchmark stays fixed so that its timings compare across versions.
-    points = np.asarray(points, dtype=float)
+    points = require_real_array(points, "points")
     if points.ndim != 3 or not points.shape[1] or not points.shape[2]:
         raise DomainError(f"points must have shape (R, m, n) with m, n >= 1, got {points.shape}")
     if points.shape[2] >= 4:
+        if not np.isfinite(points).all():
+            raise DomainError("all points must be finite")
         shift, mantissa = np.array([_ewv_log_cloud(p) for p in points]).reshape(-1, 2).T
     else:
         shift, mantissa = _ewv_log_rows(points)

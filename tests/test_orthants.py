@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -42,6 +43,27 @@ def inclusion_exclusion_ewv(points):
     return math.exp(shift.sum()) * total
 
 
+def brute_force_pareto_mask(pts):
+    """Reference mask, point by point: a row is pruned when another row weakly
+    dominates it or an earlier row equals it."""
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for i, p in enumerate(pts):
+        ge = (pts >= p).all(axis=1)
+        gt = (pts > p).any(axis=1)
+        keep[i] = not (ge & gt).any() and not (ge & ~gt)[:i].any()
+    return keep
+
+
+def drifted_clouds(R, m, T, seed):
+    """R clouds of three sqrt(2) B(t) - t coordinates on m nodes of [0, T], as
+    the window estimators see them: a moveaxis view of coordinate planes."""
+    gen = np.random.default_rng(seed)
+    step = T / (m - 1)
+    inc = math.sqrt(step) * gen.standard_normal((3, R, m - 1))
+    planes = math.sqrt(2.0) * np.concatenate([np.zeros((3, R, 1)), np.cumsum(inc, axis=2)], axis=2)
+    return np.moveaxis(planes - step * np.arange(m), 0, 2)
+
+
 def oracle_clouds(n, ties, count=20, seed=0):
     """Small random clouds; with ``ties`` the coordinates are rounded to halves
     so that equal coordinates and duplicate points occur."""
@@ -66,6 +88,20 @@ class TestParetoPrune:
     def test_duplicates_deduplicated(self):
         cloud = PointCloud(2, [[1.0, 2.0], [1.0, 2.0]])
         assert pareto_prune(cloud).size == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mask_matches_brute_force(self, n):
+        # halves make tied coordinates and exact duplicates common
+        gen = np.random.default_rng([31, n])
+        for _ in range(40):
+            pts = np.round(2.0 * gen.normal(size=(gen.integers(1, 40), n))) / 2.0
+            np.testing.assert_array_equal(_pareto_mask(pts), brute_force_pareto_mask(pts))
+
+    def test_mask_matches_brute_force_on_distinct_clouds(self):
+        gen = np.random.default_rng(32)
+        for n in (2, 3, 5):
+            pts = gen.normal(size=(300, n))
+            np.testing.assert_array_equal(_pareto_mask(pts), brute_force_pareto_mask(pts))
 
     def test_prune_preserves_ewv_exactly(self):
         gen = np.random.default_rng(5)
@@ -267,6 +303,67 @@ class TestEwvBatch:
         stacked = np.ascontiguousarray(view)
         monkeypatch.setattr(orthants, "_CHUNK_ELEMENTS", 1 << 62)
         np.testing.assert_array_equal(chunked, ewv_batch(stacked))
+
+    def test_n3_survivor_count_grouping_and_padding_leave_bits(self):
+        # a cloud's value does not depend on the clouds it is swept with: alone,
+        # among clouds with larger Pareto sets (which pad it) and shuffled
+        clouds = np.ascontiguousarray(drifted_clouds(300, 33, 1.0, seed=33))
+        counts = np.array([_pareto_mask(c).sum() for c in clouds])
+        batch = ewv_batch(clouds)
+        buckets = np.array([orthants._sweep_bucket(int(c)) for c in counts])
+        # clouds that a batch-mate of the same sweep group pads
+        padded = [r for r in range(len(clouds)) if (counts[buckets == buckets[r]] > counts[r]).any()]
+        assert len(padded) >= 5
+        for r in [*padded[:: len(padded) // 5], int(np.argmin(counts)), int(np.argmax(counts))]:
+            np.testing.assert_array_equal(ewv_batch(clouds[r : r + 1]), batch[r : r + 1])
+            mixed = ewv_batch(np.concatenate([clouds[counts > counts[r]], clouds[r : r + 1]]))
+            np.testing.assert_array_equal(mixed[-1:], batch[r : r + 1])
+        perm = np.random.default_rng(34).permutation(len(clouds))
+        np.testing.assert_array_equal(ewv_batch(clouds[perm]), batch[perm])
+
+    def test_n3_many_dominated_points_ties_and_duplicates(self):
+        # a few maxima among many dominated points, exact copies and x ties,
+        # some with a later point of the same x dominating an earlier one
+        gen = np.random.default_rng(35)
+        for _ in range(20):
+            front = gen.normal(size=(6, 3))
+            below = front[gen.integers(0, 6, size=30)] - gen.exponential(size=(30, 3)) * (gen.random((30, 3)) < 0.7)
+            tied = front[gen.integers(0, 6, size=4)]
+            tied[:, 1:] -= 0.5  # same x as a maximum, dominated by it
+            pts = np.concatenate([tied, front, front[:2], below])
+            gen.shuffle(pts)
+            assert ewv_batch(pts[None])[0] == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-12)
+        # the later of two points with equal x dominates the earlier one
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [-1.0, 2.0, -1.0], [0.0, 0.5, 1.0]])
+        assert ewv_batch(pts[None])[0] == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-12)
+
+    def test_n3_peak_is_a_few_chunks(self):
+        # the maxima filter and the padded sweeps keep their temporaries within
+        # a few _CHUNK_ELEMENTS floats, at the m = 513 of a fine window grid
+        clouds = drifted_clouds(64, 513, 4.0, seed=36)
+        ewv_batch(clouds)
+        tracemalloc.start()
+        try:
+            ewv_batch(clouds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * orthants._CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_non_finite_points_rejected(self, n, bad):
+        pts = np.random.default_rng(37).normal(size=(5, 4, n))
+        for c in range(n):
+            for j in (0, 3):
+                bent = pts.copy()
+                bent[2, j, c] = bad
+                with pytest.raises(DomainError, match="finite"):
+                    ewv_batch(bent)
+
+    def test_non_real_points_rejected(self):
+        with pytest.raises(DomainError, match="real numbers"):
+            ewv_batch([[["a"]]])
 
     def test_generator_is_ignored(self):
         gen = np.random.default_rng(18)
