@@ -6,10 +6,11 @@ resolves the u^(-2/kappa) mesoscale of the local-window theory; nested
 refinement (evaluating strided subsets of one fine-grid batch) makes the
 discretization bias monotone and exactly measurable per replication.
 
-Replication block b draws coordinate i from the stream ("block", b,
-"coord", i).  Every hit count, the Borell audit's empirical tail included,
-comes from one lazy scan, :func:`_exceed_blocks`, which streams each block
-in chunks of rows, coordinate by coordinate.  In each chunk coordinate 0 is
+Every estimate runs its replication blocks through the block engine
+:func:`~gpextremes.sampling._plane_blocks`, which draws coordinate i of
+block b from the stream ("block", b, "coord", i).  The hit counts of the
+probability estimators come from one lazy scan, :func:`_exceed_blocks`, a
+reducer of that engine: in each chunk of a block's rows coordinate 0 is
 drawn on every row and gives, per threshold row, the node mask of its
 exceedances.  A row without an exceeding node for any threshold row cannot
 hit, so a later coordinate is drawn only for the rows still alive, and no
@@ -18,10 +19,10 @@ coordinate i is paired with the k-th row of coordinate i's stream.  Which
 rows are alive depends only on the earlier coordinates, and the rows of
 coordinate i are iid and independent of them, so every row is still a
 vector of independent coordinate paths and the hit count is Binomial(R, p).
-The Borell audit's mixture supremum needs whole paths: it is a reducer of
-the block engine :func:`~gpextremes.sampling._plane_blocks`.  Every
-estimate reports its draw record in ``diagnostics``, including the rows
-drawn per coordinate and the samplers' numerical fallbacks.
+The Borell audit's mixture supremum needs whole paths; its empirical
+tail counts hits on the same paths, drawn once, row k of every coordinate
+together.  Every estimate reports the engine's draw record in
+``diagnostics``: the rows drawn per coordinate and the samplers' fallbacks.
 
 The audits turn the comparison inequalities into empirical verdicts:
 correlation dominance must not raise the conjunction probability
@@ -40,7 +41,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
-from .parallel import mean_and_se, replicate, require_count, require_ladder, require_real, require_stream
+from .parallel import mean_and_se, require_count, require_ladder, require_real, require_stream
 from .processes import (
     NonStationary,
     Stationary,
@@ -49,7 +50,7 @@ from .processes import (
     coord_variance,
 )
 from .rng import RngStream
-from .sampling import SampleGrid, _block_cursors, _chunk_rows, _draw_diagnostics, _plane_blocks, coordinate_samplers
+from .sampling import SampleGrid, _plane_blocks, _take_all, coordinate_samplers
 
 __all__ = [
     "ProbEstimate",
@@ -73,13 +74,13 @@ __all__ = [
 class ProbEstimate:
     """Binomial hit-probability estimate; zero hits, or R, report the rule-of-three se 3/R.
 
-    ``diagnostics`` records the draw: each coordinate's sampler ``method``
-    and ``size``, the number of replication blocks and ``rows_drawn``, the
-    rows whose normals were drawn per coordinate.  The lazy scan draws
+    ``diagnostics`` is the draw record of
+    :func:`~gpextremes.sampling._plane_blocks`: each coordinate's sampler
+    fields, the number of replication blocks and ``rows_drawn``, the rows
+    drawn per coordinate as the engine counted them.  The lazy scan draws
     coordinate i >= 1 only for the rows alive after the coordinates before
-    it, each taking the next row of coordinate i's stream of rows, whatever
-    its draw method, so its ``rows_drawn`` falls below R for later
-    coordinates.
+    it, so its ``rows_drawn`` falls below R for later coordinates; the
+    Borell audit draws R rows of each.
     """
 
     value: float
@@ -140,43 +141,29 @@ def _exceed_blocks(samplers, thr, R, stream, workers, reduce):
     spec and grid.  ``exceed`` is the (J, k, m) node mask "every coordinate
     exceeds" of the J threshold rows ``thr``, on the k rows of a chunk that
     have an exceeding node for some threshold row; the other rows cannot
-    hit.  ``reduce`` returns counts.  In each chunk coordinate 0 is drawn on
-    every row; each later coordinate is drawn, straight into the chunk's
-    plane, on the rows still alive only (none when no row is alive) and
-    narrows the masks.  Block b streams coordinate i's rows from
-    ``stream.child("block", b, "coord", i)``: row k of the block is row k of
-    coordinate 0's stream, and the k-th row of the block alive before
-    coordinate i >= 1 is row k of coordinate i's stream.  ``rows_drawn``
-    counts the rows drawn per coordinate.
+    hit.  ``reduce`` returns counts.  The scan is a reducer of
+    :func:`~gpextremes.sampling._plane_blocks`: in each chunk coordinate 0
+    is taken on every row, and each later coordinate only on the rows still
+    alive (none when no row is alive), each narrowing the masks.  So row k
+    of a block is row k of coordinate 0's block stream, and the k-th row of
+    the block alive before coordinate i >= 1 is row k of coordinate i's.
     """
-    count = samplers[0].count
-    chunk = _chunk_rows(count)
 
-    def run_block(Rb, block):
-        takes = _block_cursors(samplers, block)
-        plane = np.empty((min(chunk, Rb), count))
-        counts = 0
-        drawn = np.zeros(len(samplers), dtype=np.int64)
-        for r0 in range(0, Rb, chunk):
-            rows = min(chunk, Rb - r0)
-            exceed = None
-            for i, take in enumerate(takes):
-                if not rows:
-                    break
-                above = take(rows, plane[:rows]) > thr[:, i, None, None]
-                drawn[i] += rows
-                exceed = above if exceed is None else np.logical_and(exceed, above, out=above)
-                live = exceed.any(axis=(0, 2))
-                if not live.all():
-                    exceed = exceed[:, live]
-                    rows = exceed.shape[1]
-            counts = counts + reduce(exceed)
-        return counts, drawn
+    def scan(planes, take):
+        rows, exceed = planes.shape[1], None
+        for i in range(len(planes)):
+            if not rows:
+                break
+            above = take(i, rows) > thr[:, i, None, None]
+            exceed = above if exceed is None else np.logical_and(exceed, above, out=above)
+            live = exceed.any(axis=(0, 2))
+            if not live.all():
+                exceed = exceed[:, live]
+                rows = exceed.shape[1]
+        return reduce(exceed)
 
-    parts = replicate(R, stream, workers, run_block)
-    counts = sum(c for c, _ in parts)
-    rows_drawn = np.sum([drawn for _, drawn in parts], axis=0)
-    return counts, _draw_diagnostics(samplers, len(parts), rows_drawn)
+    parts, diagnostics = _plane_blocks(samplers, R, stream, workers, lambda block: scan)
+    return sum(parts), diagnostics
 
 
 def _scan_hits(samplers, thr, R, stream, workers, strides=(1,)):
@@ -397,16 +384,20 @@ def audit_borell(
     tau_sq = float(finite_g.min())
     samplers = coordinate_samplers(spec, grid)
 
-    def sup_mix(planes):
-        return np.einsum("nrm,nm->rm", planes, lam).max(axis=1)
+    def reduce(planes, take):
+        # each row's mixture supremum, and the rows where the least coordinate is above u at some node
+        planes = _take_all(planes, take)
+        sup_mix = np.einsum("nrm,nm->rm", planes, lam).max(axis=1)
+        peaks = planes.min(axis=0).max(axis=1)
+        return sup_mix, (peaks > np.asarray(us)[:, None]).sum(axis=1)
 
-    parts, _ = _plane_blocks(samplers, R, stream, workers, lambda block: sup_mix)
-    mu_hat, mu_se = mean_and_se(parts)
-    counts, diagnostics = _scan_hits(samplers, np.asarray([[u] * spec.n for u in us]), R, stream, workers)
+    parts, diagnostics = _plane_blocks(samplers, R, stream, workers, lambda block: reduce)
+    mu_hat, mu_se = mean_and_se([sup_mix for sup_mix, _ in parts])
+    counts = sum(hits for _, hits in parts)
     mu_conservative = mu_hat + 3.0 * mu_se
 
     reports = []
-    for u, hits in zip(us, counts[:, 0]):
+    for u, hits in zip(us, counts):
         emp = _prob_from_hits(int(hits), R, grid.step, diagnostics)
         if u <= mu_conservative:
             reports.append(BorellReport(tau_sq, mu_hat, mu_se, math.nan, emp, "inconclusive"))

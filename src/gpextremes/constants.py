@@ -27,7 +27,7 @@ from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedM
 from .orthants import ewv_batch
 from .parallel import mean_and_se, require_count, require_ladder, require_real, require_stream
 from .rng import RngStream
-from .sampling import FgnSampler, _plane_blocks
+from .sampling import FgnSampler, _plane_blocks, _take_all
 
 __all__ = [
     "DriftSpec",
@@ -234,8 +234,8 @@ def estimate_window_constant(
     def reducer(block):
         gen_u = block("bridge").generator() if exact_bridge else None
 
-        def reduce(paths):
-            # one (rows, m) plane per coordinate, each drifted in place
+        def reduce(planes, take):
+            paths = _take_all(planes, take)  # one (rows, m) plane per coordinate, each drifted in place
             for i, path in enumerate(paths):
                 if j1 > 0:
                     # anchor the two-sided path at the j1-th node (time 0)
@@ -451,9 +451,10 @@ def estimate_discrete_zero(
         def reducer(block):
             tilts = [block("tilt", i).generator() for i in range(C.size)]
 
-            def reduce(paths):
+            def reduce(planes, take):
                 # the K lattice nodes of each plane, scaled, drifted and tilted
                 # in place and folded into the running minimum in plane 0
+                paths = _take_all(planes, take)
                 mins = paths[0, :, 1:]
                 for i, path in enumerate(paths):
                     nodes = path[:, 1:]

@@ -58,14 +58,15 @@ process once, so an estimator can draw every replication block with them.
 A dense symmetric-square-root sampler serves as the independent oracle for
 cross-validation.
 
-Replication blocks of whole paths run through one engine,
-:func:`_plane_blocks`: each chunk of a block draws plane i of one reused
-``(n, rows, count)`` buffer from the block's stream ("block", b, "coord",
-i) and hands the planes to a reducer (the window constant, the
-discrete-zero rungs, the Borell audit's mixture).  The lazy conjunction
-scan keeps its own loop, which takes a later coordinate's rows only for
-the rows still alive, but shares :func:`_block_cursors` and
-:func:`_draw_diagnostics`.
+Every replication block runs through one engine, :func:`_plane_blocks`:
+each chunk of a block hands one reused ``(n, rows, count)`` buffer and a
+``take(i, k)`` to a reducer, and a take draws the next k rows of
+coordinate i from the block's stream ("block", b, "coord", i) into plane
+i.  The reducers of whole paths (the window constant, the discrete-zero
+rungs, the Borell audit) take every row of every plane
+(:func:`_take_all`); the lazy conjunction scan takes a later
+coordinate's rows only for the rows still alive.  The engine counts the
+rows taken, so every estimate's ``rows_drawn`` is measured.
 
 Every draw is one stream of rows.  Each draw method is one cursor kernel,
 and a draw's ``chunks(gen)`` returns its cursor: a function ``take(rows,
@@ -776,52 +777,52 @@ def coordinate_samplers(spec: VectorProcessSpec, grid: SampleGrid) -> tuple:
     return tuple(draws)
 
 
-# -- replication blocks of whole paths ------------------------------------------
+# -- replication blocks --------------------------------------------------------
 
 
-def _block_cursors(draws, block):
-    """Each draw's cursor in a replication block: draw i streams from the block's stream ``block("coord", i)``."""
-    return [draw.chunks(block("coord", i).generator()) for i, draw in enumerate(draws)]
+def _plane_blocks(draws, R, stream, workers, reducer):
+    """``(parts, diagnostics)``: ``reduce(planes, take)`` of every chunk of ``R`` rows of ``draws``, in row order.
 
+    Each block of :func:`replicate` calls ``reduce = reducer(block)`` once
+    and reuses one ``(len(draws), rows, count)`` buffer for its chunks of
+    ``_chunk_rows(len(draws) * count)`` rows, ``planes`` a chunk's view of
+    it.  ``take(i, k)`` draws the next ``k`` rows of draw i from
+    ``block("coord", i)`` into ``planes[i, :k]`` and returns them.
+    ``diagnostics`` is the draw record: each draw's ``sampler_*`` fields,
+    the ``blocks`` and ``rows_drawn``, the rows taken per draw.
+    """
+    n, count = len(draws), draws[0].count
+    chunk = _chunk_rows(n * count)
 
-def _draw_diagnostics(draws, blocks, rows_drawn):
-    """What an estimate reports of its draws ``draws``, the ``blocks`` it ran and the rows drawn per draw."""
-    return {
+    def run_block(Rb, block):
+        reduce = reducer(block)
+        cursors = [draw.chunks(block("coord", i).generator()) for i, draw in enumerate(draws)]
+        buffer = np.empty((n, min(chunk, Rb), count))
+        drawn = [0] * n
+
+        def take(i, k):
+            drawn[i] += k
+            return cursors[i](k, buffer[i, :k])
+
+        return [reduce(buffer[:, : min(chunk, Rb - r0)], take) for r0 in range(0, Rb, chunk)], drawn
+
+    blocks = replicate(R, stream, workers, run_block)
+    diagnostics = {
         "sampler_methods": [draw.method for draw in draws],
         "sampler_sizes": [int(draw.size) for draw in draws],
         "sampler_clamped": [int(draw.clamped) for draw in draws],
         "sampler_factors": [draw.factor for draw in draws],
-        "blocks": blocks,
-        "rows_drawn": [int(r) for r in rows_drawn],
+        "blocks": len(blocks),
+        "rows_drawn": [sum(rows) for rows in zip(*(drawn for _, drawn in blocks))],
     }
+    return [part for parts, _ in blocks for part in parts], diagnostics
 
 
-def _plane_blocks(draws, R, stream, workers, reducer):
-    """``(parts, diagnostics)``: ``reduce(planes)`` of every chunk of ``R`` rows of ``draws``, in row order.
-
-    Each block of :func:`replicate` calls ``reduce = reducer(block)`` once,
-    then fills one reused ``(len(draws), rows, count)`` buffer per chunk of
-    ``_chunk_rows(len(draws) * count)`` rows, plane i drawn in place from
-    ``block("coord", i)``.  ``diagnostics`` is :func:`_draw_diagnostics`.
-    """
-    count = draws[0].count
-    chunk = _chunk_rows(len(draws) * count)
-
-    def run_block(Rb, block):
-        reduce = reducer(block)
-        takes = _block_cursors(draws, block)
-        buffer = np.empty((len(draws), min(chunk, Rb), count))
-        parts = []
-        for r0 in range(0, Rb, chunk):
-            planes = buffer[:, : min(chunk, Rb - r0)]
-            for take, plane in zip(takes, planes):
-                take(len(plane), plane)
-            parts.append(reduce(planes))
-        return parts
-
-    blocks = replicate(R, stream, workers, run_block)
-    parts = [part for block in blocks for part in block]
-    return parts, _draw_diagnostics(draws, len(blocks), [R] * len(draws))
+def _take_all(planes, take):
+    """``planes`` with every row of every plane taken: the draw of a :func:`_plane_blocks` reducer of whole paths."""
+    for i, plane in enumerate(planes):
+        take(i, len(plane))
+    return planes
 
 
 def sample_vector(spec: VectorProcessSpec, grid: SampleGrid, R: int, stream: RngStream) -> PathBatch:

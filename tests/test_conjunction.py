@@ -248,15 +248,55 @@ class TestBorellAudit:
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5])
-    def test_sees_the_paths_of_the_scan(self, kappa):
-        # the whole-path blocks and the lazy scan draw coordinate i of block b
-        # from one stream, so they count the same hits
+    def test_hits_are_row_aligned_on_the_block_streams(self, kappa):
+        # the empirical tail counts row k of every coordinate of block b's streams together
         spec, grid, us, R = ou_spec(n=2, kappa=kappa), unit_grid(257), (1.0, 2.0), 5000
         stream = STREAM.child("bor-scan", int(2 * kappa))
         reports = audit_borell(spec, us, grid, R, stream)
-        ests = estimate_conjunction_prob(spec, [[u, u] for u in us], grid, R, stream)
-        assert [r.empirical_at_u.hits for r in reports] == [e.hits for e in ests]
-        assert ests[0].hits > ests[1].hits > 0
+        ref = aligned_hits(spec, grid, us, R, stream)
+        assert [r.empirical_at_u.hits for r in reports] == list(ref)
+        assert ref[0] > ref[1] > 0
+        assert reports[0].empirical_at_u.diagnostics["rows_drawn"] == [R, R]
+
+    def test_draws_each_path_once(self, monkeypatch):
+        # the mixture supremum and the hits come from one pass: each coordinate's
+        # stream of rows is opened once per block
+        spec, grid, R = ou_spec(n=2, kappa=1.5), unit_grid(257), 5000
+        opened = [0] * spec.n
+
+        def recorded(i, draw):
+            def chunks(gen):
+                opened[i] += 1
+                return draw.chunks(gen)
+
+            return sampling._Draw(chunks, draw.count, draw.method, draw.size, draw.clamped, draw.factor)
+
+        recording = tuple(recorded(i, draw) for i, draw in enumerate(coordinate_samplers(spec, grid)))
+        monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: recording)
+        (report,) = audit_borell(spec, (1.5,), grid, R, STREAM.child("bor-once"))
+        assert opened == [len(block_sizes(R))] * spec.n == [report.empirical_at_u.diagnostics["blocks"]] * spec.n
+
+
+def aligned_hits(spec, grid, us, R, stream):
+    """Hits per u of the rows with a node where every coordinate is above u, row k of each coordinate together.
+
+    The reference for the Borell audit's empirical tail: the same ``replicate``
+    streams, coordinate i of a block drawn by its sampler from
+    ``blk("coord", i)`` in takes of ``_chunk_rows(n * count)`` rows, the block
+    engine's chunks (a dense row rounds by its take size).
+    """
+    samplers = coordinate_samplers(spec, grid)
+    chunk = sampling._chunk_rows(spec.n * grid.count)
+    thr = np.asarray(us, dtype=float)[:, None, None]
+
+    def block(Rb, blk):
+        exceed = np.ones((thr.shape[0], Rb, grid.count), dtype=bool)
+        for i, draw in enumerate(samplers):
+            take = draw.chunks(blk("coord", i).generator())
+            exceed &= np.concatenate([take(min(chunk, Rb - r0)) for r0 in range(0, Rb, chunk)]) > thr
+        return exceed.any(axis=2).sum(axis=1)
+
+    return sum(replicate(R, stream, 1, block))
 
 
 def nonstat_pair_spec(T=1.0):
@@ -510,9 +550,10 @@ class TestLazyScan:
         assert report.empirical_at_u.diagnostics["sampler_clamped"] == [874, 0]
 
     def test_streamed_scan_holds_a_chunk(self, monkeypatch):
-        # the conj-n2 coordinates in chunks of 511 rows: the block's reused plane
-        # of rows, into which every coordinate's normals are drawn and
-        # multiplied, and the masks, beside the factor L built before tracing
+        # the conj-n2 coordinates in chunks of 255 rows of 2 planes: the block's
+        # reused buffer of both planes, into which each coordinate's normals
+        # are drawn and multiplied, and the masks, beside the factor L built
+        # before tracing
         spec, grid = ou_spec(n=2, kappa=1.5), unit_grid(1025)
         samplers = coordinate_samplers(spec, grid)
         monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: samplers)
