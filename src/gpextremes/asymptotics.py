@@ -30,6 +30,7 @@ from .constants import (
     ConstantEstimate,
     DriftSpec,
     _check_amplitudes,
+    _check_window,
     closed_forms_n1,
     estimate_pickands,
     estimate_piterbarg,
@@ -137,7 +138,7 @@ class ClosedFormProvider(ConstantProvider):
 
     def window(self, C, drift: DriftSpec, window) -> ConstantEstimate:
         C = _check_amplitudes(C)
-        S1, S2 = (require_real(window[k], "window") for k in (0, 1))
+        S1, S2 = _check_window(window)
         if C.size != 1 or S1 != 0.0:
             raise ProviderError("window closed forms cover [0, S] with one coordinate")
         if any(v != 0.0 for v in drift.d_lower + drift.d_upper):
@@ -206,7 +207,8 @@ class MonteCarloProvider(ConstantProvider):
         return self._cached(key, estimate_pickands, direction, self.kappa, _PICKANDS_LADDER)
 
     def window(self, C, drift: DriftSpec, window) -> ConstantEstimate:
-        key = self._key("window", C, drift.exponent, drift.d_lower, drift.d_upper, window[0], window[1])
+        S1, S2 = _check_window(window)
+        key = self._key("window", C, drift.exponent, drift.d_lower, drift.d_upper, S1, S2)
         return self._cached(key, estimate_window_constant, C, self.kappa, drift, window)
 
     def piterbarg(self, C, drift: DriftSpec, variant: str) -> ConstantEstimate:
@@ -460,7 +462,7 @@ def local_window_approx(
     """Short-window tail formula: window constant times the tail product."""
     kappa = require_real(kappa, "kappa", above=0, at_most=2)
     u = require_real(u, "u", above=0)
-    S1, S2 = (require_real(window[k], "window") for k in (0, 1))
+    S1, S2 = _check_window(window)
     if max(S1, S2) <= 0:
         raise DomainError("window must have positive extent")
     est = constant_provider.window(np.asarray(C_effective, dtype=float), drift, (S1, S2))

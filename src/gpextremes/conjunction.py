@@ -41,7 +41,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticApproximation
 from .errors import DomainError, PreconditionError
-from .parallel import mean_and_se, require_count, require_ladder, require_real, require_stream
+from .parallel import binomial_se, mean_and_se, require_count, require_ladder, require_real, require_stream
 from .processes import (
     NonStationary,
     Stationary,
@@ -93,16 +93,11 @@ class ProbEstimate:
 
 
 def _prob_from_hits(hits, R, grid_step, diagnostics) -> ProbEstimate:
-    p = hits / R
-    if hits == 0:
-        return ProbEstimate(
-            0.0, 3.0 / R, 0, R, grid_step, "rare event: zero hits; se is the rule-of-three bound 3/R", dict(diagnostics)
-        )
-    if hits == R:
-        return ProbEstimate(
-            1.0, 3.0 / R, R, R, grid_step, "every replication hits; se is the rule-of-three bound 3/R", dict(diagnostics)
-        )
-    return ProbEstimate(p, math.sqrt(p * (1.0 - p) / R), int(hits), R, grid_step, "", dict(diagnostics))
+    notes = {
+        0: "rare event: zero hits; se is the rule-of-three bound 3/R",
+        R: "every replication hits; se is the rule-of-three bound 3/R",
+    }
+    return ProbEstimate(hits / R, binomial_se(hits, R), int(hits), R, grid_step, notes.get(hits, ""), dict(diagnostics))
 
 
 def default_grid_step(horizon_T, u, kappa_min) -> float:
@@ -113,12 +108,18 @@ def default_grid_step(horizon_T, u, kappa_min) -> float:
 
 
 def _threshold_matrix(thresholds, n):
-    """``thresholds``, a vector of n numbers or a stack of such vectors, as a (rows, n) float array."""
-    thr = np.reshape([require_real(v, "thresholds") for v in np.ravel(thresholds)], np.shape(thresholds))
+    """``thresholds``, a vector of n numbers or a non-empty stack of such vectors, as a (rows, n) float array."""
+    try:
+        shape = np.shape(thresholds)
+    except ValueError:  # a ragged stack
+        raise DomainError("thresholds must be a vector or a stack of equally long vectors") from None
+    thr = np.reshape([require_real(v, "thresholds") for v in np.ravel(thresholds)], shape)
     if thr.ndim == 1:
         thr = thr[None, :]
     if thr.ndim != 2 or thr.shape[1] != n:
         raise DomainError(f"thresholds shape {thr.shape} incompatible with n={n}")
+    if not thr.shape[0]:
+        raise DomainError("thresholds must hold at least one threshold vector")
     return thr
 
 
@@ -208,7 +209,10 @@ def conjunction_prob_nested(
     sets nest and paths are shared, the hit indicator is monotone under
     refinement, exactly.
     """
-    strides = tuple(require_count(s, 1, "strides") for s in strides)
+    try:
+        strides = tuple(require_count(s, 1, "strides") for s in strides)
+    except TypeError:
+        raise DomainError(f"strides must be a sequence of positive integers, got {strides!r}") from None
     if not strides:
         raise DomainError("strides must name at least one stride")
     if any(a <= b or a % b for a, b in zip(strides, strides[1:])):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationError, UnsupportedModelError
 from .orthants import ewv_batch
-from .parallel import mean_and_se, require_count, require_ladder, require_real, require_stream
+from .parallel import binomial_se, mean_and_se, require_count, require_ladder, require_real, require_stream
 from .rng import RngStream
 from .sampling import FgnSampler, _plane_blocks, _take_all
 
@@ -43,6 +43,14 @@ __all__ = [
 ]
 
 
+def _drift_rates(values, name):
+    """The drift rates ``values``, a sequence of numbers, as a tuple of floats."""
+    try:
+        return tuple(require_real(v, name) for v in values)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class DriftSpec:
     """Two-sided power drift d_i(t) = d_lower_i |t|^e for t <= 0, d_upper_i t^e for t > 0."""
@@ -53,8 +61,7 @@ class DriftSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", require_real(self.exponent, "drift exponent", above=0))
-        lo = tuple(require_real(v, "d_lower") for v in self.d_lower)
-        hi = tuple(require_real(v, "d_upper") for v in self.d_upper)
+        lo, hi = _drift_rates(self.d_lower, "d_lower"), _drift_rates(self.d_upper, "d_upper")
         if len(lo) != len(hi) or not lo:
             raise DomainError("d_lower and d_upper must be non-empty and equally long")
         object.__setattr__(self, "d_lower", lo)
@@ -111,6 +118,24 @@ def _check_amplitudes(C):
     if not np.any(C > 0):
         raise DomainError("C must be a non-empty vector with at least one positive entry")
     return C
+
+
+def _check_window(window, at_least=None):
+    """``(S1, S2)``: the window ``window``, a pair of finite numbers, each ``>= at_least`` where given."""
+    try:
+        S1, S2 = window
+    except (TypeError, ValueError):
+        raise DomainError(f"window must be a pair (S1, S2), got {window!r}") from None
+    return tuple(require_real(S, "window bounds", at_least=at_least) for S in (S1, S2))
+
+
+def _check_drift(drift, n):
+    """``drift``: a :class:`DriftSpec` of ``n`` coordinates."""
+    if not isinstance(drift, DriftSpec):
+        raise DomainError(f"drift must be a DriftSpec, got {drift!r}")
+    if drift.n != n:
+        raise DomainError("drift dimension must match C")
+    return drift
 
 
 def _window_node_count(S, step, label):
@@ -197,9 +222,8 @@ def estimate_window_constant(
     """
     C = _check_amplitudes(C)
     kappa = require_real(kappa, "kappa", above=0, at_most=2)
-    S1, S2 = (require_real(window[k], "window bounds", at_least=0) for k in (0, 1))
-    if drift.n != C.size:
-        raise DomainError("drift dimension must match C")
+    S1, S2 = _check_window(window, at_least=0)
+    _check_drift(drift, C.size)
     if S1 == 0.0 and S2 == 0.0:
         return ConstantEstimate(1.0, 0.0, (0.0, 0.0), 0.0, 0, "window")
 
@@ -369,6 +393,7 @@ def estimate_piterbarg(
     """
     require_stream(stream)
     C = _check_amplitudes(C)
+    _check_drift(drift, C.size)
     if variant not in _PITERBARG_VARIANTS:
         raise DomainError(f"variant must be one of {_PITERBARG_VARIANTS}")
     if variant in ("right", "two_sided") and sum(drift.d_upper) <= 0:
@@ -468,9 +493,7 @@ def estimate_discrete_zero(
 
         parts, draws = _plane_blocks([fbm] * C.size, R, stream.child("rung", r), workers, reducer)
         hits = sum(parts)
-        p = hits / R
-        se = math.sqrt(p * (1.0 - p) / R) if 0 < hits < R else 3.0 / R
-        rungs.append((u, p / u, se / u))
+        rungs.append((u, hits / R / u, binomial_se(hits, R) / u))
         rung_draws.append(draws)
 
     (u1, h1, se1), (u2, h2, se2) = rungs[-2], rungs[-1]
@@ -547,8 +570,7 @@ def piterbarg_lower_bound(C, kappa, drift: DriftSpec, variant: str, pickands_val
     max(0, d_upper_i))^(-1/kappa) * H, with H the undrifted limit constant.
     """
     C = _check_amplitudes(C)
-    if drift.n != C.size:
-        raise DomainError("drift dimension must match C")
+    _check_drift(drift, C.size)
     kappa = require_real(kappa, "kappa", above=0, at_most=2)
     pickands_value = require_real(pickands_value, "pickands_value")
     if variant == "right":

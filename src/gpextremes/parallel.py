@@ -5,13 +5,15 @@ Every Monte Carlo estimator in the package runs its replications through
 it into blocks of ``BLOCK_SIZE``, keys each block's random streams and
 returns the block results in block order.  Block b always draws from the
 caller's stream child ("block", b, ...), so the worker count changes wall
-time only, never a single bit of the output.  A block returns its
-per-replication values as an array, and :func:`mean_and_se` joins the
-arrays in block order into every replication-mean estimate.  While the
-blocks run, numpy's bundled OpenBLAS is held to one thread, whatever the
-worker count: the workers, not the threads of each matrix product, share
-the cores, and a product rounds its last bits by the BLAS thread count, so
-one count for every worker count keeps the output the same.
+time only, never a single bit of the output.  Its one caller is the block
+engine :func:`gpextremes.sampling._plane_blocks`, whose reducers return
+per-replication values as arrays, which :func:`mean_and_se` joins in block
+order into every replication-mean estimate, or hit counts, whose
+frequency's se is :func:`binomial_se`.  While the blocks run, numpy's
+bundled OpenBLAS is held to one thread, whatever the worker count: the
+workers, not the threads of each matrix product, share the cores, and a
+product rounds its last bits by the BLAS thread count, so one count for
+every worker count keeps the output the same.
 
 From that library (``libscipy_openblas*`` in ``numpy.libs``), opened once
 with ctypes, the package takes three functions: the thread-count getter
@@ -259,13 +261,12 @@ def replicate(R: int, stream: RngStream, workers: int, fn):
     """``[fn(Rb, block) for each block]`` over ``R`` replications, in block order.
 
     ``Rb`` is the block's replication count and ``block(*salt)`` is the
-    block's stream ``stream.child("block", b, *salt)``; every path draw
-    keys coordinate i as ``block("coord", i)``, as
-    :func:`gpextremes.sampling._plane_blocks` does.  Rejects
-    a missing stream and, by :func:`require_count`, an ``R`` that is not an
-    integer of at least ``MIN_REPLICATIONS`` and ``workers`` that is not a
-    positive integer.  The caller reduces the list: :func:`mean_and_se` for
-    per-replication values, a sum for counts.
+    block's stream ``stream.child("block", b, *salt)``.  Its one caller in
+    the package is the block engine
+    :func:`gpextremes.sampling._plane_blocks`, which draws coordinate i from
+    ``block("coord", i)``.  Rejects a missing stream and, by
+    :func:`require_count`, an ``R`` that is not an integer of at least
+    ``MIN_REPLICATIONS`` and ``workers`` that is not a positive integer.
     """
     require_stream(stream)
     sizes = block_sizes(require_count(R, MIN_REPLICATIONS))
@@ -281,3 +282,14 @@ def mean_and_se(parts) -> tuple:
     """``(mean, std(ddof=1) / sqrt(R))`` of the blocks' value arrays ``parts``, joined in block order."""
     values = np.concatenate(parts)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def binomial_se(hits, R) -> float:
+    """The se of a hit frequency p = ``hits / R``: ``sqrt(p (1 - p) / R)``.
+
+    The rule-of-three bound ``3 / R`` where no replication hits, or every one.
+    """
+    if 0 < hits < R:
+        p = hits / R
+        return math.sqrt(p * (1.0 - p) / R)
+    return 3.0 / R

@@ -371,6 +371,13 @@ class TestLocalWindow:
         with pytest.raises(DomainError):
             local_window_approx([1.0], 1.0, DriftSpec.zero(1), (0.0, 0.0), [3.0], 3.0, StubProvider())
 
+    @pytest.mark.parametrize("window", [2.0, None, (0.0, 1.0, 5.0)])
+    def test_window_must_be_a_pair(self, window):
+        with pytest.raises(DomainError, match="pair"):
+            local_window_approx([1.0], 1.0, DriftSpec.zero(1), window, [3.0], 3.0, StubProvider())
+        with pytest.raises(DomainError, match="pair"):
+            ClosedFormProvider(1.0).window([1.0], DriftSpec.zero(1), window)
+
 
 class TestOrderStats:
     def test_r_equals_n(self):

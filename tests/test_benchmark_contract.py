@@ -79,32 +79,50 @@ def test_setup_probe_accepts_each_workload_config(name, tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-# The draw each workload runs: the estimator its experiment calls, and the
-# sampler fields of each coordinate's draw in that estimate (of every rung's,
-# for a ladder).
+# The draw each workload runs at its own replication count: the estimator its
+# experiment calls, the sampler fields of each coordinate's draw in that
+# estimate (of every rung's, for a ladder), the replication blocks of each
+# draw record, and whether it draws whole paths, R rows of every coordinate
+# (the lazy conjunction scan draws coordinate 1 only for the rows still alive).
 WORKLOAD_DRAWS = {
-    "window-n3": ("estimate_window_constant", [("direct", 32, None)] * 3),
-    "conj-n2": ("estimate_conjunction_prob", [("dense", 1025, "cholesky")] * 2),
-    "pickands-n2": ("estimate_pickands", [("dense", 513, "cholesky")] * 8),
+    "window-n3": ("estimate_window_constant", [("direct", 32, None)] * 3, [2], True),
+    "conj-n2": ("estimate_conjunction_prob", [("dense", 1025, "cholesky")] * 2, [4], False),
+    "pickands-n2": ("estimate_pickands", [("dense", 513, "cholesky")] * 8, [4] * 4, True),
 }
+
+
+def draw_records(diagnostics):
+    """The draw records in an estimate's diagnostics: its own, or every rung's for a ladder."""
+    return diagnostics.get("rung_draws", [diagnostics])
 
 
 def sampler_fields(diagnostics):
     """``(method, size, factor)`` of each draw that an estimate's diagnostics report."""
-    if "rung_draws" in diagnostics:
-        return [fields for rung in diagnostics["rung_draws"] for fields in sampler_fields(rung)]
-    return list(zip(diagnostics["sampler_methods"], diagnostics["sampler_sizes"], diagnostics["sampler_factors"]))
+    return [
+        fields
+        for record in draw_records(diagnostics)
+        for fields in zip(record["sampler_methods"], record["sampler_sizes"], record["sampler_factors"])
+    ]
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_each_workload_keeps_its_draw(name, monkeypatch):
-    # a change of the sampling method rule must not move a workload off its draw unnoticed
-    estimator, pinned = WORKLOAD_DRAWS[name]
+    # a change of the sampling method rule, of the blocking or of the rows a
+    # workload draws must not move it off its draw unnoticed
+    estimator, pinned, blocks, whole_paths = WORKLOAD_DRAWS[name]
     estimates, call = [], getattr(experiments, estimator)
     monkeypatch.setattr(experiments, estimator, lambda *args: estimates.append(call(*args)) or estimates[-1])
     tree = copy.deepcopy(WORKLOADS[name]["config"])
-    tree[tree["kind"]]["replications"] = 1000  # the draw is built the same at every R
     tree["seed"] = 1
     experiments.run_experiment(tree)
     (estimate,) = estimates
     assert sampler_fields(estimate.diagnostics) == pinned
+    records = draw_records(estimate.diagnostics)
+    assert [record["blocks"] for record in records] == blocks
+    R = tree[tree["kind"]]["replications"]
+    for record in records:
+        rows = record["rows_drawn"]
+        if whole_paths:
+            assert rows == [R] * len(record["sampler_methods"])
+        else:
+            assert rows[0] == R > rows[1] > 0

@@ -138,6 +138,23 @@ class TestConjunctionProb:
         with pytest.raises(DomainError, match="strides"):
             conjunction_prob_nested(ou_spec(), [1.0], unit_grid(65), strides, 2000, STREAM)
 
+    @pytest.mark.parametrize(
+        "thresholds, match",
+        [([[1.0, 1.0], [1.0]], "equally long"), (np.zeros((0, 2)), "at least one")],
+        ids=["ragged", "empty"],
+    )
+    def test_threshold_stack_is_checked_before_drawing(self, monkeypatch, thresholds, match):
+        monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: pytest.fail("drew"))
+        with pytest.raises(DomainError, match=match):
+            estimate_conjunction_prob(ou_spec(n=2), thresholds, unit_grid(65), 2000, STREAM)
+        with pytest.raises(DomainError, match=match):
+            conjunction_prob_nested(ou_spec(n=2), thresholds, unit_grid(65), (2, 1), 2000, STREAM)
+
+    def test_nested_strides_must_be_a_sequence(self, monkeypatch):
+        monkeypatch.setattr(conjunction, "coordinate_samplers", lambda spec, grid: pytest.fail("drew"))
+        with pytest.raises(DomainError, match="sequence"):
+            conjunction_prob_nested(ou_spec(), [1.0], unit_grid(65), 2, 2000, STREAM)
+
     def test_order_statistics_consistency(self):
         # exchangeable pair: P(sup max > u) / P(sup X1 > u) -> 2
         spec = ou_spec(n=2)

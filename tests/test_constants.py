@@ -224,6 +224,11 @@ class TestWindowConstant:
         with pytest.raises(DomainError, match="grid_step"):
             entry(grid_step)
 
+    @pytest.mark.parametrize("window", [1.0, None, (0.0, 1.0, 5.0), (1.0,)])
+    def test_window_must_be_a_pair(self, window):
+        with pytest.raises(DomainError, match="pair"):
+            estimate_window_constant([1.0], 1.0, zero_drift(1), window, R=2000, stream=STREAM)
+
     @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 0.0)])
     def test_window_bounds_must_be_finite(self, window):
         with pytest.raises(DomainError, match="window bounds"):
@@ -413,6 +418,31 @@ class TestDriftSpec:
     def test_coefficients_must_be_finite(self, d_lower, d_upper):
         with pytest.raises(DomainError, match="finite"):
             DriftSpec(1.0, d_lower, d_upper)
+
+    @pytest.mark.parametrize("d_lower, d_upper", [(1.0, 1.0), ((0.0,), None)])
+    def test_coefficients_must_be_sequences(self, d_lower, d_upper):
+        with pytest.raises(DomainError, match="sequence of numbers"):
+            DriftSpec(1.0, d_lower, d_upper)
+
+
+# Entry points that take a drift, called with the given drift.
+DRIFT_ENTRY_POINTS = {
+    "window": lambda drift: estimate_window_constant([1.0], 1.0, drift, (0.0, 1.0), R=2000, stream=STREAM),
+    "piterbarg": lambda drift: estimate_piterbarg([1.0], 1.0, drift, "right", (1.0, 2.0), R=2000, stream=STREAM),
+    "lower_bound": lambda drift: piterbarg_lower_bound([1.0], 1.0, drift, "right", 1.0),
+}
+
+
+class TestDriftArgument:
+    @pytest.mark.parametrize("entry", DRIFT_ENTRY_POINTS.values(), ids=DRIFT_ENTRY_POINTS.keys())
+    def test_none_is_a_domain_error(self, entry):
+        with pytest.raises(DomainError, match="DriftSpec"):
+            entry(None)
+
+    @pytest.mark.parametrize("entry", DRIFT_ENTRY_POINTS.values(), ids=DRIFT_ENTRY_POINTS.keys())
+    def test_dimension_must_match_C(self, entry):
+        with pytest.raises(DomainError, match="dimension"):
+            entry(DriftSpec(1.0, (0.0, 0.0), (1.0, 1.0)))
 
 
 class TestPickandsEstimator:
