@@ -248,24 +248,30 @@ def estimate_double_event(
 
     Windows are [0, S] u^(-2/kappa) and [t0, t0+S] u^(-2/kappa) with all
     offsets t0 > S > 1; paths are shared across offsets for variance
-    reduction.  Offsets snap to the window grid.
+    reduction.  Offsets snap to the window grid, and the result reports the
+    snapped offsets.  Raises :class:`DomainError` when a snapped offset
+    window shares a node with the first window, or two offsets snap to one
+    node.
     """
     if not all(isinstance(c, Stationary) for c in spec.coords):
         raise DomainError("double-event windows are defined for stationary coordinates")
     u = require_real(u, "u", above=0)
     S = require_real(S, "S", above=1)
     offsets = require_ladder(t0_offsets, "t0_offsets")
-    if offsets[0] <= S:
-        raise DomainError("every offset in t0_offsets must exceed S")
+    starts = [int(round(off / S * _DOUBLE_EVENT_NODES)) for off in offsets]
+    if starts[0] <= _DOUBLE_EVENT_NODES or len(set(starts)) < len(starts):
+        raise DomainError(
+            f"every offset in t0_offsets must exceed S, and the offsets stay distinct, once snapped "
+            f"to the window grid of step S/{_DOUBLE_EVENT_NODES}; got {offsets}"
+        )
+    offsets = [s * S / _DOUBLE_EVENT_NODES for s in starts]
     kappa = min(c.kappa for c in spec.coords)
     scale = u ** (-2.0 / kappa)
     step = S * scale / _DOUBLE_EVENT_NODES
     span = (offsets[-1] + S) * scale
     if span > spec.horizon_T:
         raise DomainError(f"windows span {span:.4g}, beyond the horizon {spec.horizon_T}")
-    count = int(round((offsets[-1] + S) / S * _DOUBLE_EVENT_NODES)) + 1
-    grid = SampleGrid(0.0, step, count)
-    starts = [int(round(off / S * _DOUBLE_EVENT_NODES)) for off in offsets]
+    grid = SampleGrid(0.0, step, starts[-1] + _DOUBLE_EVENT_NODES + 1)
     thr = np.full((1, spec.n), u)
 
     def reduce(exceed):

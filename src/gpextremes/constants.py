@@ -99,7 +99,7 @@ class ConstantEstimate:
     window_S: tuple
     grid_step: float
     replications: int
-    estimator_tag: str  # window | slope | discrete_zero | closed_form | bound
+    estimator_tag: str  # window | slope | discrete_zero | closed_form
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -414,7 +414,6 @@ def estimate_piterbarg(
             gap = abs(est.value - prev.value)
             tol = max(2.0 * math.hypot(est.se, prev.se), 1e-3 * abs(est.value))
             if gap < tol:
-                est.estimator_tag = "window"
                 est.diagnostics.update(
                     {
                         "variant": variant,

@@ -15,30 +15,29 @@ z descending, with z_(m+1) = -inf,
     EWV_n(P) = sum_k (exp(z_(k)) - exp(z_(k+1))) EWV_(n-1)(top-k prefix of P),
 
 the prefixes projected onto the first n-1 coordinates.  n = 1 is exp(max);
-n = 2 is the O(m log m) staircase; n = 3 first drops every point that an
-earlier point in x order dominates (an exact filter, O(m^2) comparisons per
-cloud), then sweeps every z-prefix of the survivors with the staircase as
-base case, O(c^2) for c survivors; n >= 4 prunes each cloud to its Pareto
-set and slices the last coordinate recursively down to the n = 3 kernel.
-Every exponential is shifted by a maximum, which keeps coordinates beyond
-+-700 from overflowing.  :func:`ewv_mc` is an independent Monte Carlo
-estimator.
+n = 2 is the O(m log m) staircase; every n >= 3 first drops every point
+that an earlier point in x order dominates (an exact filter, O(m^2)
+comparisons per cloud).  n = 3 then sweeps every z-prefix of the c survivors
+with the staircase as base case, O(c^2), and n >= 4 sends every z-prefix,
+one coordinate shorter, back through the filter and sweep.  Every
+exponential is shifted by a maximum, which keeps coordinates beyond +-700
+from overflowing.  :func:`ewv_mc` is an independent Monte Carlo estimator.
 
 :func:`ewv_batch` reduces n <= 2 in row chunks of at most
 ``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a quarter of that for n = 2).  At
-n = 3 the filter runs in chunks of ``_CHUNK_ELEMENTS // (4 m)`` clouds; the
-clouds are then grouped by their survivor counts, each group padded to its
-largest count, and swept in batches of at most ``_CHUNK_ELEMENTS // 2``
-(point, prefix, cloud) triples.  Every temporary of a kernel stays near
-``_CHUNK_ELEMENTS`` entries however many clouds come in.  The clouds may be
-any strided (R, m, n) view, such as ``np.moveaxis`` of an (n, R, m) block of
-coordinate planes, and are never copied whole.  Every cloud is reduced on
+n >= 3 the filter runs in row chunks; the clouds are then grouped by their
+survivor counts, each group padded to its largest count, and swept in
+batches (:func:`_ewv_sweep_log_rows`).  Every temporary of a kernel stays
+near ``_CHUNK_ELEMENTS`` entries however many clouds come in.  The clouds may
+be any strided (R, m, n) view, such as ``np.moveaxis`` of an (n, R, m) block
+of coordinate planes, and are never copied whole.  Every cloud is reduced on
 its own, with the same operands in the same order, so neither the chunking
-nor the memory layout changes a bit of the result.  At n = 3 that takes two
-rules: a cloud is padded with copies of its first survivor placed before it,
-whose x steps are exact zeros, and every sum of the sweep runs in point
-order, so the padded terms add exact zeros and neither the padding nor the
-batch-mates move a bit.  Non-finite points raise :class:`DomainError`.
+nor the memory layout changes a bit of the result.  At n >= 3 that takes two
+rules: a cloud's pads are copies of one of its survivors that sort next to
+it, whose x steps (n = 3) or z steps (n >= 4) are exact zeros, and every sum
+of a sweep runs in point order, so the padded terms add exact zeros and
+neither the padding nor the batch-mates move a bit.  Non-finite points raise
+:class:`DomainError`.
 
 Every sweep orders its points with numpy's default argsort, a SIMD sort that
 places tied keys in no fixed order.  With distinct keys the sorted
@@ -61,11 +60,11 @@ from .rng import RngStream
 
 __all__ = ["PointCloud", "pareto_prune", "ewv_exact", "ewv_mc", "ewv_batch"]
 
-# Largest temporary, in elements, of the n <= 3 kernels: clouds are reduced
-# in row chunks of at most this many (cloud, point) pairs for n = 2, or one
-# cloud at a time once a single cloud exceeds it.  At n = 3 the filter's
-# (point, cloud) arrays hold a quarter of it each and the sweep's
-# (point, prefix, cloud) array half of it.
+# Largest temporary, in elements, of the kernels: clouds are reduced in row
+# chunks of at most this many (cloud, point) pairs for n = 2, or one cloud at
+# a time once a single cloud exceeds it.  At n >= 3 the filter's (point,
+# cloud) arrays hold 1 / (n + 1) of it each, the n = 3 sweep's (point,
+# prefix, cloud) array half of it and the n >= 4 slice's prefixes all of it.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -166,43 +165,45 @@ def _ewv_staircase_log_rows(x: np.ndarray, y: np.ndarray):
     return shift, -strips.sum(axis=1)
 
 
-def _maxima3(pts: np.ndarray):
-    """(shift, counts, survivors) of the 3-D maxima filter of clouds (B, m, 3).
+def _maxima(pts: np.ndarray):
+    """(shift, counts, survivors) of the maxima filter of clouds (B, m, n), n >= 2.
 
-    Sorted by x descending, point j is dropped when a point before it has
-    y >= y_j and z >= z_j: j is weakly dominated or a copy, so its orthant
-    lies in the others' union and dropping it leaves the EWV exact.  At
-    exact x ties a dominated point can survive, which is harmless: the
-    survivors hold every maximum.  ``survivors`` lists each cloud's kept
-    point indices in sweep order, cloud after cloud, and ``counts`` how many
-    each cloud keeps; ``shift`` is each cloud's largest coordinate sum.
+    Sorted by x descending, point j is dropped when a point before it is
+    >= it on coordinates 1 ... n-1: j is weakly dominated or a copy (a pad
+    among them), so its orthant lies in the others' union and dropping it
+    leaves the EWV exact.  At exact x ties a dominated point can survive,
+    which is harmless: the survivors hold every maximum.  ``survivors`` lists
+    each cloud's kept point indices in sweep order, cloud after cloud, and
+    ``counts`` how many each cloud keeps; ``shift`` is each cloud's largest
+    coordinate sum, which must be finite.
     """
-    B, m, _ = pts.shape
+    B, m, n = pts.shape
     sums = pts.sum(axis=2)
     shift = sums.max(axis=1)
     _require_finite(shift, sums.min())
     del sums
     order = np.argsort(pts[:, :, 0], axis=1)[:, ::-1]
     order += np.arange(0, B * m, m)[:, None]
-    flat = pts.reshape(B * m, 3)
-    y, z = flat[order.T, 1], flat[order.T, 2]  # (point, cloud) in sweep order
+    flat = pts.reshape(B * m, n)
+    y, *rest = (flat[order.T, c] for c in range(1, n))  # (point, cloud) in sweep order
     dominated = np.zeros((m, B), dtype=bool)
     ge = np.empty((m - 1, B), dtype=bool)
-    ge_z = np.empty_like(ge)
+    ge_c = np.empty_like(ge)
     for i in range(m - 1):
         k = m - 1 - i
         np.less_equal(y[i + 1 :], y[i], out=ge[:k])
-        np.less_equal(z[i + 1 :], z[i], out=ge_z[:k])
-        ge[:k] &= ge_z[:k]
+        for c in rest:
+            np.less_equal(c[i + 1 :], c[i], out=ge_c[:k])
+            ge[:k] &= ge_c[:k]
         dominated[i + 1 :] |= ge[:k]
-    del y, z, ge, ge_z
+    del y, rest, ge, ge_c
     order -= np.arange(0, B * m, m)[:, None]
     clouds, points = np.nonzero(~dominated.T)
     return shift, np.bincount(clouds, minlength=B), order[clouds, points]
 
 
-def _ewv3_mantissa(x: np.ndarray, y: np.ndarray, z: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Mantissa of the n=3 sweep of clouds held point-major, (w, G) per coordinate.
+def _ewv3_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Mantissa of the n=3 sweep of clouds held point-major, (w, G, 3).
 
     EWV = exp(shift) * mantissa.  The points of each cloud come sorted by x
     descending (x_(w+1) = -inf).  With R_j the running maximum of y,
@@ -219,7 +220,8 @@ def _ewv3_mantissa(x: np.ndarray, y: np.ndarray, z: np.ndarray, shift: np.ndarra
     before it add exact zeros (their x steps are 0) and a cloud's bits
     depend neither on its padding nor on its batch-mates.
     """
-    w = x.shape[0]
+    w = pts.shape[0]
+    x, y, z = pts.transpose(2, 0, 1)
     z_order = np.argsort(-z, axis=0)
     zs = np.take_along_axis(z, z_order, axis=0)
     rank = np.empty_like(z_order)
@@ -249,58 +251,82 @@ def _sweep_bucket(count: int) -> int:
     return -(-count // step) * step
 
 
-def _ewv3_log_rows(points: np.ndarray):
-    """(shift, mantissa) of clouds (R, m, 3): the maxima filter, then padded sweeps.
+def _ewv_slice_mantissa(pts: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Mantissa of the n >= 4 slice of clouds held point-major, (w, G, n).
 
-    The filter runs in chunks of at most ``_CHUNK_ELEMENTS // (4 m)``
+    EWV = exp(shift) * mantissa.  Sorted by the last coordinate z descending
+    (z_(w+1) = -inf), a cloud's w top-k prefixes, projected onto the first
+    n-1 coordinates and padded to w points with copies of the first point,
+    go to :func:`_ewv_log_rows` as one (G w, w, n-1) batch of (s_k, m_k), and
+    mantissa = sum_k exp(z_(k) + s_k - shift) (1 - exp(z_(k+1) - z_(k))) m_k.
+    z_(k) + s_k is a coordinate sum of the cloud, so no term exceeds
+    ``shift``, its largest.  A cloud's pads sort next to their original, so
+    their z steps are 0 and their terms exact zeros; a prefix's pads are
+    copies that the maxima filter drops.  The sum runs in z order, one cloud
+    per lane, so a cloud's bits depend neither on its padding nor on its
+    batch-mates.
+    """
+    w, G, n = pts.shape
+    pts = np.take_along_axis(pts, np.argsort(-pts[:, :, -1], axis=0)[:, :, None], axis=0)
+    zs = pts[:, :, -1]
+    top = np.tri(w, dtype=bool)[:, :, None]  # (k, slot): the top k+1 points, then pads
+    low = pts[:, :, :-1].transpose(1, 0, 2)[:, None]  # (G, 1, w, n-1)
+    sub_shift, sub_mant = _ewv_log_rows(np.where(top, low, low[:, :, :1]).reshape(G * w, w, n - 1))
+    terms = np.exp(zs + sub_shift.reshape(G, w).T - shift)
+    terms *= -np.expm1(np.diff(zs, axis=0, append=-np.inf))
+    terms *= sub_mant.reshape(G, w).T
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _ewv_sweep_log_rows(points: np.ndarray):
+    """(shift, mantissa) of clouds (R, m, n), n >= 3: the maxima filter, then padded sweeps.
+
+    The filter runs in chunks of at most ``_CHUNK_ELEMENTS // ((n + 1) m)``
     clouds, so its (point, cloud) arrays together stay near
     ``_CHUNK_ELEMENTS`` elements.  Clouds are then grouped by the bucket of
     their survivor count (:func:`_sweep_bucket`), each group padded to its
-    largest count with copies of each cloud's first survivor placed before
-    it, and swept in batches whose (point, prefix, cloud) array holds at
-    most half of ``_CHUNK_ELEMENTS`` entries.
+    largest count w with copies of each cloud's first survivor placed before
+    it, and swept by :func:`_ewv3_mantissa` (n = 3) or
+    :func:`_ewv_slice_mantissa` in batches of at most
+    ``_CHUNK_ELEMENTS // ((n - 1) w**2)`` clouds.
     """
-    R, m, _ = points.shape
+    R, m, n = points.shape
     shift = np.empty(R)
     counts = np.empty(R, dtype=np.intp)
     survivors = [np.empty(0, dtype=np.intp)]
-    rows = max(1, _CHUNK_ELEMENTS // (4 * m))
+    rows = max(1, _CHUNK_ELEMENTS // ((n + 1) * m))
     for lo in range(0, R, rows):
         part = slice(lo, min(lo + rows, R))
-        shift[part], counts[part], kept = _maxima3(points[part])
+        shift[part], counts[part], kept = _maxima(points[part])
         survivors.append(kept)
     survivors = np.concatenate(survivors)
     start = np.cumsum(counts) - counts
-    present = np.zeros(m + 1, dtype=bool)
-    present[counts] = True
-    groups = {}
-    for count in np.flatnonzero(present).tolist():
-        groups.setdefault(_sweep_bucket(count), []).append(count)
+    buckets = np.array([_sweep_bucket(count) for count in range(m + 1)])[counts]
     mantissa = np.empty(R)
-    for members in groups.values():
-        w = members[-1]
-        group = np.flatnonzero((counts >= members[0]) & (counts <= w))
-        batch = max(1, _CHUNK_ELEMENTS // (2 * w * w))
+    kernel = _ewv3_mantissa if n == 3 else _ewv_slice_mantissa
+    for bucket in np.flatnonzero(np.bincount(buckets)).tolist():
+        group = np.flatnonzero(buckets == bucket)
+        w = int(counts[group].max())
+        batch = max(1, _CHUNK_ELEMENTS // ((n - 1) * w * w))
         for lo in range(0, group.size, batch):
             clouds = group[lo : lo + batch]
             slot = np.maximum(np.arange(w)[:, None] - (w - counts[clouds]), 0)  # pads repeat slot 0
             j = survivors[start[clouds] + slot]  # (w, G)
-            x, y, z = (points[clouds, j, c] for c in range(3))
-            mantissa[clouds] = _ewv3_mantissa(x, y, z, shift[clouds])
+            mantissa[clouds] = kernel(points[clouds, j], shift[clouds])
     return shift, mantissa
 
 
 def _ewv_log_rows(points: np.ndarray):
-    """(shift, mantissa) of clouds (R, m, n) for n <= 3, in row chunks.
+    """(shift, mantissa) of clouds (R, m, n) for every n, in row chunks.
 
-    n = 3 is :func:`_ewv3_log_rows`.  For n <= 2 each chunk holds at most
+    n >= 3 is :func:`_ewv_sweep_log_rows`.  For n <= 2 each chunk holds at most
     ``_CHUNK_ELEMENTS // m**(n - 1)`` clouds (a quarter of that for n = 2;
     at least one), so no temporary of a kernel grows with R.  Every cloud
     is reduced on its own, so the chunking leaves every bit of the result.
     """
     R, m, n = points.shape
-    if n == 3:
-        return _ewv3_log_rows(points)
+    if n >= 3:
+        return _ewv_sweep_log_rows(points)
     shift = np.empty(R)
     mantissa = np.empty(R)
     # the n = 2 sweep holds five (cloud, point) arrays at once, so it takes a quarter of the elements
@@ -316,29 +342,6 @@ def _ewv_log_rows(points: np.ndarray):
         else:
             shift[part], mantissa[part] = _ewv_staircase_log_rows(pts[:, :, 0], pts[:, :, 1])
     return shift, mantissa
-
-
-def _ewv_log_cloud(pts: np.ndarray):
-    """(shift, mantissa) of one cloud (m, n), n >= 4, by slicing the last coordinate.
-
-    EWV_n(P) = sum_k (exp(z_(k)) - exp(z_(k+1))) EWV_(n-1)(top-k prefix without z)
-    over the Pareto set sorted by z descending.  A prefix is padded to full
-    length with copies of its first point, which leaves its EWV unchanged, so
-    every prefix of a 4-D cloud goes to the n=3 kernel in one batch.
-    """
-    pts = pts[_pareto_mask(pts)]
-    pts = pts[np.argsort(-pts[:, -1])]
-    if pts.shape[1] == 4:
-        j = np.arange(pts.shape[0])
-        prefixes = pts[np.where(j[None, :] <= j[:, None], j[None, :], 0), :3]
-        sub_shift, sub_mant = _ewv_log_rows(prefixes)
-    else:
-        sub_shift, sub_mant = np.array([_ewv_log_cloud(pts[: k + 1, :-1]) for k in range(pts.shape[0])]).T
-    z = pts[:, -1]
-    lead = z + sub_shift
-    shift = lead.max()
-    slab = -np.expm1(np.diff(z, append=-np.inf))
-    return shift, float((np.exp(lead - shift) * slab * sub_mant).sum())
 
 
 def ewv_exact(cloud: PointCloud) -> float:
@@ -375,10 +378,10 @@ def ewv_mc(cloud: PointCloud, budget: int, stream: RngStream):
 def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.ndarray:
     """Exact EWV of many clouds at once; ``points`` has shape (R, m, n), m and n >= 1.
 
-    n = 1 is the maximum, n = 2 the staircase and n = 3 the maxima filter
-    followed by the masked-prefix sweep of the survivors, each vectorized
-    over many clouds; n >= 4 prunes each cloud to its Pareto set and slices
-    the last coordinate down to the n = 3 kernel.  ``points`` may be any
+    n = 1 is the maximum, n = 2 the staircase and every n >= 3 the maxima
+    filter followed by a sweep of the survivors (at n >= 4 a slice of the
+    last coordinate, down to the n = 3 sweep), each vectorized over many
+    clouds, whose pads add exact zeros.  ``points`` may be any
     strided view, such as ``np.moveaxis`` of an (n, R, m) block of
     coordinate planes; it is never copied whole.  The result does not depend
     on the order of the points within a cloud, except in the rounding of
@@ -390,10 +393,5 @@ def ewv_batch(points: np.ndarray, gen: np.random.Generator | None = None) -> np.
     points = require_real_array(points, "points")
     if points.ndim != 3 or not points.shape[1] or not points.shape[2]:
         raise DomainError(f"points must have shape (R, m, n) with m, n >= 1, got {points.shape}")
-    if points.shape[2] >= 4:
-        if not np.isfinite(points).all():
-            raise DomainError("all points must be finite")
-        shift, mantissa = np.array([_ewv_log_cloud(p) for p in points]).reshape(-1, 2).T
-    else:
-        shift, mantissa = _ewv_log_rows(points)
+    shift, mantissa = _ewv_log_rows(points)
     return np.exp(shift) * mantissa

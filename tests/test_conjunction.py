@@ -216,6 +216,20 @@ class TestDoubleEvent:
         with pytest.raises(DomainError, match="u must be positive"):
             estimate_double_event(ou_spec(T=6.0), u, 2.0, (4.0,), 2000, STREAM)
 
+    def test_offset_window_sharing_a_node_with_the_first_rejected(self):
+        # 2.005 > S, but it snaps to node 64, the first window's last node
+        spec = VectorProcessSpec((Stationary(1.0, 1.5),), 10.0)
+        with pytest.raises(DomainError, match="must exceed S"):
+            estimate_double_event(spec, 1.0, 2.0, [2.005, 2.5], 2000, STREAM)
+
+    def test_offsets_snapping_to_one_node_rejected(self):
+        # 4.0 and 4.01 both snap to node 128; offsets that snap apart are reported snapped
+        spec = VectorProcessSpec((Stationary(1.0, 1.5),), 10.0)
+        with pytest.raises(DomainError, match="stay distinct"):
+            estimate_double_event(spec, 1.0, 2.0, [4.0, 4.01], 2000, STREAM)
+        res = estimate_double_event(spec, 1.0, 2.0, [4.01, 4.05], 2000, STREAM)
+        assert res.offsets == (4.0, 4.0625)
+
 
 class TestSlepianAudit:
     def test_same_spec_passes(self):

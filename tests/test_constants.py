@@ -180,19 +180,22 @@ class TestWindowConstant:
         b = estimate_window_constant([1.0], 1.5, zero_drift(1, 1.5), (0.0, 1.0), workers=8, **common)
         assert a.value == b.value and a.se == b.se
 
-    def test_worker_count_invariance_n3(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_worker_count_invariance_n3(self, n):
         common = dict(grid_step=1.0 / 32, R=5000, stream=RngStream(11, 10))
-        a = estimate_window_constant([1.0, 1.0, 1.0], 1.0, zero_drift(3), (0.0, 1.0), workers=1, **common)
-        b = estimate_window_constant([1.0, 1.0, 1.0], 1.0, zero_drift(3), (0.0, 1.0), workers=2, **common)
+        a = estimate_window_constant([1.0] * n, 1.0, zero_drift(n), (0.0, 1.0), workers=1, **common)
+        b = estimate_window_constant([1.0] * n, 1.0, zero_drift(n), (0.0, 1.0), workers=2, **common)
         assert a.value == b.value and a.se == b.se
 
-    def test_zero_amplitude_coordinate_drops_out(self):
-        # the third coordinate is identically 0, so every EWV_3 equals the EWV_2 of the first two
+    # the last coordinate is identically 0, so every EWV_n equals the EWV_(n-1) of the others;
+    # n = 4 compares the slice of the last coordinate with the n = 3 kernel
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_zero_amplitude_coordinate_drops_out(self, n):
         common = dict(grid_step=1.0 / 32, R=2048, stream=STREAM.child("c0"))
-        three = estimate_window_constant([1.0, 1.0, 0.0], 1.0, zero_drift(3), (0.0, 1.0), **common)
-        two = estimate_window_constant([1.0, 1.0], 1.0, zero_drift(2), (0.0, 1.0), **common)
-        assert three.value == pytest.approx(two.value, rel=1e-12)
-        assert three.se == pytest.approx(two.se, rel=1e-9)
+        full = estimate_window_constant([1.0] * (n - 1) + [0.0], 1.0, zero_drift(n), (0.0, 1.0), **common)
+        less = estimate_window_constant([1.0] * (n - 1), 1.0, zero_drift(n - 1), (0.0, 1.0), **common)
+        assert full.value == pytest.approx(less.value, rel=1e-12)
+        assert full.se == pytest.approx(less.se, rel=1e-9)
 
     def test_subadditivity_small(self):
         h1 = estimate_window_constant([1.0], 1.0, zero_drift(1), (0.0, 1.0), R=10_000, stream=STREAM.child("s1"))

@@ -54,13 +54,13 @@ def brute_force_pareto_mask(pts):
     return keep
 
 
-def drifted_clouds(R, m, T, seed):
-    """R clouds of three sqrt(2) B(t) - t coordinates on m nodes of [0, T], as
+def drifted_clouds(R, m, T, seed, n=3):
+    """R clouds of n sqrt(2) B(t) - t coordinates on m nodes of [0, T], as
     the window estimators see them: a moveaxis view of coordinate planes."""
     gen = np.random.default_rng(seed)
     step = T / (m - 1)
-    inc = math.sqrt(step) * gen.standard_normal((3, R, m - 1))
-    planes = math.sqrt(2.0) * np.concatenate([np.zeros((3, R, 1)), np.cumsum(inc, axis=2)], axis=2)
+    inc = math.sqrt(step) * gen.standard_normal((n, R, m - 1))
+    planes = math.sqrt(2.0) * np.concatenate([np.zeros((n, R, 1)), np.cumsum(inc, axis=2)], axis=2)
     return np.moveaxis(planes - step * np.arange(m), 0, 2)
 
 
@@ -167,7 +167,7 @@ class TestEwvExact:
         for pts in oracle_clouds(n, ties):
             assert ewv_exact(PointCloud(n, pts)) == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_antipodal_large_coordinates(self, n):
         # the coordinatewise maxima sum to 1600, the point sums to 0: EWV = 2 - exp(-1600)
         pts = np.zeros((2, n))
@@ -273,7 +273,7 @@ class TestEwvBatch:
         np.testing.assert_allclose(ewv_batch(clouds), oracle, rtol=1e-12)
 
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_point_order_invariance(self, n, ties):
         # distinct keys sort into one permutation, so any point order gives the
         # same bits; tied keys and duplicate points may move only the rounding
@@ -293,8 +293,8 @@ class TestEwvBatch:
         for r in (0, 59, 60, 61, 299):
             assert batch[r] == pytest.approx(ewv_exact(PointCloud(3, pts[r])), rel=1e-14)
 
-    # (n, R, m): R spans several row chunks for n <= 3
-    @pytest.mark.parametrize("n, R, m", [(1, 140_000, 3), (2, 5000, 33), (3, 200, 33), (4, 12, 10)])
+    # (n, R, m): R spans several row chunks for n <= 3 and n = 5
+    @pytest.mark.parametrize("n, R, m", [(1, 140_000, 3), (2, 5000, 33), (3, 200, 33), (4, 12, 10), (5, 400, 33)])
     def test_moveaxis_view_in_chunks_equals_single_pass(self, n, R, m, monkeypatch):
         gen = np.random.default_rng(19)
         planes = np.cumsum(gen.normal(size=(n, R, m)), axis=2) - np.linspace(0.0, 3.0, m)
@@ -304,10 +304,11 @@ class TestEwvBatch:
         monkeypatch.setattr(orthants, "_CHUNK_ELEMENTS", 1 << 62)
         np.testing.assert_array_equal(chunked, ewv_batch(stacked))
 
-    def test_n3_survivor_count_grouping_and_padding_leave_bits(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_n3_survivor_count_grouping_and_padding_leave_bits(self, n):
         # a cloud's value does not depend on the clouds it is swept with: alone,
         # among clouds with larger Pareto sets (which pad it) and shuffled
-        clouds = np.ascontiguousarray(drifted_clouds(300, 33, 1.0, seed=33))
+        clouds = np.ascontiguousarray(drifted_clouds(300, 33, 1.0, seed=33, n=n))
         counts = np.array([_pareto_mask(c).sum() for c in clouds])
         batch = ewv_batch(clouds)
         buckets = np.array([orthants._sweep_bucket(int(c)) for c in counts])
@@ -337,10 +338,13 @@ class TestEwvBatch:
         pts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [-1.0, 2.0, -1.0], [0.0, 0.5, 1.0]])
         assert ewv_batch(pts[None])[0] == pytest.approx(inclusion_exclusion_ewv(pts), rel=1e-12)
 
-    def test_n3_peak_is_a_few_chunks(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_n3_peak_is_a_few_chunks(self, n):
         # the maxima filter and the padded sweeps keep their temporaries within
-        # a few _CHUNK_ELEMENTS floats, at the m = 513 of a fine window grid
-        clouds = drifted_clouds(64, 513, 4.0, seed=36)
+        # a few _CHUNK_ELEMENTS floats, at the m = 513 of a fine window grid,
+        # unless one cloud's n >= 4 slice needs its (n - 1) c**2 prefix array
+        clouds = drifted_clouds(64, 513, 4.0, seed=36, n=n)
+        largest = int(orthants._maxima(clouds)[1].max())
         ewv_batch(clouds)
         tracemalloc.start()
         try:
@@ -348,10 +352,10 @@ class TestEwvBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * orthants._CHUNK_ELEMENTS
+        assert peak <= 2 * 8 * max(orthants._CHUNK_ELEMENTS, (n - 1) * largest**2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_non_finite_points_rejected(self, n, bad):
         pts = np.random.default_rng(37).normal(size=(5, 4, n))
         for c in range(n):
@@ -360,6 +364,18 @@ class TestEwvBatch:
                 bent[2, j, c] = bad
                 with pytest.raises(DomainError, match="finite"):
                     ewv_batch(bent)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_no_ewv_path_runs_the_pareto_mask(self, n, monkeypatch):
+        # the maxima filter is the one prune of every n >= 3
+        clouds = oracle_clouds(n, False, seed=3)
+        oracle = [inclusion_exclusion_ewv(pts) for pts in clouds]
+
+        def fail(pts):
+            raise AssertionError("_pareto_mask called")
+
+        monkeypatch.setattr(orthants, "_pareto_mask", fail)
+        np.testing.assert_allclose(ewv_batch(clouds), oracle, rtol=1e-12)
 
     def test_non_real_points_rejected(self):
         with pytest.raises(DomainError, match="real numbers"):
